@@ -22,7 +22,6 @@ from .agreement import (
 )
 from .cbm import (
     CavCvConfig,
-    ConceptScores,
     ConceptVector,
     NegativeMode,
     build_concept_sets,

@@ -22,6 +22,7 @@ import numpy as np
 from .core import ObjLevel
 from .errors import (
     DegenerateNull,
+    EmptyInput,
     FewerThanTwoAnnotators,
     InvariantViolation,
     LengthMismatch,
@@ -49,25 +50,17 @@ def level_distance(u: ObjLevel, v: ObjLevel) -> float:
 class GammaConfig:
     """Agreement parameters.
 
-    ``alignment_weight`` and ``category_weight`` weight the alignment
-    and categorical dissimilarities of the combined measure. Projected
-    timelines are already aligned, so this artifact fixes them to 0 and
-    1; other values are rejected. ``n_null`` is the number of resampled
-    null trials.
+    Projected timelines are already aligned, so only the categorical
+    dissimilarity counts. ``n_null`` is the number of resampled null
+    trials.
     """
 
-    alignment_weight: float = 0.0
-    category_weight: float = 1.0
     n_null: int = 62
     seed: int = 0
     excluded_levels: frozenset[ObjLevel] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "excluded_levels", frozenset(self.excluded_levels))
-        if self.alignment_weight != 0.0 or self.category_weight != 1.0:
-            raise InvariantViolation(
-                "clip-aligned agreement requires alignment_weight=0, category_weight=1"
-            )
         if self.n_null < 1:
             raise InvariantViolation(f"n_null must be >= 1, got {self.n_null}")
 
@@ -218,6 +211,8 @@ def gamma_per_film_and_average(
     The average weights every annotator pair equally, which is the same
     as weighting each film by its number of pairs.
     """
+    if not films:
+        raise EmptyInput("no films to score")
     rows: list[FilmPairGamma] = []
     for film_id in sorted(films):
         sequences = films[film_id]

@@ -33,7 +33,7 @@ from .harness import (
     FoldPlan,
     ModelKind,
     TaskConfig,
-    balanced_train_sets,
+    balanced_draws,
     derive_seed,
     make_folds_from_ids,
     run_task,
@@ -43,9 +43,7 @@ from .models import (
     LinearModel,
     Metrics,
     f1 as f1_score,
-    train_logreg,
     train_svm,
-    train_tree,
 )
 
 DEFAULT_C_GRID: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -114,18 +112,6 @@ class ConceptVector:
         )
 
 
-@dataclass(frozen=True)
-class ConceptScores:
-    clip_id: str
-    scores: np.ndarray  # length 8, canonical concept order
-
-    def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=np.float64).reshape(-1)
-        if arr.size != len(CONCEPTS):
-            raise DimensionMismatch(self.clip_id, len(CONCEPTS), arr.size)
-        object.__setattr__(self, "scores", arr)
-
-
 def build_concept_sets(
     labels: Sequence[ClipLabel],
     concept: Concept,
@@ -153,20 +139,6 @@ def build_concept_sets(
     if not neg:
         raise EmptyClass(concept.label, "negative")
     return tuple(pos), tuple(neg)
-
-
-def _balanced_draws(
-    pos: Sequence[str], neg: Sequence[str], rng: np.random.Generator
-) -> list[tuple[list[str], list[str]]]:
-    """Disjoint negative sub-samples matching the positive count."""
-    n_draws = max(1, len(neg) // len(pos))
-    order = rng.permutation(len(neg))
-    size = min(len(pos), len(neg))
-    draws = []
-    for i in range(n_draws):
-        chunk = order[i * size : (i + 1) * size]
-        draws.append((list(pos), [neg[j] for j in chunk]))
-    return draws
 
 
 def fit_cav(
@@ -222,35 +194,25 @@ def fit_cav(
 
     plan: FoldPlan = make_folds_from_ids({"pos": pos, "neg": neg}, k=cv.k, seed=seed)
 
+    def split(folds: Sequence[int]):
+        return matrices(plan.ids("pos", folds), plan.ids("neg", folds))
+
     c_means: list[tuple[float, float]] = []
     for c in sorted(c_grid):
         scores: list[float] = []
         for rotation in range(cv.rotations):
-            train_pos: list[str] = []
-            train_neg: list[str] = []
-            for fold in range(cv.k - 1):
-                if fold == rotation:
-                    continue
-                train_pos.extend(plan.fold_ids("pos", fold))
-                train_neg.extend(plan.fold_ids("neg", fold))
-            val_X, val_y = matrices(
-                plan.fold_ids("pos", rotation), plan.fold_ids("neg", rotation)
-            )
+            others = [fold for fold in range(cv.k - 1) if fold != rotation]
+            val_X, val_y = split([rotation])
             rng = np.random.default_rng(derive_seed(seed, 3, rotation))
-            for draw_pos, draw_neg in _balanced_draws(train_pos, train_neg, rng):
-                X, y = matrices(draw_pos, draw_neg)
+            for draw in balanced_draws(plan.ids("pos", others), plan.ids("neg", others), rng):
+                X, y = matrices(*draw)
                 model = train_svm(X, y, c=c)
                 scores.append(f1_score(model.predict(val_X), val_y).f1)
         c_means.append((c, float(np.mean(scores))))
     best_c = max(c_means, key=lambda item: item[1])[0]
 
-    refit_pos = [cid for fold in range(cv.k - 1) for cid in plan.fold_ids("pos", fold)]
-    refit_neg = [cid for fold in range(cv.k - 1) for cid in plan.fold_ids("neg", fold)]
-    X, y = matrices(refit_pos, refit_neg)
-    model = train_svm(X, y, c=best_c)
-    test_X, test_y = matrices(
-        plan.fold_ids("pos", plan.test_fold), plan.fold_ids("neg", plan.test_fold)
-    )
+    model = train_svm(*split(range(cv.k - 1)), c=best_c)
+    test_X, test_y = split([plan.test_fold])
     return finish(model, f1_score(model.predict(test_X), test_y).f1)
 
 
@@ -367,19 +329,7 @@ def train_pcbm(
         logreg_l2=logreg_l2,
     )
     report = run_task(cfg, labels, scores)
-    # Refit on the final draw so callers get an inspectable model.
-    by_level: dict[ObjLevel, list[str]] = {}
-    for lbl in labels:
-        by_level.setdefault(lbl.level, []).append(lbl.clip_id)
-    plan = make_folds_from_ids(by_level, k=k, seed=seed)
-    pos_ids, neg_ids = balanced_train_sets(plan, ObjLevel.S, train_negatives)[-1]
-    X = np.stack([scores[cid] for cid in list(pos_ids) + list(neg_ids)])
-    y = np.array([1] * len(pos_ids) + [0] * len(neg_ids), dtype=np.int64)
-    if kind is ModelKind.PCBM_DT:
-        model = train_tree(X, y, max_depth=tree_max_depth)
-    else:
-        model = train_logreg(X, y, l2=logreg_l2, seed=derive_seed(seed, 5))
-    return PcbmResult(model=model, report=report)
+    return PcbmResult(model=report.draws[-1].model, report=report)
 
 
 def export_tree_report(tree: DecisionTree, feature_names: Sequence[str] | None = None) -> str:

@@ -24,9 +24,11 @@ from .core import (
     ClipLabel,
     Concept,
     ObjLevel,
+    is_string_list,
     load_embeddings,
     parse_annotations,
     parse_clip_index,
+    read_jsonl,
 )
 from .errors import (
     InvariantError,
@@ -61,7 +63,12 @@ def _read_path(path: str, binary: bool = False):
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such file: {path}")
-    return p.read_bytes() if binary else p.read_text(encoding="utf-8")
+    if binary:
+        return p.read_bytes()
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -90,32 +97,46 @@ def _label_to_obj(film: str, label: ClipLabel) -> dict:
     }
 
 
-def _read_merged_labels(text: str) -> list[tuple[str, ClipLabel]]:
-    out: list[tuple[str, ClipLabel]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise MalformedRecord(lineno, f"invalid JSON ({e.msg})") from None
-        try:
-            label = ClipLabel(
-                clip_id=obj["clip"],
-                level=ObjLevel.from_name(obj["level"]),
-                concepts=frozenset(Concept.from_label(c) for c in obj.get("concepts", [])),
-                annotators=frozenset(obj.get("annotators", [])),
+def _fields(lineno: int, obj: dict, *keys: str) -> list[str]:
+    """The values of ``keys`` in a JSONL record, each required to be a string."""
+    for key in keys:
+        if key not in obj:
+            raise MalformedRecord(lineno, f"missing field {key!r}")
+        if not isinstance(obj[key], str):
+            raise MalformedRecord(lineno, f"field {key!r} must be a string")
+    return [obj[key] for key in keys]
+
+
+def _read_merged_labels(text: str) -> list[ClipLabel]:
+    out: list[ClipLabel] = []
+    for lineno, obj in read_jsonl(text):
+        clip_id, level = _fields(lineno, obj, "clip", "level")
+        concepts, annotators = obj.get("concepts", []), obj.get("annotators", [])
+        if not is_string_list(concepts) or not is_string_list(annotators):
+            raise MalformedRecord(lineno, "concepts and annotators must be arrays of strings")
+        out.append(
+            ClipLabel(
+                clip_id=clip_id,
+                level=ObjLevel.from_name(level),
+                concepts=frozenset(Concept.from_label(c) for c in concepts),
+                annotators=frozenset(annotators),
             )
-        except KeyError as e:
-            raise MalformedRecord(lineno, f"missing field {e.args[0]!r}") from None
-        out.append((obj.get("film", ""), label))
+        )
     return out
 
 
 # --- fuse -------------------------------------------------------------------
 
 
+def _parse_thresholds(text: str) -> list[float]:
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ParseError(f"--sweep needs comma-separated numbers, got {text!r}") from None
+
+
 def cmd_fuse(args: argparse.Namespace) -> int:
+    thresholds = _parse_thresholds(args.sweep) if args.sweep else None
     spans = parse_annotations(_read_path(args.annotations))
     clips = parse_clip_index(_read_path(args.clips))
     basis = (
@@ -158,8 +179,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
                 proj_lines.append(json.dumps(obj))
     _write_text(out / "projections.jsonl", "".join(line + "\n" for line in proj_lines))
 
-    if args.sweep:
-        thresholds = [float(t) for t in args.sweep.split(",") if t.strip()]
+    if thresholds is not None:
         spans_by_annotator: dict[str, list] = {}
         for s in spans:
             spans_by_annotator.setdefault(s.annotator_id, []).append(s)
@@ -180,18 +200,9 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 def cmd_gamma(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     films: dict[str, dict[str, list[ObjLevel]]] = {}
-    for lineno, raw in enumerate(_read_path(args.projections).splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-            film, annotator = obj["film"], obj["annotator"]
-            level = ObjLevel.from_name(obj["level"])
-        except json.JSONDecodeError as e:
-            raise MalformedRecord(lineno, f"invalid JSON ({e.msg})") from None
-        except KeyError as e:
-            raise MalformedRecord(lineno, f"missing field {e.args[0]!r}") from None
-        films.setdefault(film, {}).setdefault(annotator, []).append(level)
+    for lineno, obj in read_jsonl(_read_path(args.projections)):
+        film, annotator, level = _fields(lineno, obj, "film", "annotator", "level")
+        films.setdefault(film, {}).setdefault(annotator, []).append(ObjLevel.from_name(level))
 
     excluded = _parse_levels(args.exclude) if args.exclude else frozenset()
     cfg = GammaConfig(n_null=args.n_null, seed=seed, excluded_levels=excluded)
@@ -220,7 +231,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    labels = [label for _, label in _read_merged_labels(_read_path(args.labels))]
+    labels = _read_merged_labels(_read_path(args.labels))
     if not labels:
         raise PreconditionError(f"no labels found in {args.labels}")
     summary = summarize(labels)
@@ -252,7 +263,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _load_task_inputs(args: argparse.Namespace):
     emb = load_embeddings(_read_path(args.embeddings, binary=True))
-    labels = [label for _, label in _read_merged_labels(_read_path(args.labels))]
+    labels = _read_merged_labels(_read_path(args.labels))
     kept = [lbl for lbl in labels if lbl.level is not ObjLevel.NS]
     if not kept:
         raise PreconditionError("no non-NS labels to work with")
@@ -291,13 +302,19 @@ def cmd_cav(args: argparse.Namespace) -> int:
 # --- pcbm ---------------------------------------------------------------------
 
 
+def _read_cavs(path: str) -> list[cbm_mod.ConceptVector]:
+    try:
+        return [cbm_mod.ConceptVector.from_json(d) for d in json.loads(_read_path(path))["cavs"]]
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ParseError(f"{path}: not a concept-vector file ({e})") from None
+
+
 def cmd_pcbm(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     emb, labels = _load_task_inputs(args)
     kind = ModelKind.PCBM_DT if args.kind == "dt" else ModelKind.PCBM_LR
     if args.cavs:
-        doc = json.loads(_read_path(args.cavs))
-        cavs = [cbm_mod.ConceptVector.from_json(d) for d in doc["cavs"]]
+        cavs = _read_cavs(args.cavs)
     else:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
     scores = cbm_mod.score_table(emb, cavs)
@@ -342,26 +359,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
         features = cbm_mod.score_table(emb, cavs)
     else:
-        features = {cid: emb[cid] for cid in emb.clip_ids()}
+        features = emb
 
-    grid = [
-        (ObjLevel.EN, frozenset({ObjLevel.EN})),
-        (ObjLevel.HN, frozenset({ObjLevel.EN})),
-        (ObjLevel.EN, frozenset({ObjLevel.EN, ObjLevel.HN})),
-        (ObjLevel.HN, frozenset({ObjLevel.EN, ObjLevel.HN})),
-    ]
-    reports = []
-    for train_neg, test_neg in grid:
-        cfg = TaskConfig(
-            train_negatives=train_neg,
-            test_negatives=test_neg,
-            model=model,
-            seed=seed,
-            mlp_epochs=args.epochs,
-            mlp_lr=args.lr,
-            mlp_batch=args.batch,
-        )
-        reports.append(run_task(cfg, labels, features))
+    # Columns are the test negative sets, rows the train negatives;
+    # reports are run and listed column by column.
+    test_sets = (frozenset({ObjLevel.EN}), frozenset({ObjLevel.EN, ObjLevel.HN}))
+    reports = {}
+    for test_neg in test_sets:
+        for train_neg in (ObjLevel.EN, ObjLevel.HN):
+            cfg = TaskConfig(
+                train_negatives=train_neg,
+                test_negatives=test_neg,
+                model=model,
+                seed=seed,
+                mlp_epochs=args.epochs,
+                mlp_lr=args.lr,
+                mlp_batch=args.batch,
+            )
+            reports[train_neg, test_neg] = run_task(cfg, labels, features)
 
     resolved = {
         "command": "eval",
@@ -374,31 +389,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "batch": args.batch,
     }
     out = Path(args.out)
-    doc = {"config": resolved, "reports": [r.to_json() for r in reports]}
+    doc = {"config": resolved, "reports": [r.to_json() for r in reports.values()]}
     _write_text(out / "eval_report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-    def cell(train_neg: ObjLevel, test_neg: frozenset) -> str:
-        for r in reports:
-            if r.config.train_negatives is train_neg and r.config.test_negatives == test_neg:
-                return f"{r.mean_f1:.4f} ({r.std_f1:.4f})"
-        return ""
 
     lines = [
         _config_line(resolved),
         "model,train_negatives,test_EN_vs_S,test_EN+HN_vs_S",
     ]
     for train_neg in (ObjLevel.EN, ObjLevel.HN):
-        lines.append(
-            f"{args.model},{train_neg.name},"
-            f'"{cell(train_neg, frozenset({ObjLevel.EN}))}",'
-            f'"{cell(train_neg, frozenset({ObjLevel.EN, ObjLevel.HN}))}"'
-        )
-    r_en = next(r for r in reports if r.config.test_negatives == frozenset({ObjLevel.EN}))
-    r_all = next(
-        r for r in reports if r.config.test_negatives == frozenset({ObjLevel.EN, ObjLevel.HN})
-    )
+        cells = [reports[train_neg, t] for t in test_sets]
+        scores = ",".join(f'"{r.mean_f1:.4f} ({r.std_f1:.4f})"' for r in cells)
+        lines.append(f"{args.model},{train_neg.name},{scores}")
     for name in ("random", "all_positive"):
-        lines.append(f'{name},,"{r_en.baselines[name]:.4f}","{r_all.baselines[name]:.4f}"')
+        values = ",".join(f'"{reports[ObjLevel.EN, t].baselines[name]:.4f}"' for t in test_sets)
+        lines.append(f"{name},,{values}")
     _write_text(out / "eval_table.csv", "".join(line + "\n" for line in lines))
     return 0
 
@@ -407,8 +411,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_error(args: argparse.Namespace) -> int:
-    labeled = _read_merged_labels(_read_path(args.labels))
-    labels = [label for _, label in labeled]
+    labels = _read_merged_labels(_read_path(args.labels))
     by_clip = {label.clip_id: label for label in labels}
 
     preds: dict[str, int] = {}
@@ -434,15 +437,12 @@ def cmd_error(args: argparse.Namespace) -> int:
     truth_list = (
         [truths[lbl.clip_id] for lbl in ordered] if len(truths) == len(preds) else None
     )
-    weights = error_factor_analysis(
-        ordered, pred_list, truth_list, l2=args.l2, seed=args.seed or 0
-    )
+    weights = error_factor_analysis(ordered, pred_list, truth_list, l2=args.l2)
     resolved = {
         "command": "error",
         "labels": args.labels,
         "predictions": args.predictions,
         "l2": args.l2,
-        "seed": args.seed or 0,
     }
     lines = [_config_line(resolved), "factor,weight"]
     for name in FACTOR_NAMES:
@@ -464,12 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, needs_seed: bool) -> None:
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker cap; outputs are schedule-independent (currently sequential)",
-        )
         if needs_seed:
             p.add_argument(
                 "--seed", type=int, default=None, help=f"seed (falls back to {SEED_ENV_VAR})"
@@ -531,9 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labels", help="merged JSONL")
     p.add_argument("predictions", help="CSV clip_id,prediction[,truth]")
     p.add_argument("--l2", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    add_common(p, needs_seed=False)
     p.set_defaults(func=cmd_error)
 
     return parser
@@ -542,9 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 4
     try:
         return args.func(args)
     except (ParseError, FileNotFoundError) as e:

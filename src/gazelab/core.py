@@ -31,9 +31,9 @@ import csv
 import io
 import json
 import struct
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -181,76 +181,69 @@ class ClipLabel:
         _check_level_concepts(self.level, self.concepts)
 
 
-class EmbeddingTable:
+class EmbeddingTable(Mapping[str, np.ndarray]):
     """Per-clip embedding vectors of one fixed dimension.
 
-    Vectors are stored as float32, the width of the binary format, so
-    binary and CSV round trips are both exact. Tables are immutable
-    after construction and safe to share across workers.
+    The vectors live in one read-only float32 ``(n, dim)`` matrix, the
+    width of the binary format, so binary and CSV round trips are both
+    exact; an id-to-row index maps each clip id to its row. Tables are
+    immutable after construction and safe to share across workers.
     """
 
     def __init__(self, rows: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]]):
         items = rows.items() if isinstance(rows, Mapping) else rows
-        table: dict[str, np.ndarray] = {}
-        dim: int | None = None
+        index: dict[str, int] = {}
+        vectors: list[np.ndarray] = []
         for clip_id, vec in items:
-            if clip_id in table:
+            if clip_id in index:
                 raise InvariantViolation(f"duplicate clip id {clip_id!r}")
             arr = np.asarray(vec, dtype=np.float32).reshape(-1)
-            if dim is None:
+            if not vectors:
                 if arr.size == 0:
                     raise InvariantViolation(f"clip {clip_id!r}: empty vector")
-                dim = arr.size
-            elif arr.size != dim:
-                raise DimensionMismatch(clip_id, dim, arr.size)
+            elif arr.size != vectors[0].size:
+                raise DimensionMismatch(clip_id, vectors[0].size, arr.size)
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
                 raise NonFiniteValue(clip_id, int(bad[0]))
-            arr.flags.writeable = False
-            table[clip_id] = arr
-        if dim is None:
+            index[clip_id] = len(vectors)
+            vectors.append(arr)
+        if not vectors:
             raise InvariantViolation("embedding table has no rows")
-        self._rows = table
-        self._dim = dim
+        self._matrix = np.stack(vectors)
+        self._matrix.flags.writeable = False
+        self._index = index
 
     @property
     def dim(self) -> int:
-        return self._dim
-
-    @property
-    def rows(self) -> Mapping[str, np.ndarray]:
-        return self._rows
+        return self._matrix.shape[1]
 
     def clip_ids(self) -> tuple[str, ...]:
-        return tuple(self._rows)
+        return tuple(self._index)
 
     def matrix(self, clip_ids: Iterable[str]) -> np.ndarray:
-        """Stack the vectors of ``clip_ids`` into one (n, dim) array."""
-        out = []
-        for cid in clip_ids:
-            if cid not in self._rows:
-                raise MissingEmbedding(cid)
-            out.append(self._rows[cid])
-        return np.stack(out) if out else np.empty((0, self._dim), dtype=np.float32)
+        """Gather the vectors of ``clip_ids`` into one (n, dim) array."""
+        try:
+            rows = [self._index[cid] for cid in clip_ids]
+        except KeyError as e:
+            raise MissingEmbedding(e.args[0]) from None
+        return self._matrix[rows]
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, clip_id: str) -> bool:
-        return clip_id in self._rows
+        return len(self._index)
 
     def __getitem__(self, clip_id: str) -> np.ndarray:
-        return self._rows[clip_id]
+        return self._matrix[self._index[clip_id]]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._rows)
+        return iter(self._index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingTable):
             return NotImplemented
-        if self._dim != other._dim or self._rows.keys() != other._rows.keys():
+        if self.dim != other.dim or self._index.keys() != other._index.keys():
             return False
-        return all(np.array_equal(v, other._rows[k]) for k, v in self._rows.items())
+        return all(np.array_equal(self[k], other[k]) for k in self._index)
 
 
 @dataclass(frozen=True)
@@ -274,7 +267,47 @@ def pool_frames(m: FrameTokenMatrix) -> np.ndarray:
     return m.tokens.max(axis=0)
 
 
-# --- annotation JSONL ---------------------------------------------------
+# --- JSONL records ------------------------------------------------------
+
+
+def read_jsonl(text: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for every non-blank JSONL line.
+
+    Raises MalformedRecord for a line that is not valid JSON or whose
+    value is not a JSON object.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise MalformedRecord(lineno, f"invalid JSON ({e.msg})") from None
+        except RecursionError:
+            raise MalformedRecord(lineno, "invalid JSON (nested too deeply)") from None
+        if not isinstance(obj, dict):
+            raise MalformedRecord(lineno, "record is not a JSON object")
+        yield lineno, obj
+
+
+def _as_float(value) -> float | None:
+    """A JSON number as a float, or None for anything else.
+
+    JSON true/false decode to bool, which Python counts as an int, and
+    integers beyond the float range cannot be converted; both are None.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def is_string_list(value) -> bool:
+    """Whether a decoded JSON value is an array of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
 
 _ANNOTATION_KEYS = {"film", "annotator", "start", "end", "level", "concepts"}
 
@@ -287,34 +320,25 @@ def parse_annotations(text: str) -> list[SpanAnnotation]:
     that break the domain rules.
     """
     spans: list[SpanAnnotation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise MalformedRecord(lineno, f"invalid JSON ({e.msg})") from None
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "record is not a JSON object")
+    for lineno, obj in read_jsonl(text):
         missing = _ANNOTATION_KEYS - obj.keys()
         if missing:
             raise MalformedRecord(lineno, f"missing fields {sorted(missing)}")
         if not isinstance(obj["film"], str) or not isinstance(obj["annotator"], str):
             raise MalformedRecord(lineno, "film and annotator must be strings")
-        if not isinstance(obj["start"], (int, float)) or not isinstance(obj["end"], (int, float)):
+        start, end = _as_float(obj["start"]), _as_float(obj["end"])
+        if start is None or end is None:
             raise MalformedRecord(lineno, "start and end must be numbers")
-        if not isinstance(obj["level"], str) or not isinstance(obj["concepts"], list):
-            raise MalformedRecord(lineno, "level must be a string, concepts an array")
+        if not isinstance(obj["level"], str) or not is_string_list(obj["concepts"]):
+            raise MalformedRecord(lineno, "level must be a string, concepts an array of strings")
         try:
-            level = ObjLevel.from_name(obj["level"])
-            concepts = frozenset(Concept.from_label(c) for c in obj["concepts"])
             span = SpanAnnotation(
                 film_id=obj["film"],
                 annotator_id=obj["annotator"],
-                start=float(obj["start"]),
-                end=float(obj["end"]),
-                level=level,
-                concepts=concepts,
+                start=start,
+                end=end,
+                level=ObjLevel.from_name(obj["level"]),
+                concepts=frozenset(Concept.from_label(c) for c in obj["concepts"]),
             )
         except InvariantViolation as e:
             raise InvariantViolation(e.reason, line=lineno) from None
@@ -442,27 +466,17 @@ def _load_embeddings_binary(data: bytes) -> EmbeddingTable:
 
 
 def _load_embeddings_csv(text: str) -> EmbeddingTable:
-    rows: list[tuple[str, np.ndarray]] = []
-    dim: int | None = None
+    rows: list[tuple[str, list[float]]] = []
     reader = csv.reader(io.StringIO(text))
     for lineno, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 2:
             raise MalformedRecord(lineno, "expected clip_id followed by components")
-        clip_id = row[0]
         try:
-            vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
+            rows.append((row[0], [float(v) for v in row[1:]]))
         except ValueError:
             raise MalformedRecord(lineno, "non-numeric component") from None
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DimensionMismatch(clip_id, dim, vec.size)
-        bad = np.flatnonzero(~np.isfinite(vec))
-        if bad.size:
-            raise NonFiniteValue(clip_id, int(bad[0]))
-        rows.append((clip_id, vec.astype(np.float32)))
     return EmbeddingTable(rows)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .models import (
     Metrics,
-    MlpModel,
     f1,
     train_logreg,
     train_mlp,
@@ -68,12 +67,12 @@ class FoldPlan:
     def fold_ids(self, cls: Hashable, fold: int) -> tuple[str, ...]:
         return self.folds[cls][fold]
 
+    def ids(self, cls: Hashable, folds: Iterable[int]) -> tuple[str, ...]:
+        """The ids of class ``cls`` in ``folds``, fold by fold."""
+        return tuple(cid for fold in folds for cid in self.folds[cls][fold])
+
     def train_ids(self, cls: Hashable) -> tuple[str, ...]:
-        out: list[str] = []
-        for i in range(self.k):
-            if i not in (self.test_fold, self.val_fold):
-                out.extend(self.folds[cls][i])
-        return tuple(out)
+        return self.ids(cls, (i for i in range(self.k) if i not in (self.test_fold, self.val_fold)))
 
 
 def make_folds_from_ids(
@@ -102,31 +101,36 @@ def make_folds(labels: Sequence[ClipLabel], k: int = 10, seed: int = 0) -> FoldP
     return make_folds_from_ids(ids_by_level, k=k, seed=seed)
 
 
+def balanced_draws(
+    pos: Sequence[str], neg: Sequence[str], rng: np.random.Generator
+) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Balanced (positives, negatives) sets over one pool of each class.
+
+    Every set keeps all positives; negatives are drawn as disjoint
+    subsets of the same size from one ``rng`` permutation. The number of
+    sets is floor(negatives / positives), at least 1; leftover negatives
+    after the last full draw stay unused.
+    """
+    pos = tuple(pos)
+    order = rng.permutation(len(neg))
+    size = min(len(pos), len(neg))
+    return [
+        (pos, tuple(neg[j] for j in order[i * size : (i + 1) * size]))
+        for i in range(max(1, len(neg) // len(pos)))
+    ]
+
+
 def balanced_train_sets(
     plan: FoldPlan, positive: Hashable, negative: Hashable
 ) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Balanced (positives, negatives) training sets from the train folds.
-
-    Every set keeps all training positives; negatives are drawn as
-    disjoint seeded subsets of the same size. The number of sets is
-    floor(negatives / positives), at least 1; leftover negatives after
-    the last full draw stay unused.
-    """
+    """Balanced training sets from the train folds of ``plan``."""
     pos = plan.train_ids(positive)
-    neg = list(plan.train_ids(negative))
+    neg = plan.train_ids(negative)
     if not pos or not neg:
         raise NoTrainData(
             f"no training data for classes {positive!r}/{negative!r}"
         )
-    n_sets = max(1, len(neg) // len(pos))
-    rng = np.random.default_rng(derive_seed(plan.seed, 0x0B))
-    order = rng.permutation(len(neg))
-    draw_size = min(len(pos), len(neg))
-    sets: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    for i in range(n_sets):
-        chunk = order[i * draw_size : (i + 1) * draw_size]
-        sets.append((pos, tuple(neg[j] for j in chunk)))
-    return sets
+    return balanced_draws(pos, neg, np.random.default_rng(derive_seed(plan.seed, 0x0B)))
 
 
 # --- task configurations ---------------------------------------------------
@@ -187,6 +191,7 @@ class DrawOutcome:
     draw_index: int
     metrics: Metrics
     predictions: tuple[tuple[str, int, int], ...]  # (clip_id, predicted, truth)
+    model: Any  # the fitted model; anything with predict(X)
 
 
 @dataclass(frozen=True)
@@ -229,26 +234,20 @@ def _train_for_draw(
 ):
     """Fit the configured model; MLP picks its best epoch on validation F1."""
     if cfg.model is ModelKind.MLP:
-        result = train_mlp(
+        return train_mlp(
             X_train,
             y_train,
+            X_val,
+            y_val,
             epochs=cfg.mlp_epochs,
             lr=cfg.mlp_lr,
             batch=cfg.mlp_batch,
             seed=draw_seed,
-        )
-        best: MlpModel = result.model
-        best_score = -1.0
-        for snap in result.snapshots:
-            score = f1(snap.predict(X_val), y_val).f1
-            if score > best_score + 1e-12:
-                best_score = score
-                best = snap
-        return best
+        ).model
     if cfg.model is ModelKind.PCBM_DT:
         return train_tree(X_train, y_train, max_depth=cfg.tree_max_depth)
     if cfg.model is ModelKind.PCBM_LR:
-        return train_logreg(X_train, y_train, l2=cfg.logreg_l2, seed=draw_seed)
+        return train_logreg(X_train, y_train, l2=cfg.logreg_l2)
     if cfg.model is ModelKind.ALWAYS_POSITIVE:
         return _ConstantModel(1)
     if cfg.model is ModelKind.COIN_FLIP:
@@ -280,11 +279,12 @@ def run_task(
 ) -> EvalReport:
     """Evaluate one task configuration.
 
-    ``features`` maps clip ids to vectors (raw embeddings for the MLP,
-    concept-subspace coordinates for the interpretable models). All
-    balanced draws share the identical test fold; the report carries
-    per-draw F1, their mean and standard deviation, and the closed-form
-    random / all-positive baselines for the same test composition.
+    ``features`` maps clip ids to vectors (an EmbeddingTable for the
+    MLP, concept-subspace coordinates for the interpretable models).
+    All balanced draws share the identical test fold; the report carries
+    per-draw F1, their mean and standard deviation, the model fitted on
+    each draw, and the closed-form random / all-positive baselines for
+    the same test composition.
     """
     by_level = _split_levels(labels)
     if ObjLevel.S not in by_level:
@@ -292,38 +292,30 @@ def run_task(
     plan = make_folds_from_ids(by_level, k=cfg.k, seed=cfg.seed)
 
     def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
-        out: list[str] = []
-        for lv in levels:
-            if lv in by_level:
-                out.extend(plan.fold_ids(lv, fold))
-        return out
+        return [cid for lv in levels if lv in by_level for cid in plan.fold_ids(lv, fold)]
+
+    def xy(pos: Sequence[str], neg: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked features of ``pos`` then ``neg``, labelled 1 and 0."""
+        try:
+            X = np.stack([np.asarray(features[cid], dtype=np.float64) for cid in [*pos, *neg]])
+        except KeyError as e:
+            raise MissingEmbedding(e.args[0]) from None
+        return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
 
     test_pos = fold_of([ObjLevel.S], plan.test_fold)
     test_neg = fold_of(sorted(cfg.test_negatives), plan.test_fold)
-    val_pos = fold_of([ObjLevel.S], plan.val_fold)
-    val_neg = fold_of([cfg.train_negatives], plan.val_fold)
-
-    def matrix(ids: Sequence[str]) -> np.ndarray:
-        rows = []
-        for cid in ids:
-            if cid not in features:
-                raise MissingEmbedding(cid)
-            rows.append(np.asarray(features[cid], dtype=np.float64))
-        return np.stack(rows)
-
-    test_ids = list(test_pos) + list(test_neg)
-    X_test = matrix(test_ids)
-    y_test = np.array([1] * len(test_pos) + [0] * len(test_neg), dtype=np.int64)
-    X_val = matrix(list(val_pos) + list(val_neg))
-    y_val = np.array([1] * len(val_pos) + [0] * len(val_neg), dtype=np.int64)
+    test_ids = test_pos + test_neg
+    X_test, y_test = xy(test_pos, test_neg)
+    X_val, y_val = xy(
+        fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold)
+    )
 
     draws: list[DrawOutcome] = []
     for draw_index, (pos_ids, neg_ids) in enumerate(
         balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
     ):
         draw_seed = derive_seed(cfg.seed, 1, draw_index)
-        X_train = matrix(list(pos_ids) + list(neg_ids))
-        y_train = np.array([1] * len(pos_ids) + [0] * len(neg_ids), dtype=np.int64)
+        X_train, y_train = xy(pos_ids, neg_ids)
         model = _train_for_draw(cfg, X_train, y_train, X_val, y_val, draw_seed)
         preds = model.predict(X_test)
         metrics = f1(preds, y_test)
@@ -334,6 +326,7 @@ def run_task(
                 predictions=tuple(
                     (cid, int(p), int(t)) for cid, p, t in zip(test_ids, preds, y_test)
                 ),
+                model=model,
             )
         )
 
@@ -428,7 +421,6 @@ def error_factor_analysis(
     predictions: Sequence[int],
     truths: Sequence[int] | None = None,
     l2: float = 1.0,
-    seed: int = 0,
 ) -> FactorWeights:
     """Regress per-clip classification success on clip factors.
 
@@ -450,6 +442,6 @@ def error_factor_analysis(
     if not success.any():
         raise DegenerateTarget("every prediction is wrong; nothing to attribute")
     X = np.stack([clip_descriptor(lbl) for lbl in labels])
-    model = train_logreg(X, success, l2=l2, seed=seed)
+    model = train_logreg(X, success, l2=l2)
     weights = {name: float(w) for name, w in zip(FACTOR_NAMES, model.weights)}
     return FactorWeights(weights=weights, bias=model.bias)

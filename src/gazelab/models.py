@@ -63,14 +63,12 @@ def train_svm(
     X: np.ndarray,
     y: np.ndarray,
     c: float = 1.0,
-    seed: int = 0,
     max_iter: int = 2500,
 ) -> LinearModel:
     """L2-regularized hinge loss, regularization strength 1/(c*n).
 
     Full-batch subgradient descent with a staged step-size decay and
-    best-objective tracking; deterministic from a zero start (``seed``
-    is accepted for interface uniformity only).
+    best-objective tracking; deterministic from a zero start.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -119,7 +117,6 @@ def train_logreg(
     X: np.ndarray,
     y: np.ndarray,
     l2: float = 0.0,
-    seed: int = 0,
     max_iter: int = 10000,
     tol: float = 1e-6,
 ) -> LinearModel:
@@ -127,7 +124,7 @@ def train_logreg(
 
     The bias is unpenalized. Stops when the gradient infinity norm
     drops below ``tol`` or at the iteration cap. Deterministic from a
-    zero start (``seed`` accepted for interface uniformity only).
+    zero start.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -378,25 +375,25 @@ def mlp_gradient(
 @dataclass
 class MlpTrainResult:
     model: MlpModel
-    snapshots: list[MlpModel] = field(default_factory=list)
     epoch_losses: list[float] = field(default_factory=list)
 
 
 def train_mlp(
     X: np.ndarray,
     y: np.ndarray,
+    X_val: np.ndarray,
+    y_val: np.ndarray,
     epochs: int = 100,
     lr: float = 1e-3,
     batch: int = 32,
     seed: int = 0,
-    keep_snapshots: bool = True,
 ) -> MlpTrainResult:
     """Mini-batch gradient descent on mean cross-entropy.
 
     Shuffling and initialization are driven by ``seed``; the result is
-    bit-identical across runs. With ``keep_snapshots`` the parameters
-    after each epoch are retained so a caller can pick the best epoch
-    on a validation set. Zero epochs returns the initialization.
+    bit-identical across runs. The returned model is the parameters
+    after the first epoch with the best F1 on ``(X_val, y_val)``; zero
+    epochs returns the initialization.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -405,6 +402,7 @@ def train_mlp(
     rng = np.random.default_rng(seed)
     model = init_mlp(X.shape[1], seed)
     result = MlpTrainResult(model=model)
+    best_f1 = -1.0
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
@@ -418,9 +416,10 @@ def train_mlp(
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
         result.epoch_losses.append(loss)
-        if keep_snapshots:
-            result.snapshots.append(model.copy())
-    result.model = model
+        score = f1(model.predict(X_val), y_val).f1
+        if score > best_f1 + 1e-12:
+            best_f1 = score
+            result.model = model.copy()
     return result
 
 

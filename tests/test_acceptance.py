@@ -261,7 +261,7 @@ def test_criterion4_numerical_kernels():
         X = rng.normal(0, 0.05, (n, dim))
         y = rng.integers(0, 2, n)
         X[:, axis] = np.where(y == 1, rng.uniform(1, 3, n), rng.uniform(-3, -1, n))
-        model = train_svm(X, y, c=1.0, seed=seed)
+        model = train_svm(X, y, c=1.0)
         u = model.weights / np.linalg.norm(model.weights)
         angle = float(np.degrees(np.arccos(min(1.0, abs(u[axis])))))
         if angle > 5.0:

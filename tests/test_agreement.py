@@ -146,8 +146,6 @@ class TestGamma:
 
     def test_config_validation(self):
         with pytest.raises(InvariantViolation):
-            GammaConfig(alignment_weight=0.5)
-        with pytest.raises(InvariantViolation):
             GammaConfig(n_null=0)
 
 

@@ -12,14 +12,19 @@ from gazelab import (
     ModelKind,
     NegativeMode,
     ObjLevel,
+    balanced_train_sets,
     build_concept_sets,
     concept_presence_f1,
     concept_scores,
     export_tree_report,
     fit_cav,
+    make_folds_from_ids,
+    model_to_json,
     score_table,
+    train_logreg,
     train_pcbm,
     train_svm,
+    train_tree,
 )
 from gazelab.cbm import CavCvConfig
 from gazelab.errors import (
@@ -164,14 +169,6 @@ class TestConceptScores:
         with pytest.raises(InvariantViolation):
             concept_scores(np.zeros(16), self._cavs()[:-1])
 
-    def test_concept_scores_record_requires_eight(self):
-        from gazelab import ConceptScores
-
-        record = ConceptScores("c1", np.arange(8.0))
-        assert record.scores.shape == (8,)
-        with pytest.raises(DimensionMismatch):
-            ConceptScores("c1", np.arange(5.0))
-
     def test_score_table_matches_single_scores(self):
         cavs = self._cavs(dim=16, seed=6)
         rng = np.random.default_rng(7)
@@ -262,6 +259,35 @@ class TestPcbm:
         # F1 should sit near the trivial band for the model's own
         # positive rate, far from the oracle regime
         assert report.mean_f1 <= 0.75
+
+    def test_model_is_the_refit_on_the_last_balanced_draw(self):
+        # Oracle: the refit the pipeline used to run after the harness,
+        # on the last balanced draw of the same fold plan. Negatives
+        # outnumber positives, so there are several draws to tell apart.
+        counts = {ObjLevel.S: 20, ObjLevel.EN: 80, ObjLevel.HN: 50}
+        labels = [
+            ClipLabel(f"{level.name}{i}", level, set() if level is ObjLevel.EN else {Concept.BODY})
+            for level, n in counts.items()
+            for i in range(n)
+        ]
+        rng = np.random.default_rng(12)
+        scores = {lbl.clip_id: rng.normal(0, 1, 8) for lbl in labels}
+        for kind in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
+            for train_neg in (ObjLevel.EN, ObjLevel.HN):
+                result = train_pcbm(scores, labels, kind, train_negatives=train_neg, seed=13)
+                assert len(result.report.draws) > 1
+                by_level = {}
+                for lbl in labels:
+                    by_level.setdefault(lbl.level, []).append(lbl.clip_id)
+                plan = make_folds_from_ids(by_level, k=10, seed=13)
+                pos_ids, neg_ids = balanced_train_sets(plan, ObjLevel.S, train_neg)[-1]
+                X = np.stack([scores[cid] for cid in pos_ids + neg_ids])
+                y = np.array([1] * len(pos_ids) + [0] * len(neg_ids))
+                if kind is ModelKind.PCBM_DT:
+                    refit = train_tree(X, y, max_depth=10)
+                else:
+                    refit = train_logreg(X, y, l2=1e-3)
+                assert model_to_json(result.model) == model_to_json(refit)
 
     def test_kind_validation(self):
         labels, _ = make_compositional(seed=4, n=120, dim=16)

@@ -154,6 +154,12 @@ class TestGamma:
         rows_b = [l for l in read(out_b / "gamma.csv").splitlines() if not l.startswith("#")]
         assert rows_a == rows_b
 
+    def test_no_projections_exits_4(self, tmp_path):
+        # An empty file has no film to score; it must not average to NaN.
+        proj = tmp_path / "proj.jsonl"
+        proj.write_text("\n")
+        assert main(["gamma", str(proj), "--seed", "3", "--out", str(tmp_path / "o")]) == 4
+
     def test_seed_required(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OBY_SEED", raising=False)
         proj = self._projections(tmp_path)
@@ -303,3 +309,59 @@ class TestEval:
             outs.append(out)
         for fname in ("eval_report.json", "eval_table.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+class TestMalformedInputs:
+    """Bad input ends in exit 2 with a one-line message, never a traceback."""
+
+    def _exits_2(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '"S"',
+            '{"film": "f", "annotator": "a1", "clip": "c1", "level": ["S"], "concepts": []}',
+            '{"film": "f", "annotator": "a1", "clip": "c1", "level": 3, "concepts": []}',
+        ],
+    )
+    def test_bad_record_to_stats_and_gamma(self, tmp_path, capsys, line):
+        path = tmp_path / "records.jsonl"
+        path.write_text(line + "\n")
+        self._exits_2(["stats", str(path), "--out", str(tmp_path / "s")], capsys)
+        self._exits_2(["gamma", str(path), "--seed", "1", "--out", str(tmp_path / "g")], capsys)
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"clip": "\xff"}\n')
+        self._exits_2(["stats", str(path), "--out", str(tmp_path / "s")], capsys)
+
+    def test_non_numeric_sweep(self, fusion_inputs, tmp_path, capsys):
+        ann, clips = fusion_inputs
+        out = tmp_path / "out"
+        self._exits_2(["fuse", str(ann), str(clips), "--sweep", "a,b", "--out", str(out)], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content", ["not json\n", '{"config": {}}\n', '{"cavs": 3}\n', '{"cavs": [1]}\n']
+    )
+    def test_bad_cavs_file(self, tmp_path, capsys, content):
+        labels, emb = make_linear_task(0, n=100, dim=4)
+        emb_path = tmp_path / "emb.bin"
+        emb_path.write_bytes(dump_embeddings(EmbeddingTable(emb), "binary"))
+        labels_path = tmp_path / "merged.jsonl"
+        labels_path.write_text(
+            "".join(
+                json.dumps({"clip": l.clip_id, "level": l.level.name, "concepts": []}) + "\n"
+                for l in labels
+                if l.level.name == "EN"
+            )
+        )
+        cavs_path = tmp_path / "cavs.json"
+        cavs_path.write_text(content)
+        argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "dt", "--cavs", str(cavs_path)]
+        self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)

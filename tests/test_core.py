@@ -111,13 +111,29 @@ class TestParseAnnotations:
             parse_annotations(text)
 
     def test_bad_json_is_malformed(self):
-        with pytest.raises(MalformedRecord) as err:
-            parse_annotations('{"film": "f"\n')
-        assert err.value.line == 1
+        for text in ('{"film": "f"\n', "[1, 2]\n", "[" * 100_000 + "\n"):
+            with pytest.raises(MalformedRecord) as err:
+                parse_annotations(text)
+            assert err.value.line == 1
 
     def test_missing_field_is_malformed(self):
         with pytest.raises(MalformedRecord):
             parse_annotations('{"film":"f","annotator":"a","start":0,"end":1,"level":"EN"}')
+
+    def test_mistyped_field_is_malformed(self):
+        # JSON booleans decode to Python bools, which count as ints, and
+        # integers past the float range cannot become times.
+        base = '{"film":"f","annotator":"a","start":%s,"end":%s,"level":%s,"concepts":%s}'
+        for fields in (
+            ("true", "2", '"EN"', "[]"),
+            ("0", "false", '"EN"', "[]"),
+            ('"0"', "1", '"EN"', "[]"),
+            ("0", "1" + "0" * 400, '"EN"', "[]"),
+            ("0", "1", '["S"]', '["Body"]'),
+            ("0", "1", '"S"', "[[1]]"),
+        ):
+            with pytest.raises(MalformedRecord):
+                parse_annotations(base % fields)
 
     def test_unknown_level_and_concept(self):
         base = '{"film":"f","annotator":"a","start":0,"end":1,"level":"%s","concepts":%s}'

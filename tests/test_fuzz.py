@@ -1,0 +1,85 @@
+"""Fuzzing the JSONL readers through the command line.
+
+Arbitrary text, arbitrary JSON values, and records with the expected
+keys but arbitrary values go to ``fuse`` (annotation JSONL), ``stats``
+(merged labels) and ``gamma`` (projections). Whatever the input, the
+command must end in one of the documented exit codes: 0 on success, 2
+to 5 on rejected input. An exception escaping ``main`` fails the test.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gazelab.cli import main
+from synthfix import FUSION_FIXTURE_CLIPS_CSV
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+LEVELS = ["EN", "HN", "NS", "S"]
+CONCEPT_LABELS = ["Body", "Look", "Posture", "Activity"]
+KEYS = ["film", "annotator", "clip", "start", "end", "level", "concepts", "annotators"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+# Values a real record holds, so that many records get past the type
+# checks and exercise the domain rules and the pipeline behind them.
+plausible = (
+    st.sampled_from(LEVELS)
+    | st.sampled_from(["juno", "a1", "a2", "c1", "c2"])
+    | st.lists(st.sampled_from(CONCEPT_LABELS), max_size=2)
+    | st.floats(-10, 400)
+    | st.integers(-5, 400)
+)
+records = st.dictionaries(
+    st.sampled_from(KEYS) | st.text(max_size=3), plausible | json_values, max_size=9
+)
+lines = st.one_of(
+    st.text(max_size=30),
+    json_values.map(json.dumps),
+    records.map(json.dumps),
+)
+files = st.lists(lines, max_size=6).map("\n".join)
+
+FUZZ = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def run(text: str, *argv: str) -> int:
+    """``main(argv)`` with ``{tmp}`` in each argument naming a directory
+    that holds ``text`` as ``input.jsonl`` and the fusion fixture's clip
+    index as ``clips.csv``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "input.jsonl").write_text(text, encoding="utf-8")
+        (Path(tmp) / "clips.csv").write_text(FUSION_FIXTURE_CLIPS_CSV)
+        return main([arg.format(tmp=tmp) for arg in argv])
+
+
+@FUZZ
+@given(files)
+def test_fuse_annotations(text):
+    code = run(text, "fuse", "{tmp}/input.jsonl", "{tmp}/clips.csv", "--out", "{tmp}/out")
+    assert code in EXIT_CODES
+
+
+@FUZZ
+@given(files)
+def test_stats_merged_labels(text):
+    assert run(text, "stats", "{tmp}/input.jsonl", "--out", "{tmp}/out") in EXIT_CODES
+
+
+@FUZZ
+@given(files)
+def test_gamma_projections(text):
+    code = run(text, "gamma", "{tmp}/input.jsonl", "--seed", "1", "--out", "{tmp}/out")
+    assert code in EXIT_CODES

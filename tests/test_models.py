@@ -80,14 +80,14 @@ class TestSvm:
             X = rng.normal(0, 0.05, (n, dim))
             y = rng.integers(0, 2, n)
             X[:, k] = np.where(y == 1, rng.uniform(1, 3, n), rng.uniform(-3, -1, n))
-            m = train_svm(X, y, c=1.0, seed=seed)
+            m = train_svm(X, y, c=1.0)
             u = m.weights / np.linalg.norm(m.weights)
             assert np.degrees(np.arccos(min(1.0, abs(u[k])))) < 5.0
 
     def test_deterministic(self):
         X, y = blobs(5)
-        a = train_svm(X, y, c=1.0, seed=1)
-        b = train_svm(X, y, c=1.0, seed=2)  # seed is inert by design
+        a = train_svm(X, y, c=1.0)
+        b = train_svm(X, y, c=1.0)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_rescaling_leaves_predictions(self):
@@ -268,16 +268,16 @@ class TestMlp:
         rng = np.random.default_rng(0)
         X = rng.normal(0, 1, (10, 4))
         y = np.array([0, 1] * 5)
-        result = train_mlp(X, y, epochs=0, lr=1e-3, batch=4, seed=9)
+        result = train_mlp(X, y, X, y, epochs=0, lr=1e-3, batch=4, seed=9)
         ref = init_mlp(4, 9)
         assert np.array_equal(result.model.w1, ref.w1)
         assert np.array_equal(result.model.b2, ref.b2)
-        assert result.snapshots == []
+        assert result.epoch_losses == []
 
     def test_blobs_within_fifty_epochs(self):
         X, y = blobs(0, dim=8)
         Xte, yte = blobs(1, dim=8)
-        result = train_mlp(X, y, epochs=50, lr=1e-3, batch=32, seed=3, keep_snapshots=False)
+        result = train_mlp(X, y, X, y, epochs=50, lr=1e-3, batch=32, seed=3)
         assert f1(result.model.predict(Xte), yte).f1 >= 0.99
 
     def test_noisy_xor(self):
@@ -285,7 +285,7 @@ class TestMlp:
         base = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         X = np.repeat(base, 100, axis=0) + rng.normal(0, 0.08, (400, 2))
         y = np.repeat(np.array([1, 1, 0, 0]), 100)
-        result = train_mlp(X, y, epochs=200, lr=1e-2, batch=32, seed=5, keep_snapshots=False)
+        result = train_mlp(X, y, X, y, epochs=200, lr=1e-2, batch=32, seed=5)
         assert f1(result.model.predict(X), y).f1 >= 0.95
 
     def test_duplicated_sample_keeps_mean_gradient(self):
@@ -308,8 +308,8 @@ class TestMlp:
 
     def test_deterministic_bit_identical(self):
         X, y = blobs(2, n_per=30)
-        a = train_mlp(X, y, epochs=5, lr=1e-3, batch=8, seed=11)
-        b = train_mlp(X, y, epochs=5, lr=1e-3, batch=8, seed=11)
+        a = train_mlp(X, y, X, y, epochs=5, lr=1e-3, batch=8, seed=11)
+        b = train_mlp(X, y, X, y, epochs=5, lr=1e-3, batch=8, seed=11)
         assert np.array_equal(a.model.w1, b.model.w1)
         assert np.array_equal(a.model.w2, b.model.w2)
         assert a.epoch_losses == b.epoch_losses
@@ -317,13 +317,36 @@ class TestMlp:
     def test_divergence_raises(self):
         X, y = blobs(3, n_per=20)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
-            train_mlp(X * 1e6, y, epochs=50, lr=1e3, batch=8, seed=0)
+            train_mlp(X * 1e6, y, X, y, epochs=50, lr=1e3, batch=8, seed=0)
 
-    def test_snapshots_one_per_epoch(self):
-        X, y = blobs(4, n_per=20)
-        result = train_mlp(X, y, epochs=7, lr=1e-3, batch=8, seed=0)
-        assert len(result.snapshots) == 7
-        assert np.array_equal(result.snapshots[-1].w1, result.model.w1)
+    def test_returns_first_best_validation_epoch(self):
+        # Oracle: replay the training loop by hand to get the parameters
+        # after every epoch, score each on the validation set, and expect
+        # the parameters of the first epoch with the best F1, which are
+        # also the final ones of a run that stops at that epoch.
+        X, y = blobs(4, n_per=20, center=0.6)
+        Xv, yv = blobs(8, n_per=20, center=0.6)
+        epochs, lr, batch, seed = 12, 5e-3, 8, 0
+        result = train_mlp(X, y, Xv, yv, epochs=epochs, lr=lr, batch=batch, seed=seed)
+        rng = np.random.default_rng(seed)
+        model = init_mlp(X.shape[1], seed)
+        after_epoch, scores = [], []
+        for epoch in range(epochs):
+            perm = rng.permutation(len(y))
+            for start in range(0, len(y), batch):
+                idx = perm[start : start + batch]
+                grads = mlp_gradient(model, X[idx], y[idx])
+                for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
+                    param -= lr * grad
+            assert model.loss(X, y) == result.epoch_losses[epoch]
+            after_epoch.append(model.copy())
+            scores.append(f1(model.predict(Xv), yv).f1)
+        best = scores.index(max(scores))
+        assert best < epochs - 1 and len(set(scores)) > 1
+        stopped = train_mlp(X, y, Xv, yv, epochs=best + 1, lr=lr, batch=batch, seed=seed).model
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(result.model, name), getattr(after_epoch[best], name))
+            assert np.array_equal(getattr(result.model, name), getattr(stopped, name))
 
 
 class TestMetrics:
@@ -416,7 +439,7 @@ class TestSerialization:
 
     def test_mlp_round_trip(self):
         X, y = blobs(2, n_per=20)
-        model = train_mlp(X, y, epochs=3, lr=1e-3, batch=8, seed=1).model
+        model = train_mlp(X, y, X, y, epochs=3, lr=1e-3, batch=8, seed=1).model
         restored = model_from_json(model_to_json(model))
         assert np.array_equal(model.w1, restored.w1)
         assert np.array_equal(model.predict(X), restored.predict(X))
