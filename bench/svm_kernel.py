@@ -1,0 +1,71 @@
+"""Time the linear-SVM kernel on the shape of one concept's C selection.
+
+    python3 bench/svm_kernel.py [--src DIR] [--repeats N]
+
+Imports gazelab from ``DIR`` (default: this checkout's ``src/``), builds
+8 seeded draws of 144 rows (96 positives shifted by 0.3 on every axis,
+48 negatives) at 64 and 512 dimensions, and prints one JSON line per
+dimension with the seconds of: one ``train_svm`` fit (C=1, median of N
+runs), the 40 (draw, C) fits of the default grid one by one (one run),
+and, where the checkout has ``train_svm_stack``, the same 40 fits as
+one stacked solve (median of N // 2 runs). BLAS runs on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
+DRAWS, ROWS, POSITIVES = 8, 144, 96
+
+
+def median_s(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import numpy as np
+    from gazelab import models
+
+    stack = getattr(models, "train_svm_stack", None)
+    for dim in (64, 512):
+        rng = np.random.default_rng(dim)
+        X = rng.normal(size=(DRAWS, ROWS, dim))
+        X[:, :POSITIVES] += 0.3
+        y = np.zeros((DRAWS, ROWS), dtype=np.int64)
+        y[:, :POSITIVES] = 1
+        row = {
+            "dim": dim,
+            "draws": DRAWS,
+            "rows": ROWS,
+            "one_fit_s": median_s(lambda: models.train_svm(X[0], y[0], c=1.0), args.repeats),
+            "grid_fit_by_fit_s": median_s(
+                lambda: [models.train_svm(X[d], y[d], c=c) for d in range(DRAWS) for c in GRID], 1
+            ),
+        }
+        if stack is not None:
+            row["grid_stacked_s"] = median_s(lambda: stack(X, y, GRID), max(1, args.repeats // 2))
+        print(json.dumps(row), flush=True)
+
+
+if __name__ == "__main__":
+    main()

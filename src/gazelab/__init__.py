@@ -89,6 +89,7 @@ from .models import (
     train_logreg,
     train_mlp,
     train_svm,
+    train_svm_stack,
     train_tree,
     trivial_baseline_f1,
 )

@@ -44,6 +44,7 @@ from .models import (
     Metrics,
     f1 as f1_score,
     train_svm,
+    train_svm_stack,
 )
 
 DEFAULT_C_GRID: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -197,18 +198,30 @@ def fit_cav(
     def split(folds: Sequence[int]):
         return matrices(plan.ids("pos", folds), plan.ids("neg", folds))
 
-    c_means: list[tuple[float, float]] = []
-    for c in sorted(c_grid):
-        scores: list[float] = []
-        for rotation in range(cv.rotations):
-            others = [fold for fold in range(cv.k - 1) if fold != rotation]
-            val_X, val_y = split([rotation])
-            rng = np.random.default_rng(derive_seed(seed, 3, rotation))
-            for draw in balanced_draws(plan.ids("pos", others), plan.ids("neg", others), rng):
-                X, y = matrices(*draw)
-                model = train_svm(X, y, c=c)
-                scores.append(f1_score(model.predict(val_X), val_y).f1)
-        c_means.append((c, float(np.mean(scores))))
+    # The draws do not depend on C: build every (rotation, draw) training
+    # set once, then fit the whole grid for all sets of one row count
+    # (fold sizes differ by one across rotations) in one stacked solve.
+    grid = sorted(c_grid)
+    validation = [split([rotation]) for rotation in range(cv.rotations)]
+    sets: list[tuple[int, np.ndarray, np.ndarray]] = []  # rotation → draw order
+    for rotation in range(cv.rotations):
+        others = [fold for fold in range(cv.k - 1) if fold != rotation]
+        rng = np.random.default_rng(derive_seed(seed, 3, rotation))
+        for draw in balanced_draws(plan.ids("pos", others), plan.ids("neg", others), rng):
+            sets.append((rotation, *matrices(*draw)))
+    by_rows: dict[int, list[int]] = {}
+    for i, (_, _, y) in enumerate(sets):
+        by_rows.setdefault(len(y), []).append(i)
+    scores = np.empty((len(grid), len(sets)))
+    for group in by_rows.values():
+        models = train_svm_stack(
+            np.stack([sets[i][1] for i in group]), np.stack([sets[i][2] for i in group]), grid
+        )
+        for i, row in zip(group, models):
+            val_X, val_y = validation[sets[i][0]]
+            for j, model in enumerate(row):
+                scores[j, i] = f1_score(model.predict(val_X), val_y).f1
+    c_means = [(c, float(np.mean(row))) for c, row in zip(grid, scores)]
     best_c = max(c_means, key=lambda item: item[1])[0]
 
     model = train_svm(*split(range(cv.k - 1)), c=best_c)

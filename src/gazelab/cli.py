@@ -422,21 +422,22 @@ def cmd_error(args: argparse.Namespace) -> int:
         parts = [p.strip() for p in raw.split(",")]
         if len(parts) not in (2, 3):
             raise MalformedRecord(lineno, "expected clip_id,prediction[,truth]")
-        clip_id = parts[0]
-        try:
-            preds[clip_id] = int(parts[1])
-            if len(parts) == 3:
-                truths[clip_id] = int(parts[2])
-        except ValueError:
-            raise MalformedRecord(lineno, "prediction/truth must be 0 or 1") from None
+        clip_id, *values = parts
+        if any(v not in ("0", "1") for v in values):
+            raise MalformedRecord(lineno, "prediction/truth must be 0 or 1")
+        if clip_id in preds:
+            raise MalformedRecord(lineno, f"second prediction for clip {clip_id!r}")
+        if preds and (len(values) == 2) != bool(truths):
+            raise MalformedRecord(lineno, "a truth must be given on every row or on none")
         if clip_id not in by_clip:
             raise PreconditionError(f"prediction for unknown clip {clip_id!r}")
+        preds[clip_id] = int(values[0])
+        if len(values) == 2:
+            truths[clip_id] = int(values[1])
 
     ordered = [by_clip[cid] for cid in preds]
     pred_list = [preds[lbl.clip_id] for lbl in ordered]
-    truth_list = (
-        [truths[lbl.clip_id] for lbl in ordered] if len(truths) == len(preds) else None
-    )
+    truth_list = [truths[lbl.clip_id] for lbl in ordered] if truths else None
     weights = error_factor_analysis(ordered, pred_list, truth_list, l2=args.l2)
     resolved = {
         "command": "error",

@@ -68,49 +68,128 @@ def train_svm(
     """L2-regularized hinge loss, regularization strength 1/(c*n).
 
     Full-batch subgradient descent with a staged step-size decay and
-    best-objective tracking; deterministic from a zero start.
+    best-objective tracking; deterministic from a zero start. This is
+    the one-problem stack of ``train_svm_stack``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    _check_binary_training_data(X, y)
-    n, dim = X.shape
+    return train_svm_stack(X[None], y[None], (c,), max_iter)[0][0]
+
+
+def train_svm_stack(
+    X: np.ndarray,
+    y: np.ndarray,
+    cs: Sequence[float],
+    max_iter: int = 2500,
+) -> list[list[LinearModel]]:
+    """Fit every (draw, C) problem of a stack in one lockstep descent.
+
+    ``X`` is ``(draws, n, dim)`` and ``y`` is ``(draws, n)``; entry
+    ``[d][j]`` of the result is the SVM of draw ``d`` with margin
+    tolerance ``cs[j]``, bit-identical to ``train_svm(X[d], y[d],
+    cs[j], max_iter)``: the result does not depend on the stack.
+
+    Every problem runs five stages of at most ``max_iter // 5`` steps,
+    each restarting from the problem's best objective with a step five
+    times smaller. A problem stops for the rest of its stage after 101
+    steps without improving its best objective by a relative 1e-12; it
+    keeps stepping while others go on, but its best no longer changes,
+    and the stage ends when every problem has stopped.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    for Xd, yd in zip(X, y):
+        _check_binary_training_data(Xd, yd)
+    draws, n, dim = X.shape
+    shape = (draws, len(cs))
+    nf = float(n)
     s = np.where(y == 1, 1.0, -1.0)
-    lam = 1.0 / (c * n)
+    # A draw's matrices reach its C problems as stride-0 views, so each
+    # product below is one gemv per problem and does not depend on the
+    # stack. The last column of [s*X, s] sums the bias subgradient.
+    Xs = np.broadcast_to(X[:, None], (*shape, n, dim))
+    sX = np.concatenate([s[..., None] * X, s[..., None]], axis=2)
+    sXs = np.broadcast_to(sX[:, None], (*shape, n, dim + 1))
+    s_row = s[:, None, :]
+    lam = 1.0 / (np.asarray(cs, dtype=np.float64) * n)
+    lam_wb = np.zeros((len(cs), dim + 1))  # the bias is not regularized
+    lam_wb[:, :dim] = lam[:, None]
+    half_lam = 0.5 * lam
+    eta0 = 1.0 / (1.0 + (X * X).sum(axis=2).mean(axis=1))
 
-    def objective(w, b):
-        margins = s * (X @ w + b)
-        return 0.5 * lam * (w @ w) + np.maximum(0.0, 1.0 - margins).mean()
+    # wb holds the weights and, in its last column, the bias.
+    wb = np.zeros((*shape, dim + 1))
+    w_col, w_row, b_col = wb[..., :dim, None], wb[..., None, :dim], wb[..., dim:]
+    hinge = np.empty((*shape, n))
+    viol = np.empty((*shape, 1, n))  # 1.0 where the margin is below 1
+    grad = np.empty((*shape, 1, dim + 1))
+    step = np.empty((*shape, dim + 1))
+    sq_norm = np.empty((*shape, 1, 1))
+    loss, obj = np.empty(shape), np.empty(shape)
+    hinge_col, viol_row, grad_row, sq_norm_v = (
+        hinge[..., None], viol[..., 0, :], grad[..., 0, :], sq_norm[..., 0, 0]
+    )
 
-    w = np.zeros(dim)
-    b = 0.0
-    best_w, best_b = w.copy(), b
-    best_obj = objective(w, b)
-    mean_sq_norm = float((X * X).sum(axis=1).mean())
-    eta0 = 1.0 / (1.0 + mean_sq_norm)
+    def objective() -> None:
+        # hinge = max(0, 1 - s*(X @ w + b)), whose positive entries are
+        # exactly the margins below 1 that the next subgradient sums.
+        np.matmul(Xs, w_col, out=hinge_col)
+        np.add(hinge, b_col, out=hinge)
+        np.multiply(hinge, s_row, out=hinge)
+        np.subtract(1.0, hinge, out=hinge)
+        np.maximum(hinge, 0.0, out=hinge)
+        np.sign(hinge, out=viol_row)
+        np.add.reduce(hinge, axis=-1, out=loss)
+        np.divide(loss, nf, out=loss)
+        np.matmul(w_row, w_col, out=sq_norm)
+        np.multiply(half_lam, sq_norm_v, out=obj)
+        np.add(obj, loss, out=obj)
 
+    def threshold() -> np.ndarray:
+        """What the next objective must go below to improve on obj."""
+        return obj - 1e-12 * (1.0 + np.abs(obj))
+
+    objective()
+    best_wb, bar = wb.copy(), threshold()
+    improved = np.empty(shape, dtype=bool)
+    improved_col = improved[..., None]
     stages = 5
     per_stage = max(1, max_iter // stages)
     for stage in range(stages):
-        eta = eta0 / (5.0**stage)
-        w, b = best_w.copy(), best_b
-        stale = 0
-        for _ in range(per_stage):
-            margins = s * (X @ w + b)
-            viol = margins < 1.0
-            gw = lam * w - (s[viol] @ X[viol]) / n
-            gb = -s[viol].sum() / n
-            w -= eta * gw
-            b -= eta * gb
-            obj = objective(w, b)
-            if obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
-                best_obj = obj
-                best_w, best_b = w.copy(), b
-                stale = 0
-            else:
-                stale += 1
-                if stale > 100:
-                    break
-    return LinearModel(weights=best_w, bias=float(best_b), kind=LinearKind.SVM)
+        eta = (eta0 / (5.0**stage))[:, None, None]
+        if stage:
+            np.copyto(wb, best_wb)
+            objective()
+        # A problem takes part in step i of the stage while i < until.
+        until = np.full(shape, 101)
+        first_stop = stop_at = 101
+        for i in range(per_stage):
+            # wb -= eta * (lam * wb - viol @ [s*X, s] / n)
+            np.matmul(viol, sXs, out=grad)
+            np.multiply(lam_wb, wb, out=step)
+            np.divide(grad_row, nf, out=grad_row)
+            np.subtract(step, grad_row, out=step)
+            np.multiply(step, eta, out=step)
+            np.subtract(wb, step, out=wb)
+            objective()
+            np.less(obj, bar, out=improved)
+            if i >= first_stop:  # some problem may have stopped: mask it
+                first_stop = int(until.min())
+                improved &= i < until
+            if np.count_nonzero(improved):
+                np.copyto(best_wb, wb, where=improved_col)
+                np.copyto(bar, threshold(), where=improved)
+                np.copyto(until, i + 102, where=improved)
+                stop_at = i + 102
+            if i + 1 >= stop_at:
+                break
+    return [
+        [
+            LinearModel(weights=p[:dim].copy(), bias=float(p[dim]), kind=LinearKind.SVM)
+            for p in row
+        ]
+        for row in best_wb
+    ]
 
 
 def train_logreg(

@@ -26,14 +26,15 @@ from gazelab import (
     train_svm,
     train_tree,
 )
-from gazelab.cbm import CavCvConfig
+from gazelab.cbm import DEFAULT_C_GRID, CavCvConfig
 from gazelab.errors import (
     DimensionMismatch,
     EmptyClass,
     InvariantViolation,
     PreconditionError,
 )
-from gazelab.models import DecisionTree, TreeNode
+from gazelab.harness import balanced_draws, derive_seed
+from gazelab.models import DecisionTree, TreeNode, f1
 from synthfix import make_compositional, make_entangled
 
 
@@ -105,6 +106,56 @@ class TestFitCav:
 
         with pytest.raises(MissingEmbedding):
             fit_cav(emb, ["a"], ["ghost"], Concept.BODY)
+
+    def test_matches_the_per_c_loop(self):
+        # 23 positives and 40 EN + 35 other negatives: neither class is a
+        # multiple of k = 10, so training sets differ in row count across
+        # rotations, and every rotation has three balanced draws.
+        rng = np.random.default_rng(11)
+        labels = [lbl(f"en{i}", ObjLevel.EN) for i in range(40)]
+        labels += [lbl(f"p{i}", ObjLevel.S, Concept.BODY) for i in range(23)]
+        labels += [lbl(f"o{i}", ObjLevel.HN, Concept.LOOK) for i in range(35)]
+        rows = {}
+        for label in labels:
+            rows[label.clip_id] = rng.normal(0, 1, 8)
+            rows[label.clip_id][0] += 1.0 if Concept.BODY in label.concepts else 0.0
+        emb = EmbeddingTable(rows)
+        pos, neg = build_concept_sets(labels, Concept.BODY, NegativeMode.EN_PLUS_WITHOUT)
+        cv, seed = CavCvConfig(), 7
+
+        # fit_cav's selection as a C -> rotation -> draw loop of single fits.
+        def matrices(pos_ids, neg_ids):
+            X = emb.matrix(list(pos_ids) + list(neg_ids)).astype(np.float64)
+            return X, np.array([1] * len(pos_ids) + [0] * len(neg_ids))
+
+        plan = make_folds_from_ids({"pos": pos, "neg": neg}, k=cv.k, seed=seed)
+        split = lambda folds: matrices(plan.ids("pos", folds), plan.ids("neg", folds))
+        c_means, row_counts = [], set()
+        for c in sorted(DEFAULT_C_GRID):
+            scores = []
+            for rotation in range(cv.rotations):
+                others = [fold for fold in range(cv.k - 1) if fold != rotation]
+                val_X, val_y = split([rotation])
+                draw_rng = np.random.default_rng(derive_seed(seed, 3, rotation))
+                draws = balanced_draws(plan.ids("pos", others), plan.ids("neg", others), draw_rng)
+                assert len(draws) == 3
+                for draw in draws:
+                    X, y = matrices(*draw)
+                    row_counts.add(len(y))
+                    model = train_svm(X, y, c=c)
+                    scores.append(f1(model.predict(val_X), val_y).f1)
+            c_means.append((c, float(np.mean(scores))))
+        assert len(row_counts) == 2
+        assert len({mean for _, mean in c_means}) > 1  # the choice of C matters
+        best_c = max(c_means, key=lambda item: item[1])[0]
+        model = train_svm(*split(range(cv.k - 1)), c=best_c)
+        test_X, test_y = split([plan.test_fold])
+        norm = float(np.linalg.norm(model.weights))
+
+        cav = fit_cav(emb, pos, neg, Concept.BODY, mode=NegativeMode.EN_PLUS_WITHOUT, seed=seed)
+        assert np.array_equal(cav.unit_normal, model.weights / norm)
+        assert cav.bias == model.bias / norm
+        assert cav.cv_f1 == f1(model.predict(test_X), test_y).f1
 
     def test_cv_config_validation(self):
         with pytest.raises(InvariantViolation):

@@ -365,3 +365,33 @@ class TestMalformedInputs:
         cavs_path.write_text(content)
         argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "dt", "--cavs", str(cavs_path)]
         self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
+
+    # c1..c6 are EN, S, HN, EN, S, HN; the valid rows miss only on c3.
+    GOOD_ROWS = ["c1,0", "c2,1", "c3,1", "c4,0", "c5,1", "c6,0"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["c1,7"] + GOOD_ROWS[1:],  # a prediction other than 0 or 1
+            [row + ",0" for row in GOOD_ROWS[:4]] + ["c5,1,-4", "c6,0,0"],
+            ["c1,0,0", "c2,1,1"] + GOOD_ROWS[2:],  # a truth on some rows only
+            GOOD_ROWS[:2] + ["c3,1,0"] + GOOD_ROWS[3:],
+            GOOD_ROWS + ["c1,1"],  # one clip predicted twice
+        ],
+    )
+    def test_bad_predictions_to_error(self, tmp_path, capsys, rows):
+        labels = tmp_path / "merged.jsonl"
+        labels.write_text(
+            "".join(
+                json.dumps({"clip": f"c{i}", "level": level, "concepts": concepts}) + "\n"
+                for i, (level, concepts) in enumerate(
+                    [("EN", []), ("S", ["Body"]), ("HN", ["Look"])] * 2, start=1
+                )
+            )
+        )
+        preds = tmp_path / "preds.csv"
+        argv = ["error", str(labels), str(preds), "--out", str(tmp_path / "o")]
+        preds.write_text("".join(row + "\n" for row in self.GOOD_ROWS))
+        assert main(argv) == 0
+        preds.write_text("".join(row + "\n" for row in rows))
+        self._exits_2(argv, capsys)

@@ -1,10 +1,12 @@
-"""Fuzzing the JSONL readers through the command line.
+"""Fuzzing the JSONL readers and the predictions CSV through the command line.
 
 Arbitrary text, arbitrary JSON values, and records with the expected
 keys but arbitrary values go to ``fuse`` (annotation JSONL), ``stats``
-(merged labels) and ``gamma`` (projections). Whatever the input, the
-command must end in one of the documented exit codes: 0 on success, 2
-to 5 on rejected input. An exception escaping ``main`` fails the test.
+(merged labels) and ``gamma`` (projections); rows of clip ids, 0/1 values
+and arbitrary cells go to ``error`` (predictions CSV). Whatever the
+input, the command must end in one of the documented exit codes: 0 on
+success, 2 to 5 on rejected input. An exception escaping ``main`` fails
+the test.
 """
 
 import json
@@ -46,6 +48,37 @@ lines = st.one_of(
 )
 files = st.lists(lines, max_size=6).map("\n".join)
 
+# Six labelled clips for ``error``: c1..c6 are EN, S, HN, EN, S, HN.
+CLIPS = [f"c{i}" for i in range(1, 7)]
+LABELS_JSONL = "".join(
+    json.dumps({"clip": clip, "level": level, "concepts": concepts}) + "\n"
+    for clip, (level, concepts) in zip(CLIPS, [("EN", []), ("S", ["Body"]), ("HN", ["Look"])] * 2)
+)
+cells = (
+    st.sampled_from(CLIPS + ["c7"])
+    | st.sampled_from(["0", "1", " 1", "01", "7", "-4", "1.0", ""])
+    | st.text(max_size=4)
+)
+# A well-formed file (distinct clips, a truth on every row or on none)
+# with up to two junk rows mixed in, so that many files reach the
+# regression and the rest probe the row checks.
+well_formed = st.builds(
+    lambda rows, with_truth: [f"{c},{p},{t}" if with_truth else f"{c},{p}" for c, p, t in rows],
+    st.lists(
+        st.tuples(st.sampled_from(CLIPS), st.sampled_from("01"), st.sampled_from("01")),
+        min_size=1,
+        max_size=6,
+        unique_by=lambda row: row[0],
+    ),
+    st.booleans(),
+)
+junk_rows = st.lists(cells, min_size=1, max_size=4).map(",".join) | st.text(max_size=12)
+prediction_files = (
+    st.builds(lambda rows, junk: rows + junk, well_formed, st.lists(junk_rows, max_size=2))
+    .flatmap(st.permutations)
+    .map("\n".join)
+)
+
 FUZZ = settings(
     max_examples=200,
     deadline=None,
@@ -57,29 +90,37 @@ FUZZ = settings(
 
 def run(text: str, *argv: str) -> int:
     """``main(argv)`` with ``{tmp}`` in each argument naming a directory
-    that holds ``text`` as ``input.jsonl`` and the fusion fixture's clip
-    index as ``clips.csv``."""
+    that holds ``text`` as ``input``, the fusion fixture's clip index as
+    ``clips.csv`` and the six labelled clips as ``labels.jsonl``."""
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "input.jsonl").write_text(text, encoding="utf-8")
+        (Path(tmp) / "input").write_text(text, encoding="utf-8")
         (Path(tmp) / "clips.csv").write_text(FUSION_FIXTURE_CLIPS_CSV)
+        (Path(tmp) / "labels.jsonl").write_text(LABELS_JSONL)
         return main([arg.format(tmp=tmp) for arg in argv])
 
 
 @FUZZ
 @given(files)
 def test_fuse_annotations(text):
-    code = run(text, "fuse", "{tmp}/input.jsonl", "{tmp}/clips.csv", "--out", "{tmp}/out")
+    code = run(text, "fuse", "{tmp}/input", "{tmp}/clips.csv", "--out", "{tmp}/out")
     assert code in EXIT_CODES
 
 
 @FUZZ
 @given(files)
 def test_stats_merged_labels(text):
-    assert run(text, "stats", "{tmp}/input.jsonl", "--out", "{tmp}/out") in EXIT_CODES
+    assert run(text, "stats", "{tmp}/input", "--out", "{tmp}/out") in EXIT_CODES
 
 
 @FUZZ
 @given(files)
 def test_gamma_projections(text):
-    code = run(text, "gamma", "{tmp}/input.jsonl", "--seed", "1", "--out", "{tmp}/out")
+    code = run(text, "gamma", "{tmp}/input", "--seed", "1", "--out", "{tmp}/out")
+    assert code in EXIT_CODES
+
+
+@FUZZ
+@given(prediction_files)
+def test_error_predictions(text):
+    code = run(text, "error", "{tmp}/labels.jsonl", "{tmp}/input", "--out", "{tmp}/out")
     assert code in EXIT_CODES

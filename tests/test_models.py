@@ -14,6 +14,7 @@ from gazelab import (
     train_logreg,
     train_mlp,
     train_svm,
+    train_svm_stack,
     train_tree,
     trivial_baseline_f1,
 )
@@ -111,6 +112,108 @@ class TestSvm:
             train_svm(np.zeros((3, 2)), np.array([1, 1, 1]), c=1.0)
         with pytest.raises(NonFiniteInput):
             train_svm(np.array([[np.nan, 0.0], [1.0, 1.0]]), np.array([0, 1]), c=1.0)
+
+
+def per_fit_svm(X, y, c, max_iter=2500):
+    """The one-problem subgradient loop ``train_svm_stack`` replaced.
+
+    Kept as the reference: it gathers the violating rows for the
+    subgradient and recomputes the margins for the objective. Returns
+    (weights, bias, steps taken).
+    """
+    n, dim = X.shape
+    s = np.where(y == 1, 1.0, -1.0)
+    lam = 1.0 / (c * n)
+
+    def objective(w, b):
+        margins = s * (X @ w + b)
+        return 0.5 * lam * (w @ w) + np.maximum(0.0, 1.0 - margins).mean()
+
+    w = np.zeros(dim)
+    b = 0.0
+    best_w, best_b = w.copy(), b
+    best_obj = objective(w, b)
+    eta0 = 1.0 / (1.0 + float((X * X).sum(axis=1).mean()))
+    steps = 0
+    for stage in range(5):
+        eta = eta0 / (5.0**stage)
+        w, b = best_w.copy(), best_b
+        stale = 0
+        for _ in range(max(1, max_iter // 5)):
+            steps += 1
+            margins = s * (X @ w + b)
+            viol = margins < 1.0
+            gw = lam * w - (s[viol] @ X[viol]) / n
+            gb = -s[viol].sum() / n
+            w -= eta * gw
+            b -= eta * gb
+            obj = objective(w, b)
+            if obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
+                best_obj = obj
+                best_w, best_b = w.copy(), b
+                stale = 0
+            else:
+                stale += 1
+                if stale > 100:
+                    break
+    return best_w, best_b, steps
+
+
+def svm_fixtures():
+    """(X, y, c) of every fit in TestSvm."""
+    yield np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 0]), 1.0
+    yield np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]), np.array([1, 1, 0, 0]), 1.0
+    yield (*blobs(0, n_per=100, dim=8), 1.0)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0, 0.05, (200, 6))
+        y = rng.integers(0, 2, 200)
+        X[:, 2] = np.where(y == 1, rng.uniform(1, 3, 200), rng.uniform(-3, -1, 200))
+        yield X, y, 1.0
+    yield (*blobs(5), 1.0)
+    X, y = blobs(7, n_per=40)
+    yield X, y, 2.0
+    yield np.vstack([X, X]), np.concatenate([y, y]), 1.0
+
+
+class TestSvmStack:
+    CS = (0.01, 1.0, 100.0)
+
+    @pytest.mark.parametrize("dim", [16, 64, 512])
+    def test_every_problem_equals_its_one_problem_fit(self, dim):
+        rng = np.random.default_rng(dim)
+        draws, n = 3, 60
+        X = rng.normal(size=(draws, n, dim))
+        y = (rng.random((draws, n)) < 0.5).astype(np.int64)
+        X[..., 0] += y  # the positives sit one unit along the first axis
+        stack = train_svm_stack(X, y, self.CS)
+        steps = []
+        for d in range(draws):
+            for j, c in enumerate(self.CS):
+                single = train_svm(X[d], y[d], c=c)
+                assert np.array_equal(stack[d][j].weights, single.weights)
+                assert stack[d][j].bias == single.bias
+                steps.append(per_fit_svm(X[d], y[d], c)[2])
+        # The stack mixes problems that stop early (C=0.01 mostly stops
+        # after 1,200-2,000 steps) with problems that run all 2,500 steps,
+        # so the per-problem stop masks are exercised.
+        assert min(steps) < 2500 and max(steps) == 2500
+
+    def test_agrees_with_the_per_fit_loop(self):
+        # The dense subgradient sums the same violators in a different
+        # order, so only the last bits may move.
+        for X, y, c in svm_fixtures():
+            w, b, _ = per_fit_svm(X, y, c)
+            m = train_svm(X, y, c=c)
+            np.testing.assert_allclose(m.weights, w, rtol=0, atol=1e-9)
+            assert m.bias == pytest.approx(b, abs=1e-9)
+            assert np.array_equal(m.predict(X), (X @ w + b > 0).astype(np.int64))
+
+    def test_each_draw_is_validated(self):
+        X, y = blobs(8, n_per=10)
+        bad = np.stack([y, np.ones_like(y)])
+        with pytest.raises(SingleClass):
+            train_svm_stack(np.stack([X, X]), bad, (1.0,))
 
 
 class TestLogreg:
