@@ -146,6 +146,12 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     )
     cfg = fusion_mod.ProjectionConfig(overlap_threshold=args.threshold, overlap_basis=basis)
     projections, merged = fusion_mod.fuse(spans, clips, cfg)
+    rows = None
+    if thresholds is not None:
+        spans_by_annotator: dict[str, list] = {}
+        for s in spans:
+            spans_by_annotator.setdefault(s.annotator_id, []).append(s)
+        rows = fusion_mod.sweep_thresholds(spans_by_annotator, clips, thresholds, basis)
 
     out = Path(args.out)
     resolved = {
@@ -179,11 +185,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
                 proj_lines.append(json.dumps(obj))
     _write_text(out / "projections.jsonl", "".join(line + "\n" for line in proj_lines))
 
-    if thresholds is not None:
-        spans_by_annotator: dict[str, list] = {}
-        for s in spans:
-            spans_by_annotator.setdefault(s.annotator_id, []).append(s)
-        rows = fusion_mod.sweep_thresholds(spans_by_annotator, clips, thresholds, basis)
+    if rows is not None:
         lines = [_config_line({**resolved, "sweep": thresholds})]
         lines.append("threshold,en,hn,ns,s,delta_en,delta_hn,delta_ns,delta_s")
         for row in rows:

@@ -12,8 +12,10 @@ chose it.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .core import ClipDelimitation, ClipLabel, ObjLevel, SpanAnnotation
@@ -88,12 +90,8 @@ def project(
     provenance = frozenset() if annotator_id is None else frozenset({annotator_id})
 
     labels: list[ClipLabel] = []
-    for clip in clips:
-        qualifying = [
-            s
-            for s in spans
-            if overlap_fraction(s, clip, cfg.overlap_basis) >= cfg.overlap_threshold
-        ]
+    for clip, overlaps in zip(clips, _clip_overlaps(spans, clips, cfg.overlap_basis)):
+        qualifying = [s for f, s in overlaps if f >= cfg.overlap_threshold]
         if not qualifying:
             labels.append(ClipLabel(clip.clip_id, ObjLevel.EN, frozenset(), provenance))
             continue
@@ -103,6 +101,31 @@ def project(
         )
         labels.append(ClipLabel(clip.clip_id, top, concepts, provenance))
     return labels
+
+
+def _clip_overlaps(
+    spans: Sequence[SpanAnnotation],
+    clips: Sequence[ClipDelimitation],
+    basis: OverlapBasis,
+) -> list[list[tuple[float, SpanAnnotation]]]:
+    """Per clip, the ``(overlap_fraction, span)`` of every span that intersects it.
+
+    The spans are sorted by start once. A clip's candidates are the spans
+    that start before the clip ends, from the first whose running maximum
+    end passes the clip's start, found by two binary searches; the
+    comparisons are exact, so no intersecting span is missed. Clips may
+    come in any order and may overlap. Costs O((C + S) log S) plus the
+    candidates tested, instead of C * S fractions.
+    """
+    ordered = sorted(spans, key=lambda s: s.start)
+    starts = [s.start for s in ordered]
+    reach = list(accumulate((s.end for s in ordered), max))
+    out = []
+    for clip in clips:
+        lo, hi = bisect_right(reach, clip.start), bisect_left(starts, clip.end)
+        fractions = ((overlap_fraction(s, clip, basis), s) for s in ordered[lo:hi])
+        out.append([(f, s) for f, s in fractions if f > 0.0])
+    return out
 
 
 def merge(per_annotator: Sequence[tuple[str, Sequence[ClipLabel]]]) -> list[ClipLabel]:
@@ -135,6 +158,25 @@ def merge(per_annotator: Sequence[tuple[str, Sequence[ClipLabel]]]) -> list[Clip
     return merged
 
 
+def _by_film(
+    spans: Sequence[SpanAnnotation], clips: Sequence[ClipDelimitation]
+) -> dict[str, tuple[list[ClipDelimitation], list[SpanAnnotation]]]:
+    """``film -> (clips, spans)`` for every film of ``clips``, films sorted.
+
+    Spans on a film missing from ``clips`` raise ``FilmMismatch`` rather
+    than being dropped.
+    """
+    films: dict[str, tuple[list[ClipDelimitation], list[SpanAnnotation]]] = {}
+    for c in clips:
+        films.setdefault(c.film_id, ([], []))[0].append(c)
+    unknown = sorted({s.film_id for s in spans} - set(films))
+    if unknown:
+        raise FilmMismatch(f"spans on films missing from the clip index: {unknown}")
+    for s in spans:
+        films[s.film_id][1].append(s)
+    return dict(sorted(films.items()))
+
+
 def fuse(
     spans: Sequence[SpanAnnotation],
     clips: Sequence[ClipDelimitation],
@@ -149,38 +191,23 @@ def fuse(
     timelines when an explicit ``annotators`` roster is given; otherwise
     each film is merged over the annotators that touched it. Films whose
     clip index has no annotator at all are fused as all-EN with empty
-    provenance.
+    provenance. Spans on a film missing from ``clips`` raise
+    ``FilmMismatch``.
     """
-    spans_by_film: dict[str, dict[str, list[SpanAnnotation]]] = {}
-    for s in spans:
-        spans_by_film.setdefault(s.film_id, {}).setdefault(s.annotator_id, []).append(s)
-
-    clips_by_film: dict[str, list[ClipDelimitation]] = {}
-    for c in clips:
-        clips_by_film.setdefault(c.film_id, []).append(c)
-
-    roster = set(annotators) if annotators is not None else None
     projections: dict[str, dict[str, list[ClipLabel]]] = {}
     merged: dict[str, list[ClipLabel]] = {}
-    for film_id in sorted(clips_by_film):
-        film_clips = clips_by_film[film_id]
-        film_annotators = sorted(spans_by_film.get(film_id, {}))
-        if roster is not None:
-            film_annotators = sorted(set(film_annotators) | roster)
-        per_annotator: list[tuple[str, list[ClipLabel]]] = []
-        film_proj: dict[str, list[ClipLabel]] = {}
-        for aid in film_annotators:
-            labels = project(
-                spans_by_film.get(film_id, {}).get(aid, []),
-                film_clips,
-                cfg,
-                annotator_id=aid,
-            )
-            film_proj[aid] = labels
-            per_annotator.append((aid, labels))
+    roster = set(annotators or ())
+    for film_id, (film_clips, film_spans) in _by_film(spans, clips).items():
+        by_annotator: dict[str, list[SpanAnnotation]] = {aid: [] for aid in roster}
+        for s in film_spans:
+            by_annotator.setdefault(s.annotator_id, []).append(s)
+        film_proj = {
+            aid: project(by_annotator[aid], film_clips, cfg, annotator_id=aid)
+            for aid in sorted(by_annotator)
+        }
         projections[film_id] = film_proj
-        if per_annotator:
-            merged[film_id] = merge(per_annotator)
+        if film_proj:
+            merged[film_id] = merge(list(film_proj.items()))
         else:
             warnings.warn(
                 f"film {film_id!r} has no annotations; fused as all-EN",
@@ -206,22 +233,32 @@ def sweep_thresholds(
     thresholds: Sequence[float],
     basis: OverlapBasis = OverlapBasis.CLIP_DURATION,
 ) -> list[SweepRow]:
-    """Run project+merge at each threshold and tabulate level counts.
+    """Tabulate the merged level counts of ``fuse`` at each threshold.
 
-    Deltas are reported against the first threshold in the list.
+    The overlaps of each film are computed once and re-thresholded per
+    threshold: a clip's merged level is the highest level of any
+    annotator's span that qualifies on it, or EN. Every threshold is
+    checked before any work. Deltas are reported against the first
+    threshold in the list.
     """
     if not thresholds:
         raise EmptyInput("no thresholds to sweep")
+    for t in thresholds:
+        ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
     all_spans = [s for spans in spans_by_annotator.values() for s in spans]
+    # Which annotator a qualifying span came from does not change the
+    # merged level, so each film's spans are pooled into one timeline.
+    pooled = [
+        _clip_overlaps(film_spans, film_clips, basis)
+        for film_clips, film_spans in _by_film(all_spans, clips).values()
+    ]
     rows: list[SweepRow] = []
     base: dict[ObjLevel, int] | None = None
     for t in thresholds:
-        cfg = ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
-        _, merged = fuse(all_spans, clips, cfg, annotators=spans_by_annotator.keys())
         counts = {level: 0 for level in ObjLevel}
-        for labels in merged.values():
-            for lbl in labels:
-                counts[lbl.level] += 1
+        for film in pooled:
+            for overlaps in film:
+                counts[max((s.level for f, s in overlaps if f >= t), default=ObjLevel.EN)] += 1
         if base is None:
             base = counts
         deltas = {level: counts[level] - base[level] for level in ObjLevel}

@@ -314,11 +314,15 @@ class TestEval:
 class TestMalformedInputs:
     """Bad input ends in exit 2 with a one-line message, never a traceback."""
 
-    def _exits_2(self, argv, capsys):
+    def _exits(self, argv, capsys, expected):
         code = main(argv)
         err = capsys.readouterr().err
-        assert code == 2, err
+        assert code == expected, err
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def _exits_2(self, argv, capsys):
+        return self._exits(argv, capsys, 2)
 
     @pytest.mark.parametrize(
         "line",
@@ -344,6 +348,27 @@ class TestMalformedInputs:
         ann, clips = fusion_inputs
         out = tmp_path / "out"
         self._exits_2(["fuse", str(ann), str(clips), "--sweep", "a,b", "--out", str(out)], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sweep, code", [("0,0.2", 3), ("0.2,1.5", 3), ("nan", 3), ("0.1,-0.2", 3), (",", 4)]
+    )
+    def test_invalid_sweep_writes_nothing(self, fusion_inputs, tmp_path, capsys, sweep, code):
+        # Thresholds outside (0, 1], NaN or none at all are rejected
+        # before merged.jsonl or any other output is written.
+        ann, clips = fusion_inputs
+        out = tmp_path / "out"
+        self._exits(["fuse", str(ann), str(clips), "--sweep", sweep, "--out", str(out)], capsys, code)
+        assert not out.exists()
+
+    def test_spans_on_a_film_without_clips(self, fusion_inputs, tmp_path, capsys):
+        ann, clips = fusion_inputs
+        with ann.open("a") as f:
+            f.write('{"film": "ghost", "annotator": "a1", "start": 1.0, "end": 9.0, '
+                    '"level": "S", "concepts": ["Body"]}\n')
+        out = tmp_path / "out"
+        err = self._exits(["fuse", str(ann), str(clips), "--out", str(out)], capsys, 4)
+        assert "'ghost'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

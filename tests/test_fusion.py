@@ -11,6 +11,7 @@ from gazelab import (
     OverlapBasis,
     ProjectionConfig,
     SpanAnnotation,
+    SweepRow,
     fuse,
     labels_as_spans,
     merge,
@@ -211,6 +212,13 @@ class TestSweep:
 
 
 class TestFuse:
+    def test_spans_on_a_film_without_clips_rejected(self):
+        ghost = SpanAnnotation("ghost", "a1", 0.0, 5.0, ObjLevel.S, frozenset({Concept.BODY}))
+        with pytest.raises(FilmMismatch, match="'ghost'"):
+            fuse([span(0.0, 9.0, ObjLevel.S), ghost], [CLIP])
+        with pytest.raises(FilmMismatch, match="'ghost'"):
+            sweep_thresholds({"a1": [ghost]}, [CLIP], [0.2])
+
     def test_roster_adds_implicit_en_timeline(self):
         spans = [span(0.0, 9.0, ObjLevel.S)]
         projections, merged = fuse(spans, [CLIP], annotators={"a1", "a2"})
@@ -227,3 +235,152 @@ class TestFuse:
         assert projections["f"] == {}
         assert merged["f"][0].level is ObjLevel.EN
         assert merged["f"][0].annotators == frozenset()
+
+
+def all_pairs_project(spans, clips, cfg=ProjectionConfig(), annotator_id=None):
+    """The projection ``project`` replaced: every span tested on every clip.
+
+    Kept as the reference for the sorted sweep. Takes one film and one
+    annotator, as ``project`` does, without its input checks.
+    """
+    if spans:
+        annotator_id = spans[0].annotator_id
+    provenance = frozenset() if annotator_id is None else frozenset({annotator_id})
+    labels = []
+    for clip in clips:
+        qualifying = [
+            s
+            for s in spans
+            if overlap_fraction(s, clip, cfg.overlap_basis) >= cfg.overlap_threshold
+        ]
+        if not qualifying:
+            labels.append(ClipLabel(clip.clip_id, ObjLevel.EN, frozenset(), provenance))
+            continue
+        top = max(s.level for s in qualifying)
+        concepts = frozenset().union(*(s.concepts for s in qualifying if s.level == top))
+        labels.append(ClipLabel(clip.clip_id, top, concepts, provenance))
+    return labels
+
+
+def all_pairs_sweep(spans_by_annotator, clips, thresholds, basis):
+    """The sweep ``sweep_thresholds`` replaced: a full all-pairs fuse per threshold."""
+    films = sorted({c.film_id for c in clips})
+    rows = []
+    for t in thresholds:
+        cfg = ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
+        counts = {level: 0 for level in ObjLevel}
+        for film in films:
+            film_clips = [c for c in clips if c.film_id == film]
+            timelines = [
+                (aid, all_pairs_project([s for s in sp if s.film_id == film], film_clips, cfg, aid))
+                for aid, sp in sorted(spans_by_annotator.items())
+            ]
+            for lbl in merge(timelines):
+                counts[lbl.level] += 1
+        base = rows[0].counts if rows else counts
+        rows.append(SweepRow(t, counts, {lv: counts[lv] - base[lv] for lv in ObjLevel}))
+    return rows
+
+
+def reference_fixture(rng, films=("f", "g")):
+    """Clips and two or three annotators' spans built to hit the sweep's edge cases.
+
+    Times are multiples of 0.25 in half the fixtures, so that spans end
+    exactly on clip boundaries (an intersection of exactly 0) and
+    fractions land exactly on thresholds; each timeline also holds a
+    span nested in another, a span longer than several clips, and EN
+    spans. Clips come shuffled across films; in a quarter of the
+    fixtures they overlap one another.
+    """
+    quantized = rng.random() < 0.5
+
+    def time(x):
+        return float(np.round(x * 4) / 4) if quantized else float(x)
+
+    overlapping = rng.random() < 0.25
+    clips = []
+    spans_by_annotator = {f"a{i}": [] for i in range(int(rng.integers(2, 4)))}
+    for film in films:
+        n_clips = int(rng.integers(1, 9))
+        if overlapping:
+            starts = [time(x) for x in rng.uniform(0, 40, n_clips)]
+            bounds = [(a, a + time(rng.uniform(0.25, 15))) for a in starts]
+        else:
+            edges = np.cumsum(rng.uniform(0.25, 8, n_clips + 1))
+            edges = sorted({time(e) for e in edges})
+            bounds = list(zip(edges, edges[1:]))
+        film_clips = [ClipDelimitation(f"{film}{i}", film, a, b) for i, (a, b) in enumerate(bounds)]
+        clips.extend(film_clips)
+        horizon = max(c.end for c in film_clips)
+        edges = sorted({c.start for c in film_clips} | {c.end for c in film_clips})
+        for aid, spans in spans_by_annotator.items():
+            windows = []
+            for _ in range(int(rng.integers(0, 6))):
+                a = time(rng.uniform(0, horizon))
+                windows.append((a, a + time(rng.uniform(0.25, horizon / 3 + 0.25))))
+            # Touching a clip boundary from either side.
+            edge = edges[int(rng.integers(len(edges)))]
+            windows.append((edge, edge + time(rng.uniform(0.25, 5))))
+            if edge > 0.25:
+                windows.append((max(0.0, edge - time(rng.uniform(0.25, 5))), edge))
+            # Nested: a span inside the previous one.
+            outer_a, outer_b = windows[-1]
+            inner_a = outer_a + (outer_b - outer_a) * float(rng.uniform(0, 0.5))
+            inner_b = outer_b - (outer_b - inner_a) * float(rng.uniform(0, 0.5))
+            if inner_a < inner_b:
+                windows.append((inner_a, inner_b))
+            # Longer than several clips.
+            windows.append((0.0, horizon * float(rng.uniform(0.5, 1.2))))
+            for a, b in windows:
+                if not a < b:
+                    continue
+                level = ObjLevel(int(rng.integers(0, 4)))
+                picked = rng.choice(8, int(rng.integers(1, 3)), replace=False)
+                concepts = frozenset(Concept(int(c)) for c in picked if level is not ObjLevel.EN)
+                spans.append(SpanAnnotation(film, aid, a, b, level, concepts))
+    order = rng.permutation(len(clips))
+    return [clips[i] for i in order], spans_by_annotator
+
+
+REFERENCE_FIXTURES = 200
+TINY = float(np.nextafter(0.0, 1.0))
+
+
+def reference_thresholds(rng):
+    return [TINY, float(rng.uniform(0.01, 1.0)), 0.2, 0.25, 0.5, 1.0]
+
+
+class TestAllPairsReference:
+    """The sorted sweep gives exactly the labels and counts of all-pairs testing."""
+
+    def test_project_matches(self):
+        rng = np.random.default_rng(2024)
+        touching = 0
+        for _ in range(REFERENCE_FIXTURES):
+            clips, spans_by = reference_fixture(rng, films=("f",))
+            touching += sum(
+                min(s.end, c.end) == max(s.start, c.start)
+                for spans in spans_by.values()
+                for s in spans
+                for c in clips
+            )
+            for basis in OverlapBasis:
+                for t in reference_thresholds(rng):
+                    cfg = ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
+                    for aid, spans in spans_by.items():
+                        expected = all_pairs_project(spans, clips, cfg, aid)
+                        assert project(spans, clips, cfg, annotator_id=aid) == expected
+        assert touching > REFERENCE_FIXTURES
+
+    def test_sweep_matches(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(REFERENCE_FIXTURES):
+            clips, spans_by = reference_fixture(rng)
+            thresholds = reference_thresholds(rng)
+            for basis in OverlapBasis:
+                expected = all_pairs_sweep(spans_by, clips, thresholds, basis)
+                assert sweep_thresholds(spans_by, clips, thresholds, basis) == expected
+                # Any order of thresholds, deltas against the first one.
+                backwards = thresholds[::-1]
+                expected = all_pairs_sweep(spans_by, clips, backwards, basis)
+                assert sweep_thresholds(spans_by, clips, backwards, basis) == expected

@@ -1,9 +1,10 @@
-"""Fuzzing the JSONL readers and the predictions CSV through the command line.
+"""Fuzzing the JSONL readers and the CSV inputs through the command line.
 
 Arbitrary text, arbitrary JSON values, and records with the expected
 keys but arbitrary values go to ``fuse`` (annotation JSONL), ``stats``
 (merged labels) and ``gamma`` (projections); rows of clip ids, 0/1 values
-and arbitrary cells go to ``error`` (predictions CSV). Whatever the
+and arbitrary cells go to ``error`` (predictions CSV), and rows of clip
+ids, films and time cells to ``fuse`` (clip index). Whatever the
 input, the command must end in one of the documented exit codes: 0 on
 success, 2 to 5 on rejected input. An exception escaping ``main`` fails
 the test.
@@ -16,7 +17,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gazelab.cli import main
-from synthfix import FUSION_FIXTURE_CLIPS_CSV
+from gazelab.core import parse_clip_index
+from synthfix import FUSION_FIXTURE_ANNOTATIONS_JSONL, FUSION_FIXTURE_CLIPS_CSV
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 LEVELS = ["EN", "HN", "NS", "S"]
@@ -79,6 +81,36 @@ prediction_files = (
     .map("\n".join)
 )
 
+# Clip files for ``fuse``: some of the fusion fixture's own rows (its
+# spans are on film juno) with up to three rows of plausible cells or
+# junk mixed in, so that many files reach the projection and the rest
+# probe the clip-index checks.
+time_cells = (
+    st.floats(-10, 400).map(repr)
+    | st.integers(-5, 400).map(str)
+    | st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", " 60 ", "", "x"])
+)
+clip_rows = (
+    st.builds(
+        lambda *cells: ",".join(cells),
+        st.sampled_from(["c1", "c2", "c6", "c7", ""]),
+        st.sampled_from(["juno", "juno", "other", ""]),
+        time_cells,
+        time_cells,
+    )
+    | st.lists(st.sampled_from(["c1", "juno", "60", '"', ""]), max_size=5).map(",".join)
+    | st.text(max_size=12)
+)
+clip_files = (
+    st.builds(
+        lambda rows, extra: rows + extra,
+        st.lists(st.sampled_from(FUSION_FIXTURE_CLIPS_CSV.splitlines()), max_size=5, unique=True),
+        st.lists(clip_rows, max_size=3),
+    )
+    .flatmap(st.permutations)
+    .map("\n".join)
+)
+
 FUZZ = settings(
     max_examples=200,
     deadline=None,
@@ -124,3 +156,23 @@ def test_gamma_projections(text):
 def test_error_predictions(text):
     code = run(text, "error", "{tmp}/labels.jsonl", "{tmp}/input", "--out", "{tmp}/out")
     assert code in EXIT_CODES
+
+
+@FUZZ
+@given(clip_files)
+def test_fuse_clip_index(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "clips.csv").write_text(text, encoding="utf-8")
+        (root / "annotations.jsonl").write_text(FUSION_FIXTURE_ANNOTATIONS_JSONL)
+        argv = [str(root / "annotations.jsonl"), str(root / "clips.csv"), "--sweep", "0.1,0.5"]
+        code = main(["fuse", *argv, "--out", str(root / "out")])
+        assert code in EXIT_CODES
+        if code != 0:
+            return
+        clips = [(c.film_id, c.clip_id) for c in parse_clip_index(text)]
+        merged = [json.loads(line) for line in (root / "out/merged.jsonl").read_text().splitlines()]
+        assert sorted((m["film"], m["clip"]) for m in merged) == sorted(clips)
+        assert len(set(clips)) == len(clips)
+        sweep = (root / "out/sweep.csv").read_text().splitlines()[2:]
+        assert [sum(map(int, row.split(",")[1:5])) for row in sweep] == [len(clips)] * 2
