@@ -2,9 +2,9 @@
 """End-to-end evaluation: the task grid, an interpretable head, errors.
 
 On synthetic embeddings where a single direction decides the rating,
-the demo runs the four train/test negative-composition cells with the
-MLP head, trains a concept-coordinate decision tree and renders it,
-and closes with the error-factor regression on predictions that fail
+the demo fits the MLP head once per train row and scores it on both
+test negative sets (the four cells of the task grid), trains a
+concept-coordinate decision tree and renders it, and closes with the error-factor regression on predictions that fail
 exactly on the hard negatives.
 """
 
@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from gazelab import (
+    TEST_NEGATIVE_SETS,
     ModelKind,
     NegativeMode,
     ObjLevel,
@@ -35,27 +36,13 @@ def main():
     corner = "train \\ test"
     print(f"  {corner:14s} {'EN vs S':>10s} {'EN+HN vs S':>12s}")
     for train_neg in (ObjLevel.EN, ObjLevel.HN):
-        cells = []
-        for test_neg in (frozenset({ObjLevel.EN}), frozenset({ObjLevel.EN, ObjLevel.HN})):
-            cfg = TaskConfig(
-                train_negatives=train_neg,
-                test_negatives=test_neg,
-                model=ModelKind.MLP,
-                seed=3,
-                mlp_epochs=120,
-                mlp_lr=2e-2,
-            )
-            report = run_task(cfg, labels, feats)
-            cells.append(f"{report.mean_f1:.3f}({report.std_f1:.3f})")
+        cfg = TaskConfig(
+            train_negatives=train_neg, model=ModelKind.MLP, seed=3, mlp_epochs=120, mlp_lr=2e-2
+        )
+        reports = run_task(cfg, labels, feats, TEST_NEGATIVE_SETS)
+        cells = [f"{r.mean_f1:.3f}({r.std_f1:.3f})" for r in reports]
         print(f"  {train_neg.name + ' vs S':14s} {cells[0]:>10s} {cells[1]:>12s}")
-    cfg = TaskConfig(
-        train_negatives=ObjLevel.EN,
-        test_negatives=frozenset({ObjLevel.EN}),
-        model=ModelKind.MLP,
-        seed=3,
-    )
-    report = run_task(cfg, labels, feats)
-    print(f"  baselines for the EN test: {report.baselines}")
+    print(f"  baselines for the EN test: {reports[0].baselines}")
     print()
 
     print("== interpretable head on concept coordinates ==")

@@ -62,6 +62,7 @@ from .fusion import (
     sweep_thresholds,
 )
 from .harness import (
+    TEST_NEGATIVE_SETS,
     EvalReport,
     FactorWeights,
     FoldPlan,

@@ -334,14 +334,13 @@ def train_pcbm(
         raise InvariantViolation(f"kind must be PCBM_DT or PCBM_LR, got {kind}")
     cfg = TaskConfig(
         train_negatives=train_negatives,
-        test_negatives=test_negatives,
         model=kind,
         seed=seed,
         k=k,
         tree_max_depth=tree_max_depth,
         logreg_l2=logreg_l2,
     )
-    report = run_task(cfg, labels, scores)
+    (report,) = run_task(cfg, labels, scores, [test_negatives])
     return PcbmResult(model=report.draws[-1].model, report=report)
 
 

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .harness import (
     FACTOR_NAMES,
+    TEST_NEGATIVE_SETS,
     ModelKind,
     TaskConfig,
     error_factor_analysis,
@@ -363,22 +364,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         features = emb
 
-    # Columns are the test negative sets, rows the train negatives;
-    # reports are run and listed column by column.
-    test_sets = (frozenset({ObjLevel.EN}), frozenset({ObjLevel.EN, ObjLevel.HN}))
-    reports = {}
-    for test_neg in test_sets:
-        for train_neg in (ObjLevel.EN, ObjLevel.HN):
-            cfg = TaskConfig(
-                train_negatives=train_neg,
-                test_negatives=test_neg,
-                model=model,
-                seed=seed,
-                mlp_epochs=args.epochs,
-                mlp_lr=args.lr,
-                mlp_batch=args.batch,
-            )
-            reports[train_neg, test_neg] = run_task(cfg, labels, features)
+    # Rows are the train negatives, columns the test negative sets;
+    # each row is fitted once and scored on both columns.
+    rows = {}
+    for train_neg in (ObjLevel.EN, ObjLevel.HN):
+        cfg = TaskConfig(
+            train_negatives=train_neg,
+            model=model,
+            seed=seed,
+            mlp_epochs=args.epochs,
+            mlp_lr=args.lr,
+            mlp_batch=args.batch,
+        )
+        rows[train_neg] = run_task(cfg, labels, features, TEST_NEGATIVE_SETS)
 
     resolved = {
         "command": "eval",
@@ -391,19 +389,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "batch": args.batch,
     }
     out = Path(args.out)
-    doc = {"config": resolved, "reports": [r.to_json() for r in reports.values()]}
+    # Reports are listed column by column.
+    reports = [r.to_json() for column in zip(*rows.values()) for r in column]
+    doc = {"config": resolved, "reports": reports}
     _write_text(out / "eval_report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
     lines = [
         _config_line(resolved),
         "model,train_negatives,test_EN_vs_S,test_EN+HN_vs_S",
     ]
-    for train_neg in (ObjLevel.EN, ObjLevel.HN):
-        cells = [reports[train_neg, t] for t in test_sets]
+    for train_neg, cells in rows.items():
         scores = ",".join(f'"{r.mean_f1:.4f} ({r.std_f1:.4f})"' for r in cells)
         lines.append(f"{args.model},{train_neg.name},{scores}")
     for name in ("random", "all_positive"):
-        values = ",".join(f'"{reports[ObjLevel.EN, t].baselines[name]:.4f}"' for t in test_sets)
+        values = ",".join(f'"{r.baselines[name]:.4f}"' for r in rows[ObjLevel.EN])
         lines.append(f"{name},,{values}")
     _write_text(out / "eval_table.csv", "".join(line + "\n" for line in lines))
     return 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import struct
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -137,8 +138,10 @@ class SpanAnnotation:
         object.__setattr__(self, "concepts", frozenset(self.concepts))
         if self.start < 0:
             raise InvariantViolation(f"negative start {self.start}")
-        if not self.start < self.end:
-            raise InvariantViolation(f"empty or inverted span [{self.start}, {self.end})")
+        if not self.start < self.end < math.inf:
+            raise InvariantViolation(
+                f"empty, inverted or non-finite span [{self.start}, {self.end})"
+            )
         _check_level_concepts(self.level, self.concepts)
 
     @property
@@ -156,9 +159,10 @@ class ClipDelimitation:
     end: float
 
     def __post_init__(self):
-        if not self.start < self.end:
+        if not -math.inf < self.start < self.end < math.inf:
             raise InvariantViolation(
-                f"clip {self.clip_id!r}: empty or inverted range [{self.start}, {self.end})"
+                f"clip {self.clip_id!r}: empty, inverted or non-finite range"
+                f" [{self.start}, {self.end})"
             )
 
     @property

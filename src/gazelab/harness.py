@@ -4,10 +4,11 @@ The evaluation protocol: split each class into 10 equal folds (seeded
 shuffle, round-robin), reserve the last fold of every class for test
 and the one before it for validation, and build as many balanced
 training sets as the class imbalance allows by drawing disjoint
-negative subsets. A task is one (train negatives, test negatives,
-model) configuration scored by binary F1 against the S class, averaged
-over the balanced draws, with closed-form trivial baselines derived
-from the test composition.
+negative subsets. A task is one train row (train negatives, model):
+each balanced draw's model is fitted once and scored on every requested
+test negative set by binary F1 against the S class, averaged over the
+draws. The random and all-positive baselines are closed-form, derived
+from each test composition.
 """
 
 from __future__ import annotations
@@ -140,20 +141,20 @@ class ModelKind(Enum):
     MLP = "mlp"
     PCBM_DT = "pcbm-dt"
     PCBM_LR = "pcbm-lr"
-    # Data-independent references used to validate the report baselines.
-    ALWAYS_POSITIVE = "always-positive"
-    COIN_FLIP = "coin-flip"
+
+
+#: The test negative sets of the task grid, as its columns.
+TEST_NEGATIVE_SETS = (frozenset({ObjLevel.EN}), frozenset({ObjLevel.EN, ObjLevel.HN}))
 
 
 @dataclass(frozen=True)
 class TaskConfig:
-    """One cell of the train/test negative-composition grid.
+    """One row of the train/test negative-composition grid.
 
     Positives are always the S clips; NS must be dropped upstream.
     """
 
     train_negatives: ObjLevel
-    test_negatives: frozenset[ObjLevel]
     model: ModelKind
     seed: int
     k: int = 10
@@ -164,17 +165,12 @@ class TaskConfig:
     logreg_l2: float = 1e-3
 
     def __post_init__(self):
-        object.__setattr__(self, "test_negatives", frozenset(self.test_negatives))
         if self.train_negatives not in (ObjLevel.EN, ObjLevel.HN):
             raise InvariantViolation("train negatives must be EN or HN")
-        allowed = ({ObjLevel.EN}, {ObjLevel.EN, ObjLevel.HN})
-        if set(self.test_negatives) not in allowed:
-            raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
 
     def describe(self) -> dict:
         return {
             "train_negatives": self.train_negatives.name,
-            "test_negatives": sorted(lv.name for lv in self.test_negatives),
             "model": self.model.value,
             "seed": self.seed,
             "k": self.k,
@@ -201,17 +197,20 @@ class EvalReport:
     per_draw_f1: tuple[float, ...]
     baselines: Mapping[str, float]
     config: TaskConfig
+    test_negatives: frozenset[ObjLevel]
     draws: tuple[DrawOutcome, ...]
     test_positive_fraction: float
 
     def to_json(self) -> dict:
+        config = self.config.describe()
+        config["test_negatives"] = sorted(lv.name for lv in self.test_negatives)
         return {
             "mean_f1": self.mean_f1,
             "std_f1": self.std_f1,
             "per_draw_f1": list(self.per_draw_f1),
             "baselines": dict(self.baselines),
             "test_positive_fraction": self.test_positive_fraction,
-            "config": self.config.describe(),
+            "config": config,
         }
 
 
@@ -248,44 +247,29 @@ def _train_for_draw(
         return train_tree(X_train, y_train, max_depth=cfg.tree_max_depth)
     if cfg.model is ModelKind.PCBM_LR:
         return train_logreg(X_train, y_train, l2=cfg.logreg_l2)
-    if cfg.model is ModelKind.ALWAYS_POSITIVE:
-        return _ConstantModel(1)
-    if cfg.model is ModelKind.COIN_FLIP:
-        return _CoinFlipModel(draw_seed)
     raise InvariantViolation(f"unknown model kind {cfg.model}")
-
-
-class _ConstantModel:
-    def __init__(self, value: int):
-        self.value = value
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.full(len(X), self.value, dtype=np.int64)
-
-
-class _CoinFlipModel:
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return rng.integers(0, 2, size=len(X)).astype(np.int64)
 
 
 def run_task(
     cfg: TaskConfig,
     labels: Sequence[ClipLabel],
     features: Mapping[str, np.ndarray],
-) -> EvalReport:
-    """Evaluate one task configuration.
+    test_sets: Sequence[frozenset[ObjLevel]],
+) -> tuple[EvalReport, ...]:
+    """Evaluate one train row on each of ``test_sets``.
 
     ``features`` maps clip ids to vectors (an EmbeddingTable for the
     MLP, concept-subspace coordinates for the interpretable models).
-    All balanced draws share the identical test fold; the report carries
-    per-draw F1, their mean and standard deviation, the model fitted on
-    each draw, and the closed-form random / all-positive baselines for
-    the same test composition.
+    Each balanced draw's model is fitted once and scored on every test
+    set; all draws share the identical test fold. One report per test
+    set, in ``test_sets`` order, carries per-draw F1, their mean and
+    standard deviation, the model fitted on each draw, and the
+    closed-form random / all-positive baselines for that test
+    composition.
     """
+    test_sets = [frozenset(t) for t in test_sets]
+    if not test_sets or any(t not in TEST_NEGATIVE_SETS for t in test_sets):
+        raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
     by_level = _split_levels(labels)
     if ObjLevel.S not in by_level:
         raise NoTrainData("no S clips to use as positives")
@@ -303,47 +287,54 @@ def run_task(
         return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
 
     test_pos = fold_of([ObjLevel.S], plan.test_fold)
-    test_neg = fold_of(sorted(cfg.test_negatives), plan.test_fold)
-    test_ids = test_pos + test_neg
-    X_test, y_test = xy(test_pos, test_neg)
+    tests = []
+    for test_negatives in test_sets:
+        test_neg = fold_of(sorted(test_negatives), plan.test_fold)
+        tests.append((test_pos + test_neg, *xy(test_pos, test_neg)))
     X_val, y_val = xy(
         fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold)
     )
 
-    draws: list[DrawOutcome] = []
+    draws: list[list[DrawOutcome]] = [[] for _ in test_sets]
     for draw_index, (pos_ids, neg_ids) in enumerate(
         balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
     ):
         draw_seed = derive_seed(cfg.seed, 1, draw_index)
         X_train, y_train = xy(pos_ids, neg_ids)
         model = _train_for_draw(cfg, X_train, y_train, X_val, y_val, draw_seed)
-        preds = model.predict(X_test)
-        metrics = f1(preds, y_test)
-        draws.append(
-            DrawOutcome(
-                draw_index=draw_index,
-                metrics=metrics,
-                predictions=tuple(
-                    (cid, int(p), int(t)) for cid, p, t in zip(test_ids, preds, y_test)
-                ),
-                model=model,
+        for (test_ids, X_test, y_test), outcomes in zip(tests, draws):
+            preds = model.predict(X_test)
+            outcomes.append(
+                DrawOutcome(
+                    draw_index=draw_index,
+                    metrics=f1(preds, y_test),
+                    predictions=tuple(
+                        (cid, int(p), int(t)) for cid, p, t in zip(test_ids, preds, y_test)
+                    ),
+                    model=model,
+                )
+            )
+
+    reports = []
+    for test_negatives, (test_ids, _, _), outcomes in zip(test_sets, tests, draws):
+        scores = np.array([d.metrics.f1 for d in outcomes])
+        f_data = len(test_pos) / len(test_ids)
+        reports.append(
+            EvalReport(
+                mean_f1=float(scores.mean()),
+                std_f1=float(scores.std()),
+                per_draw_f1=tuple(float(s) for s in scores),
+                baselines={
+                    "random": trivial_baseline_f1(f_data, 0.5),
+                    "all_positive": trivial_baseline_f1(f_data, 1.0),
+                },
+                config=cfg,
+                test_negatives=test_negatives,
+                draws=tuple(outcomes),
+                test_positive_fraction=f_data,
             )
         )
-
-    scores = np.array([d.metrics.f1 for d in draws])
-    f_data = len(test_pos) / len(test_ids)
-    return EvalReport(
-        mean_f1=float(scores.mean()),
-        std_f1=float(scores.std()),
-        per_draw_f1=tuple(float(s) for s in scores),
-        baselines={
-            "random": trivial_baseline_f1(f_data, 0.5),
-            "all_positive": trivial_baseline_f1(f_data, 1.0),
-        },
-        config=cfg,
-        draws=tuple(draws),
-        test_positive_fraction=f_data,
-    )
+    return tuple(reports)
 
 
 # --- leave-movies-out -------------------------------------------------------

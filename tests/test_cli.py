@@ -371,6 +371,30 @@ class TestMalformedInputs:
         assert "'ghost'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("end", ["inf", "1e400"])
+    def test_non_finite_clip_bound(self, fusion_inputs, tmp_path, capsys, end):
+        # An infinite clip makes every clip-basis fraction 0, which would
+        # label c2 EN although a1 and a2 rate 60-300 s S and HN.
+        ann, clips = fusion_inputs
+        clips.write_text(f"c1,juno,0,60\nc2,juno,60,{end}\n")
+        out = tmp_path / "out"
+        err = self._exits(["fuse", str(ann), str(clips), "--out", str(out)], capsys, 3)
+        assert "line 2" in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("end", ["Infinity", "1e400"])
+    @pytest.mark.parametrize("basis", ["clip", "span"])
+    def test_non_finite_span_bound(self, fusion_inputs, tmp_path, capsys, end, basis):
+        ann, clips = fusion_inputs
+        with ann.open("a") as f:
+            f.write('{"film": "juno", "annotator": "a3", "start": 10.0, "end": %s, '
+                    '"level": "S", "concepts": ["Body"]}\n' % end)
+        out = tmp_path / "out"
+        argv = ["fuse", str(ann), str(clips), "--basis", basis, "--out", str(out)]
+        err = self._exits(argv, capsys, 3)
+        assert "line 7" in err and "non-finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content", ["not json\n", '{"config": {}}\n', '{"cavs": 3}\n', '{"cavs": [1]}\n']
     )

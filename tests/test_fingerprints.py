@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from gazelab import EmbeddingTable, dump_embeddings
+from gazelab import EmbeddingTable, ObjLevel, dump_embeddings, harness, train_mlp
 from gazelab.cli import main
 from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
@@ -154,3 +154,22 @@ def test_output_fingerprints(digests, name):
     code, files = digests[name]
     assert code == 0
     assert files == EXPECTED[name]
+
+
+def test_eval_fits_each_train_row_once(tmp_path, monkeypatch):
+    """One ``train_mlp`` call per balanced draw of the EN and HN rows."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return train_mlp(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train_mlp", counting)
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path)
+    assert main(RUNS["eval"]) == 0
+    labels, _ = make_linear_task(2, n=500, dim=16)
+    plan = harness.make_folds(labels, seed=6)
+    rows = (ObjLevel.EN, ObjLevel.HN)
+    draws = [len(harness.balanced_train_sets(plan, ObjLevel.S, neg)) for neg in rows]
+    assert len(calls) == sum(draws)

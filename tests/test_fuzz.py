@@ -7,17 +7,19 @@ and arbitrary cells go to ``error`` (predictions CSV), and rows of clip
 ids, films and time cells to ``fuse`` (clip index). Whatever the
 input, the command must end in one of the documented exit codes: 0 on
 success, 2 to 5 on rejected input. An exception escaping ``main`` fails
-the test.
+the test. When ``fuse`` succeeds, every span and clip bound it read
+must be finite.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gazelab.cli import main
-from gazelab.core import parse_clip_index
+from gazelab.core import parse_annotations, parse_clip_index
 from synthfix import FUSION_FIXTURE_ANNOTATIONS_JSONL, FUSION_FIXTURE_CLIPS_CSV
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -49,6 +51,27 @@ lines = st.one_of(
     records.map(json.dumps),
 )
 files = st.lists(lines, max_size=6).map("\n".join)
+
+#: Non-finite time literals: as JSON writes them, and finite-looking
+#: literals that overflow to infinity.
+NON_FINITE = ["Infinity", "-Infinity", "NaN", "1e400", "-1e400"]
+
+
+def _with_bound(line: str, key: str, literal: str) -> str:
+    """A fixture span with its ``key`` bound written as ``literal``."""
+    record = json.loads(line)
+    record[key] = "BOUND"
+    return json.dumps(record).replace('"BOUND"', literal)
+
+
+# Annotation files for ``fuse``: the generic files above, or the fusion
+# fixture's spans, some with a non-finite bound, so that many files
+# reach the projection.
+fixture_spans = st.sampled_from(FUSION_FIXTURE_ANNOTATIONS_JSONL.splitlines())
+span_lines = fixture_spans | st.builds(
+    _with_bound, fixture_spans, st.sampled_from(["start", "end"]), st.sampled_from(NON_FINITE)
+)
+annotation_files = files | st.lists(span_lines, min_size=1, max_size=6).map("\n".join)
 
 # Six labelled clips for ``error``: c1..c6 are EN, S, HN, EN, S, HN.
 CLIPS = [f"c{i}" for i in range(1, 7)]
@@ -82,16 +105,22 @@ prediction_files = (
 )
 
 # Clip files for ``fuse``: some of the fusion fixture's own rows (its
-# spans are on film juno) with up to three rows of plausible cells or
-# junk mixed in, so that many files reach the projection and the rest
-# probe the clip-index checks.
+# spans are on film juno) with up to three rows of plausible cells,
+# fixture rows with an infinite end, or junk mixed in, so that many
+# files reach the projection and the rest probe the clip-index checks.
 time_cells = (
     st.floats(-10, 400).map(repr)
     | st.integers(-5, 400).map(str)
     | st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", " 60 ", "", "x"])
 )
+fixture_clips = st.sampled_from(FUSION_FIXTURE_CLIPS_CSV.splitlines())
 clip_rows = (
     st.builds(
+        lambda row, end: f"{row.rsplit(',', 1)[0]},{end}",
+        fixture_clips,
+        st.sampled_from(["inf", "1e400"]),
+    )
+    | st.builds(
         lambda *cells: ",".join(cells),
         st.sampled_from(["c1", "c2", "c6", "c7", ""]),
         st.sampled_from(["juno", "juno", "other", ""]),
@@ -104,7 +133,7 @@ clip_rows = (
 clip_files = (
     st.builds(
         lambda rows, extra: rows + extra,
-        st.lists(st.sampled_from(FUSION_FIXTURE_CLIPS_CSV.splitlines()), max_size=5, unique=True),
+        st.lists(fixture_clips, max_size=5, unique=True),
         st.lists(clip_rows, max_size=3),
     )
     .flatmap(st.permutations)
@@ -132,10 +161,12 @@ def run(text: str, *argv: str) -> int:
 
 
 @FUZZ
-@given(files)
+@given(annotation_files)
 def test_fuse_annotations(text):
     code = run(text, "fuse", "{tmp}/input", "{tmp}/clips.csv", "--out", "{tmp}/out")
     assert code in EXIT_CODES
+    if code == 0:
+        assert all(math.isfinite(s.start) and math.isfinite(s.end) for s in parse_annotations(text))
 
 
 @FUZZ
@@ -170,7 +201,9 @@ def test_fuse_clip_index(text):
         assert code in EXIT_CODES
         if code != 0:
             return
-        clips = [(c.film_id, c.clip_id) for c in parse_clip_index(text)]
+        parsed = parse_clip_index(text)
+        assert all(math.isfinite(c.start) and math.isfinite(c.end) for c in parsed)
+        clips = [(c.film_id, c.clip_id) for c in parsed]
         merged = [json.loads(line) for line in (root / "out/merged.jsonl").read_text().splitlines()]
         assert sorted((m["film"], m["clip"]) for m in merged) == sorted(clips)
         assert len(set(clips)) == len(clips)

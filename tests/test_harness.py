@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gazelab import (
+    TEST_NEGATIVE_SETS,
     ClipLabel,
     Concept,
     ModelKind,
@@ -107,44 +108,50 @@ class TestBalancedTrainSets:
             balanced_train_sets(plan, "pos", "neg")
 
 
+EN_ONLY = frozenset({ObjLevel.EN})
+EN_HN = frozenset({ObjLevel.EN, ObjLevel.HN})
+
+
 class TestRunTask:
     def test_linear_oracle_all_four_cells(self):
         labels, feats = make_linear_task(0, n=600)
         for train_neg in (ObjLevel.EN, ObjLevel.HN):
-            for test_neg in (frozenset({ObjLevel.EN}), frozenset({ObjLevel.EN, ObjLevel.HN})):
-                cfg = TaskConfig(
-                    train_negatives=train_neg,
-                    test_negatives=test_neg,
-                    model=ModelKind.MLP,
-                    seed=3,
-                    mlp_epochs=120,
-                    mlp_lr=2e-2,
-                )
-                report = run_task(cfg, labels, feats)
-                assert report.mean_f1 >= 0.95
+            cfg = TaskConfig(
+                train_negatives=train_neg,
+                model=ModelKind.MLP,
+                seed=3,
+                mlp_epochs=120,
+                mlp_lr=2e-2,
+            )
+            reports = run_task(cfg, labels, feats, TEST_NEGATIVE_SETS)
+            assert [r.test_negatives for r in reports] == [EN_ONLY, EN_HN]
+            assert all(r.mean_f1 >= 0.95 for r in reports)
+
+    def test_test_sets_share_fitted_models(self):
+        labels, feats = make_linear_task(4, n=600)
+        cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=8)
+        narrow, wide = run_task(cfg, labels, feats, [EN_ONLY, EN_HN])
+        assert len(narrow.draws) == len(wide.draws) >= 2
+        for a, b in zip(narrow.draws, wide.draws):
+            assert a.model is b.model
+        assert len(wide.draws[0].predictions) > len(narrow.draws[0].predictions)
+        assert narrow.to_json()["config"]["test_negatives"] == ["EN"]
+        assert wide.to_json()["config"]["test_negatives"] == ["EN", "HN"]
+        (alone,) = run_task(cfg, labels, feats, [EN_HN])
+        assert alone.to_json() == wide.to_json()
 
     def test_all_draws_share_identical_test_set(self):
         labels, feats = make_linear_task(1, n=600)
-        cfg = TaskConfig(
-            train_negatives=ObjLevel.EN,
-            test_negatives=frozenset({ObjLevel.EN}),
-            model=ModelKind.PCBM_LR,
-            seed=5,
-        )
-        report = run_task(cfg, labels, feats)
+        cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=5)
+        (report,) = run_task(cfg, labels, feats, [EN_ONLY])
         assert len(report.per_draw_f1) >= 2
         test_ids = [tuple(cid for cid, _, _ in d.predictions) for d in report.draws]
         assert all(ids == test_ids[0] for ids in test_ids)
 
     def test_per_draw_f1_recomputable_from_predictions(self):
         labels, feats = make_linear_task(2, n=600)
-        cfg = TaskConfig(
-            train_negatives=ObjLevel.EN,
-            test_negatives=frozenset({ObjLevel.EN, ObjLevel.HN}),
-            model=ModelKind.PCBM_DT,
-            seed=6,
-        )
-        report = run_task(cfg, labels, feats)
+        cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_DT, seed=6)
+        (report,) = run_task(cfg, labels, feats, [EN_HN])
         for outcome, reported in zip(report.draws, report.per_draw_f1):
             preds = [p for _, p, _ in outcome.predictions]
             truths = [t for _, _, t in outcome.predictions]
@@ -152,6 +159,8 @@ class TestRunTask:
 
     def test_trivial_models_reproduce_baselines(self):
         # 2600 clips put ~260 in the test fold, within the 0.02 band.
+        # Constant and coin-flip predictions are scored on the report's
+        # own test fold, one seeded coin per balanced draw.
         rng = np.random.default_rng(0)
         labels, feats = [], {}
         for i, (level, cnt) in enumerate(
@@ -162,29 +171,26 @@ class TestRunTask:
                 cid = f"t{i}_{j:04d}"
                 labels.append(ClipLabel(cid, level, concepts))
                 feats[cid] = rng.normal(0, 1, 4)
-        cfg_kwargs = dict(
-            train_negatives=ObjLevel.EN,
-            test_negatives=frozenset({ObjLevel.EN, ObjLevel.HN}),
-            seed=17,
-        )
-        rep = run_task(TaskConfig(model=ModelKind.ALWAYS_POSITIVE, **cfg_kwargs), labels, feats)
-        assert rep.mean_f1 == pytest.approx(
+        cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=17)
+        (rep,) = run_task(cfg, labels, feats, [EN_HN])
+        truths = [t for _, _, t in rep.draws[0].predictions]
+        always = f1(np.ones(len(truths), dtype=np.int64), truths).f1
+        assert always == pytest.approx(
             trivial_baseline_f1(rep.test_positive_fraction, 1.0), abs=1e-12
         )
-        rep = run_task(TaskConfig(model=ModelKind.COIN_FLIP, **cfg_kwargs), labels, feats)
-        assert rep.mean_f1 == pytest.approx(
+        coins = [
+            np.random.default_rng(derive_seed(17, 1, d.draw_index)).integers(0, 2, len(truths))
+            for d in rep.draws
+        ]
+        coin = np.mean([f1(flips, truths).f1 for flips in coins])
+        assert coin == pytest.approx(
             trivial_baseline_f1(rep.test_positive_fraction, 0.5), abs=0.02
         )
 
     def test_baselines_use_test_composition(self):
         labels, feats = make_linear_task(3, n=600)
-        cfg = TaskConfig(
-            train_negatives=ObjLevel.HN,
-            test_negatives=frozenset({ObjLevel.EN}),
-            model=ModelKind.PCBM_LR,
-            seed=2,
-        )
-        report = run_task(cfg, labels, feats)
+        cfg = TaskConfig(train_negatives=ObjLevel.HN, model=ModelKind.PCBM_LR, seed=2)
+        (report,) = run_task(cfg, labels, feats, [EN_ONLY])
         assert report.baselines["all_positive"] == pytest.approx(
             trivial_baseline_f1(report.test_positive_fraction, 1.0)
         )
@@ -194,30 +200,18 @@ class TestRunTask:
 
     def test_ns_must_be_dropped(self):
         labels = labels_of(20, 20) + [ClipLabel("n0", ObjLevel.NS, frozenset({Concept.BODY}))]
-        cfg = TaskConfig(
-            train_negatives=ObjLevel.EN,
-            test_negatives=frozenset({ObjLevel.EN}),
-            model=ModelKind.PCBM_LR,
-            seed=0,
-        )
+        cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=0)
         with pytest.raises(PreconditionError):
-            run_task(cfg, labels, {})
+            run_task(cfg, labels, {}, [EN_ONLY])
 
     def test_task_config_validation(self):
         with pytest.raises(InvariantViolation):
-            TaskConfig(
-                train_negatives=ObjLevel.NS,
-                test_negatives=frozenset({ObjLevel.EN}),
-                model=ModelKind.MLP,
-                seed=0,
-            )
-        with pytest.raises(InvariantViolation):
-            TaskConfig(
-                train_negatives=ObjLevel.EN,
-                test_negatives=frozenset({ObjLevel.HN}),
-                model=ModelKind.MLP,
-                seed=0,
-            )
+            TaskConfig(train_negatives=ObjLevel.NS, model=ModelKind.MLP, seed=0)
+        # The test negative sets are checked by run_task, before any data.
+        cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.MLP, seed=0)
+        for test_sets in ([frozenset({ObjLevel.HN})], [EN_ONLY, frozenset()], []):
+            with pytest.raises(InvariantViolation):
+                run_task(cfg, [], {}, test_sets)
 
     def test_draw_seeds_stable_under_extension(self):
         # Adding draws must never perturb earlier ones.
