@@ -1,5 +1,6 @@
 """Training kernels, metrics, and model serialization."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from gazelab import (
     train_tree,
     trivial_baseline_f1,
 )
+from gazelab.cbm import DEFAULT_C_GRID
 from gazelab.errors import (
     BothZero,
     LengthMismatch,
@@ -174,6 +176,35 @@ def svm_fixtures():
     X, y = blobs(7, n_per=40)
     yield X, y, 2.0
     yield np.vstack([X, X]), np.concatenate([y, y]), 1.0
+
+
+#: sha256 of the weight and bias bytes of ``train_svm`` on each
+#: ``svm_fixtures()`` case, fitted at every C of ``DEFAULT_C_GRID`` in
+#: grid order (numpy 2, x86-64). A change means the one-problem solver
+#: now returns different bits; declare it and update on purpose.
+ONE_PROBLEM_DIGESTS = (
+    "48ab4dce7372b9aafcfd59865d0b860638e8a090d5349972bd0fe8af5dcf8afc",
+    "6edd9f6f9cc92cded36e6c4a580933f9c9f1b90562b46903b806f21902a1a54f",
+    "a47b832fbbb2d17cf9cfb4de86a6afa43a0ddb48643e60fb880ba0c79dc4c516",
+    "09bf2181005d43b050e4a43866e19e827756b7139dcbc2369f352e388ca25cf7",
+    "e894b0f0007e5b3d5b1224af1c70fdc2126c369f25f2dee75abab32354d7f5e5",
+    "0c0629a826c94180240ee5d48ea6ea584b945f05e947a27b0ff3802067df1659",
+    "930c24eb97dd503b472ec901af5456c5b4a15a74ec29f2f66dc65584bf7998de",
+    "06e6d4a6eed6e4ac9875f0a62c76d9454209aa69e3e7ce695d5fb4d2b60bebfa",
+    "29334f8ab4ef2d516f0465f2a91b5c3b81b7890f78df076152d6d52729c06b13",
+)
+
+
+def test_one_problem_fits_are_pinned():
+    digests = []
+    for X, y, _ in svm_fixtures():
+        h = hashlib.sha256()
+        for c in DEFAULT_C_GRID:
+            m = train_svm(X, y, c=c)
+            h.update(m.weights.tobytes())
+            h.update(np.float64(m.bias).tobytes())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == ONE_PROBLEM_DIGESTS
 
 
 class TestSvmStack:
