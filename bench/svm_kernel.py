@@ -8,7 +8,11 @@ Imports gazelab from ``DIR`` (default: this checkout's ``src/``), builds
 dimension with the seconds of: one ``train_svm`` fit (C=1, median of N
 runs), the 40 (draw, C) fits of the default grid one by one (one run),
 and, where the checkout has ``train_svm_stack``, the same 40 fits as
-one stacked solve (median of N // 2 runs). BLAS runs on one thread.
+one stacked solve (median of N // 2 runs). For the stack it also prints
+how far each stacked problem is from its one-by-one fit: the largest
+absolute weight difference and the largest relative difference of the
+SVM objective, lam/2 * |w|^2 + mean hinge with lam = 1/(C * rows).
+BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -28,13 +32,20 @@ GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 DRAWS, ROWS, POSITIVES = 8, 144, 96
 
 
-def median_s(fn, repeats: int) -> float:
+def median_s(fn, repeats: int) -> tuple[float, object]:
+    """Median seconds of ``repeats`` calls of ``fn``, and its last result."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
+        result = fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(times), result
+
+
+def objective(model, X, y, c: float) -> float:
+    s = 2.0 * y - 1.0
+    hinge = (1.0 - s * (X @ model.weights + model.bias)).clip(min=0.0)
+    return 0.5 / (c * len(y)) * float(model.weights @ model.weights) + float(hinge.mean())
 
 
 def main() -> None:
@@ -53,17 +64,29 @@ def main() -> None:
         X[:, :POSITIVES] += 0.3
         y = np.zeros((DRAWS, ROWS), dtype=np.int64)
         y[:, :POSITIVES] = 1
+        one_fit_s, _ = median_s(lambda: models.train_svm(X[0], y[0], c=1.0), args.repeats)
+        fit_by_fit_s, singles = median_s(
+            lambda: [[models.train_svm(X[d], y[d], c=c) for c in GRID] for d in range(DRAWS)], 1
+        )
         row = {
             "dim": dim,
             "draws": DRAWS,
             "rows": ROWS,
-            "one_fit_s": median_s(lambda: models.train_svm(X[0], y[0], c=1.0), args.repeats),
-            "grid_fit_by_fit_s": median_s(
-                lambda: [models.train_svm(X[d], y[d], c=c) for d in range(DRAWS) for c in GRID], 1
-            ),
+            "one_fit_s": one_fit_s,
+            "grid_fit_by_fit_s": fit_by_fit_s,
         }
         if stack is not None:
-            row["grid_stacked_s"] = median_s(lambda: stack(X, y, GRID), max(1, args.repeats // 2))
+            row["grid_stacked_s"], stacked = median_s(
+                lambda: stack(X, y, GRID), max(1, args.repeats // 2)
+            )
+            dw, dobj = [], []
+            for d in range(DRAWS):
+                for j, c in enumerate(GRID):
+                    a, b = stacked[d][j], singles[d][j]
+                    dw.append(float(abs(a.weights - b.weights).max()))
+                    ref = objective(b, X[d], y[d], c)
+                    dobj.append(abs(objective(a, X[d], y[d], c) - ref) / ref)
+            row["max_abs_dw"], row["max_rel_dobj"] = max(dw), max(dobj)
         print(json.dumps(row), flush=True)
 
 

@@ -42,6 +42,7 @@ from .harness import (
     TEST_NEGATIVE_SETS,
     ModelKind,
     TaskConfig,
+    check_test_sets,
     error_factor_analysis,
     run_task,
 )
@@ -316,6 +317,10 @@ def cmd_pcbm(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     emb, labels = _load_task_inputs(args)
     kind = ModelKind.PCBM_DT if args.kind == "dt" else ModelKind.PCBM_LR
+    # Check the grid cell before fitting any concept axis.
+    train_neg = ObjLevel.from_name(args.train_neg)
+    TaskConfig(train_neg, kind, seed)  # raises unless train_neg is EN or HN
+    (test_neg,) = check_test_sets([_parse_levels(args.test_neg)])
     if args.cavs:
         cavs = _read_cavs(args.cavs)
     else:
@@ -325,8 +330,8 @@ def cmd_pcbm(args: argparse.Namespace) -> int:
         scores,
         labels,
         kind,
-        train_negatives=ObjLevel.from_name(args.train_neg),
-        test_negatives=_parse_levels(args.test_neg),
+        train_negatives=train_neg,
+        test_negatives=test_neg,
         seed=seed,
     )
     resolved = {

@@ -147,6 +147,14 @@ class ModelKind(Enum):
 TEST_NEGATIVE_SETS = (frozenset({ObjLevel.EN}), frozenset({ObjLevel.EN, ObjLevel.HN}))
 
 
+def check_test_sets(test_sets: Sequence[frozenset[ObjLevel]]) -> list[frozenset[ObjLevel]]:
+    """``test_sets`` as a list, each one of ``TEST_NEGATIVE_SETS``."""
+    test_sets = [frozenset(t) for t in test_sets]
+    if not test_sets or any(t not in TEST_NEGATIVE_SETS for t in test_sets):
+        raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
+    return test_sets
+
+
 @dataclass(frozen=True)
 class TaskConfig:
     """One row of the train/test negative-composition grid.
@@ -267,9 +275,7 @@ def run_task(
     closed-form random / all-positive baselines for that test
     composition.
     """
-    test_sets = [frozenset(t) for t in test_sets]
-    if not test_sets or any(t not in TEST_NEGATIVE_SETS for t in test_sets):
-        raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
+    test_sets = check_test_sets(test_sets)
     by_level = _split_levels(labels)
     if ObjLevel.S not in by_level:
         raise NoTrainData("no S clips to use as positives")

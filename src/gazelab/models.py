@@ -86,8 +86,10 @@ def train_svm_stack(
 
     ``X`` is ``(draws, n, dim)`` and ``y`` is ``(draws, n)``; entry
     ``[d][j]`` of the result is the SVM of draw ``d`` with margin
-    tolerance ``cs[j]``, bit-identical to ``train_svm(X[d], y[d],
-    cs[j], max_iter)``: the result does not depend on the stack.
+    tolerance ``cs[j]``. Each product runs one gemm per draw over the C
+    problems, so a draw's results are bit-identical whatever draws share
+    its stack, while a problem may differ from ``train_svm(X[d], y[d],
+    cs[j], max_iter)`` in the last bits (about 1e-15).
 
     Every problem runs five stages of at most ``max_iter // 5`` steps,
     each restarting from the problem's best objective with a step five
@@ -104,13 +106,12 @@ def train_svm_stack(
     shape = (draws, len(cs))
     nf = float(n)
     s = np.where(y == 1, 1.0, -1.0)
-    # A draw's matrices reach its C problems as stride-0 views, so each
-    # product below is one gemv per problem and does not depend on the
-    # stack. The last column of [s*X, s] sums the bias subgradient.
-    Xs = np.broadcast_to(X[:, None], (*shape, n, dim))
+    # Row i of [s*X, s] is sample i with its label folded in, so one gemm
+    # per draw gives every C problem's margins s*(X @ w + b), and another
+    # sums their violators into the subgradient, whose last column is
+    # the bias's.
     sX = np.concatenate([s[..., None] * X, s[..., None]], axis=2)
-    sXs = np.broadcast_to(sX[:, None], (*shape, n, dim + 1))
-    s_row = s[:, None, :]
+    sXT = sX.transpose(0, 2, 1)
     lam = 1.0 / (np.asarray(cs, dtype=np.float64) * n)
     lam_wb = np.zeros((len(cs), dim + 1))  # the bias is not regularized
     lam_wb[:, :dim] = lam[:, None]
@@ -119,26 +120,22 @@ def train_svm_stack(
 
     # wb holds the weights and, in its last column, the bias.
     wb = np.zeros((*shape, dim + 1))
-    w_col, w_row, b_col = wb[..., :dim, None], wb[..., None, :dim], wb[..., dim:]
+    w_col, w_row = wb[..., :dim, None], wb[..., None, :dim]
     hinge = np.empty((*shape, n))
-    viol = np.empty((*shape, 1, n))  # 1.0 where the margin is below 1
-    grad = np.empty((*shape, 1, dim + 1))
+    viol = np.empty((*shape, n))  # 1.0 where the margin is below 1
+    grad = np.empty((*shape, dim + 1))
     step = np.empty((*shape, dim + 1))
     sq_norm = np.empty((*shape, 1, 1))
     loss, obj = np.empty(shape), np.empty(shape)
-    hinge_col, viol_row, grad_row, sq_norm_v = (
-        hinge[..., None], viol[..., 0, :], grad[..., 0, :], sq_norm[..., 0, 0]
-    )
+    sq_norm_v = sq_norm[..., 0, 0]
 
     def objective() -> None:
-        # hinge = max(0, 1 - s*(X @ w + b)), whose positive entries are
+        # hinge = max(0, 1 - [s*X, s] @ wb), whose positive entries are
         # exactly the margins below 1 that the next subgradient sums.
-        np.matmul(Xs, w_col, out=hinge_col)
-        np.add(hinge, b_col, out=hinge)
-        np.multiply(hinge, s_row, out=hinge)
+        np.matmul(wb, sXT, out=hinge)
         np.subtract(1.0, hinge, out=hinge)
         np.maximum(hinge, 0.0, out=hinge)
-        np.sign(hinge, out=viol_row)
+        np.sign(hinge, out=viol)
         np.add.reduce(hinge, axis=-1, out=loss)
         np.divide(loss, nf, out=loss)
         np.matmul(w_row, w_col, out=sq_norm)
@@ -165,10 +162,10 @@ def train_svm_stack(
         first_stop = stop_at = 101
         for i in range(per_stage):
             # wb -= eta * (lam * wb - viol @ [s*X, s] / n)
-            np.matmul(viol, sXs, out=grad)
+            np.matmul(viol, sX, out=grad)
             np.multiply(lam_wb, wb, out=step)
-            np.divide(grad_row, nf, out=grad_row)
-            np.subtract(step, grad_row, out=step)
+            np.divide(grad, nf, out=grad)
+            np.subtract(step, grad, out=step)
             np.multiply(step, eta, out=step)
             np.subtract(wb, step, out=wb)
             objective()

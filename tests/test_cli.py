@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gazelab import EmbeddingTable, dump_embeddings
+from gazelab import EmbeddingTable, cbm, dump_embeddings
 from gazelab.cli import main
 from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
@@ -414,6 +414,43 @@ class TestMalformedInputs:
         cavs_path.write_text(content)
         argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "dt", "--cavs", str(cavs_path)]
         self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--test-neg", "HN", "test negatives must be {EN} or {EN, HN}"),
+            ("--train-neg", "S", "train negatives must be EN or HN"),
+        ],
+    )
+    def test_pcbm_checks_negatives_before_fitting(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        # Without --cavs, pcbm fits every concept axis first; a bad grid
+        # cell must be rejected before that work starts.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_all_cavs called before the negatives were checked")
+
+        monkeypatch.setattr(cbm, "fit_all_cavs", no_fit)
+        labels, emb = make_linear_task(0, n=100, dim=4)
+        emb_path = tmp_path / "emb.bin"
+        emb_path.write_bytes(dump_embeddings(EmbeddingTable(emb), "binary"))
+        labels_path = tmp_path / "merged.jsonl"
+        labels_path.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "clip": l.clip_id,
+                        "level": l.level.name,
+                        "concepts": [c.label for c in sorted(l.concepts)],
+                    }
+                )
+                + "\n"
+                for l in labels
+            )
+        )
+        argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "lr", flag, value]
+        err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 3)
+        assert err == f"error: {message}\n"
 
     # c1..c6 are EN, S, HN, EN, S, HN; the valid rows miss only on c3.
     GOOD_ROWS = ["c1,0", "c2,1", "c3,1", "c4,0", "c5,1", "c6,0"]

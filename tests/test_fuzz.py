@@ -4,22 +4,24 @@ Arbitrary text, arbitrary JSON values, and records with the expected
 keys but arbitrary values go to ``fuse`` (annotation JSONL), ``stats``
 (merged labels) and ``gamma`` (projections); rows of clip ids, 0/1 values
 and arbitrary cells go to ``error`` (predictions CSV), and rows of clip
-ids, films and time cells to ``fuse`` (clip index). Whatever the
-input, the command must end in one of the documented exit codes: 0 on
-success, 2 to 5 on rejected input. An exception escaping ``main`` fails
-the test. When ``fuse`` succeeds, every span and clip bound it read
-must be finite.
+ids, films and time cells to ``fuse`` (clip index); binary and CSV
+embedding tables go to ``cav``. Whatever the input, the command must
+end in one of the documented exit codes: 0 on success, 2 to 5 on
+rejected input. An exception escaping ``main`` fails the test. When
+``fuse`` succeeds, every span and clip bound it read must be finite.
 """
 
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gazelab.cli import main
-from gazelab.core import parse_annotations, parse_clip_index
+from gazelab.core import EMBEDDING_MAGIC, load_embeddings, parse_annotations, parse_clip_index
 from synthfix import FUSION_FIXTURE_ANNOTATIONS_JSONL, FUSION_FIXTURE_CLIPS_CSV
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -140,6 +142,62 @@ clip_files = (
     .map("\n".join)
 )
 
+# Embedding tables for ``cav``: a header width and rows of a labelled
+# or stray clip id with float32 components, finite or not, either all
+# of that width or ragged, in either encoding. Binary payloads may lose
+# bytes at the end or gain junk; CSV files may gain junk rows.
+EMBEDDED = CLIPS[:3] + ["c7"]
+clip_ids = st.sampled_from(EMBEDDED) | st.text(max_size=3)
+components = st.floats(width=32)
+rectangular = st.integers(1, 3).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.tuples(clip_ids, st.lists(components, min_size=width, max_size=width)),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda row: row[0],
+        ),
+    )
+)
+ragged = st.tuples(
+    st.integers(0, 3), st.lists(st.tuples(clip_ids, st.lists(components, max_size=3)), max_size=4)
+)
+tables = rectangular | ragged
+
+
+def _binary_table(table, cut: int, junk: bytes) -> bytes:
+    width, rows = table
+    parts = [EMBEDDING_MAGIC, struct.pack("<I", width)]
+    for clip_id, vec in rows:
+        raw = clip_id.encode("utf-8")
+        parts += [struct.pack("<H", len(raw)), raw, struct.pack(f"<{len(vec)}f", *vec)]
+    data = b"".join(parts)
+    return data[: len(data) - cut] + junk
+
+
+def _csv_table(table, junk: list[str]) -> bytes:
+    lines = [",".join([clip_id, *map(repr, vec)]) for clip_id, vec in table[1]] + junk
+    return "\n".join(lines).encode("utf-8")
+
+
+binary_tables = st.builds(
+    _binary_table, tables, st.just(0) | st.integers(1, 6), st.just(b"") | st.binary(max_size=4)
+) | st.binary(max_size=24).map(lambda data: EMBEDDING_MAGIC + data)
+csv_cells = st.sampled_from(["nan", "1e400", "", "x", '"', " 1"]) | st.floats(-3, 3).map(repr)
+csv_tables = st.builds(
+    _csv_table,
+    tables,
+    st.just([]) | st.lists(st.lists(clip_ids | csv_cells, max_size=4).map(",".join), max_size=2),
+) | st.binary(max_size=24)
+
+# Labels with no TypeOfShot positive: once the embeddings load, ``cav``
+# stops at the first concept (exit 4) before it fits any axis.
+CAV_LABELS_JSONL = "".join(
+    json.dumps({"clip": clip, "level": level, "concepts": concepts}) + "\n"
+    for clip, (level, concepts) in zip(CLIPS[:3], [("EN", []), ("S", ["Body"]), ("HN", ["Look"])])
+)
+
 FUZZ = settings(
     max_examples=200,
     deadline=None,
@@ -209,3 +267,30 @@ def test_fuse_clip_index(text):
         assert len(set(clips)) == len(clips)
         sweep = (root / "out/sweep.csv").read_text().splitlines()[2:]
         assert [sum(map(int, row.split(",")[1:5])) for row in sweep] == [len(clips)] * 2
+
+
+def run_cav(data: bytes) -> None:
+    """``gazelab cav`` on ``data`` as the embedding table and the labels
+    above. Whenever the table loads, every component must be finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "emb").write_bytes(data)
+        (root / "labels.jsonl").write_text(CAV_LABELS_JSONL)
+        argv = ["cav", str(root / "emb"), str(root / "labels.jsonl"), "--seed", "1"]
+        code = main([*argv, "--out", str(root / "out")])
+    assert code in EXIT_CODES
+    if code == 4:  # past the table: it stopped at the first concept
+        table = load_embeddings(data)
+        assert all(np.isfinite(table[clip]).all() for clip in table.clip_ids())
+
+
+@FUZZ
+@given(binary_tables)
+def test_cav_binary_embeddings(data):
+    run_cav(data)
+
+
+@FUZZ
+@given(csv_tables)
+def test_cav_csv_embeddings(data):
+    run_cav(data)

@@ -211,7 +211,7 @@ class TestSvmStack:
     CS = (0.01, 1.0, 100.0)
 
     @pytest.mark.parametrize("dim", [16, 64, 512])
-    def test_every_problem_equals_its_one_problem_fit(self, dim):
+    def test_draws_are_independent_and_match_one_problem_fits(self, dim):
         rng = np.random.default_rng(dim)
         draws, n = 3, 60
         X = rng.normal(size=(draws, n, dim))
@@ -220,10 +220,17 @@ class TestSvmStack:
         stack = train_svm_stack(X, y, self.CS)
         steps = []
         for d in range(draws):
+            # A draw's C problems share one gemm per product, so a draw
+            # is bit-identical alone, and a problem matches its
+            # one-problem fit up to the last bits.
+            alone = train_svm_stack(X[d : d + 1], y[d : d + 1], self.CS)[0]
             for j, c in enumerate(self.CS):
+                assert np.array_equal(stack[d][j].weights, alone[j].weights)
+                assert stack[d][j].bias == alone[j].bias
                 single = train_svm(X[d], y[d], c=c)
-                assert np.array_equal(stack[d][j].weights, single.weights)
-                assert stack[d][j].bias == single.bias
+                np.testing.assert_allclose(stack[d][j].weights, single.weights, rtol=0, atol=1e-12)
+                assert stack[d][j].bias == pytest.approx(single.bias, rel=0, abs=1e-12)
+                assert np.array_equal(stack[d][j].predict(X[d]), single.predict(X[d]))
                 steps.append(per_fit_svm(X[d], y[d], c)[2])
         # The stack mixes problems that stop early (C=0.01 mostly stops
         # after 1,200-2,000 steps) with problems that run all 2,500 steps,
