@@ -108,8 +108,8 @@ def train_svm_stack(
     s = np.where(y == 1, 1.0, -1.0)
     # Row i of [s*X, s] is sample i with its label folded in, so one gemm
     # per draw gives every C problem's margins s*(X @ w + b), and another
-    # sums their violators into the subgradient, whose last column is
-    # the bias's.
+    # sums their violators into the subgradient, with the bias's in the
+    # last column.
     sX = np.concatenate([s[..., None] * X, s[..., None]], axis=2)
     sXT = sX.transpose(0, 2, 1)
     lam = 1.0 / (np.asarray(cs, dtype=np.float64) * n)
