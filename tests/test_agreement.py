@@ -89,6 +89,116 @@ class TestExpectedDisorder:
         assert expected_disorder(seqs, GammaConfig(seed=100)) != a
 
 
+def _reference_terms(rows, excluded):
+    """Per-pair loop over compressed masked clips: the plain definition
+    of the disorder sum and count."""
+    keep = ~np.isin(rows, sorted(int(lv) for lv in excluded))
+    total, count = 0.0, 0
+    for i, j in itertools.combinations(range(rows.shape[0]), 2):
+        mask = keep[i] & keep[j]
+        if mask.any():
+            total += float(LEVEL_DISTANCE_MATRIX[rows[i][mask], rows[j][mask]].sum())
+            count += int(mask.sum())
+    return total, count
+
+
+def _reference_null_levels(rows, seed, trial):
+    """One null trial: each annotator redrawn i.i.d. from their own
+    marginal by ``Generator.choice``, annotators in sorted-name order."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+    out = np.empty_like(rows)
+    for i, row in enumerate(rows):
+        counts = np.bincount(row, minlength=4)
+        out[i] = rng.choice(4, size=row.size, p=counts / counts.sum())
+    return out
+
+
+def _reference_expected(rows, cfg):
+    means = []
+    for t in range(cfg.n_null):
+        null = _reference_null_levels(rows, cfg.seed, t)
+        total, count = _reference_terms(null, cfg.excluded_levels)
+        means.append(total / count if count else 0.0)
+    return float(np.mean(means))
+
+
+def _rows(sequences):
+    return np.array([[int(lv) for lv in sequences[a]] for a in sorted(sequences)], dtype=np.intp)
+
+
+def _random_sets():
+    """Level sequences with 2-4 annotators, from 1 clip up to a null of
+    several hundred thousand uniforms, including single-level rows (zero
+    steps in the CDF) and rows made only of NS."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for annotators, clips, n_null in [
+        (2, 1, 5), (3, 1, 7), (4, 1, 3), (2, 7, 40), (3, 50, 62), (4, 120, 30),
+        (2, 3000, 100), (3, 2000, 70), (2, 140_000, 3),
+    ]:
+        p = rng.dirichlet(np.ones(4))
+        seqs = {f"a{i}": rng.choice(4, size=clips, p=p) for i in range(annotators)}
+        cases.append((seqs, n_null))
+    cases.append(({"a": np.full(30, 3), "b": np.full(30, 0), "c": rng.integers(0, 4, 30)}, 20))
+    cases.append(({"a": np.full(9, 2), "b": np.full(9, 2)}, 11))
+    cases.append(({"a": np.full(9, 2), "b": rng.integers(0, 4, 9)}, 11))
+    return [
+        ({a: [ObjLevel(int(v)) for v in seq] for a, seq in seqs.items()}, n_null)
+        for seqs, n_null in cases
+    ]
+
+
+RANDOM_SETS = _random_sets()
+SET_IDS = [f"{len(s)}x{len(next(iter(s.values())))}-{n}" for s, n in RANDOM_SETS]
+
+
+class TestAgainstPerTrialReference:
+    """The library's null and disorders against the per-trial reference
+    above. With nothing excluded they are bit-identical; with exclusions
+    the masked sums may group the additions differently, so they agree
+    within 1e-12 relative."""
+
+    @pytest.mark.parametrize("sequences, n_null", RANDOM_SETS, ids=SET_IDS)
+    def test_null_levels_identical(self, monkeypatch, sequences, n_null):
+        rows = _rows(sequences)
+        seen = []
+        kernel = agreement_mod._disorder_terms
+
+        def spy(levels, excluded):
+            seen.append(np.array(levels).reshape(-1, *rows.shape))
+            return kernel(levels, excluded)
+
+        monkeypatch.setattr(agreement_mod, "_disorder_terms", spy)
+        expected_disorder(sequences, GammaConfig(n_null=n_null, seed=3))
+        drawn = np.concatenate(seen)
+        assert drawn.shape == (n_null, *rows.shape)
+        for t in range(n_null):
+            assert np.array_equal(drawn[t], _reference_null_levels(rows, 3, t))
+
+    @pytest.mark.parametrize("sequences, n_null", RANDOM_SETS, ids=SET_IDS)
+    @pytest.mark.parametrize("excluded", [frozenset(), frozenset({NS})], ids=["none", "NS"])
+    def test_disorders_match(self, sequences, n_null, excluded):
+        rows = _rows(sequences)
+        cfg = GammaConfig(n_null=n_null, seed=3, excluded_levels=excluded)
+        total, count = _reference_terms(rows, excluded)
+        ref_observed = total / count if count else 0.0
+        ref_expected = _reference_expected(rows, cfg)
+        if excluded:
+            assert observed_disorder(sequences, cfg) == pytest.approx(ref_observed, rel=1e-12)
+            assert expected_disorder(sequences, cfg) == pytest.approx(ref_expected, rel=1e-12)
+        else:
+            assert observed_disorder(sequences, cfg) == ref_observed
+            assert expected_disorder(sequences, cfg) == ref_expected
+
+    def test_every_clip_excluded(self):
+        # Every trial leaves nothing to compare, so every trial mean is 0.
+        sequences = {"a": [NS, EN, S], "b": [S, NS, EN]}
+        cfg = GammaConfig(n_null=9, seed=3, excluded_levels={EN, HN, NS, S})
+        assert observed_disorder(sequences, cfg) == 0.0
+        reference = _reference_expected(_rows(sequences), cfg)
+        assert expected_disorder(sequences, cfg) == reference == 0.0
+
+
 class TestGamma:
     def test_identical_nonconstant_sequences_give_exactly_one(self):
         seqs = {"A": [EN, S, HN, NS], "B": [EN, S, HN, NS]}
