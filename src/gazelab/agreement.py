@@ -73,9 +73,12 @@ class GammaResult:
     n_pairs: int
 
 
-def _as_index_rows(
-    sequences: Mapping[str, Sequence[ObjLevel]],
-) -> tuple[list[str], np.ndarray]:
+#: Null trials are drawn in blocks of at most this many uniforms (one
+#: trial if larger), so memory does not grow with ``n_null``.
+NULL_BLOCK_UNIFORMS = 1 << 18
+
+
+def _as_index_rows(sequences: Mapping[str, Sequence[ObjLevel]]) -> np.ndarray:
     if len(sequences) < 2:
         raise FewerThanTwoAnnotators(
             f"need at least 2 annotators, got {len(sequences)}"
@@ -84,32 +87,26 @@ def _as_index_rows(
     lengths = {len(sequences[a]) for a in names}
     if len(lengths) != 1:
         raise LengthMismatch(f"sequence lengths differ: {sorted(lengths)}")
-    rows = np.array([[int(level) for level in sequences[a]] for a in names], dtype=np.intp)
-    return names, rows
+    return np.array([[int(level) for level in sequences[a]] for a in names], dtype=np.intp)
 
 
-def _disorder_terms(
-    rows: np.ndarray, excluded: frozenset[ObjLevel]
-) -> tuple[float, int]:
-    """Sum and count of dissimilarities over all pairwise comparisons.
+def _disorder_terms(rows: np.ndarray, excluded: frozenset[ObjLevel]):
+    """Sums and counts of dissimilarities over all pairwise comparisons.
 
-    A clip is skipped for a given annotator pair when either member
-    rated it with an excluded level; other pairs still compare it.
+    ``rows`` holds level indices shaped (..., annotators, clips); both
+    results have the leading shape. A clip is skipped for a given
+    annotator pair when either member rated it with an excluded level;
+    other pairs still compare it.
     """
-    excluded_idx = np.array(sorted(int(lv) for lv in excluded), dtype=np.intp)
-    if excluded_idx.size:
-        keep_mask = ~np.isin(rows, excluded_idx)
-    else:
-        keep_mask = np.ones(rows.shape, dtype=bool)
-    total = 0.0
-    count = 0
-    for i, j in itertools.combinations(range(rows.shape[0]), 2):
-        mask = keep_mask[i] & keep_mask[j]
-        if not mask.any():
-            continue
-        d = LEVEL_DISTANCE_MATRIX[rows[i][mask], rows[j][mask]]
-        total += float(d.sum())
-        count += int(mask.sum())
+    kept = np.ones(4, dtype=bool)
+    kept[[int(lv) for lv in excluded]] = False
+    kept_pair = np.outer(kept, kept).ravel()
+    distance = np.where(kept_pair, LEVEL_DISTANCE_MATRIX.ravel(), 0.0)
+    total, count = 0.0, 0
+    for i, j in itertools.combinations(range(rows.shape[-2]), 2):
+        pair = 4 * rows[..., i, :] + rows[..., j, :]
+        total = total + distance[pair].sum(axis=-1)
+        count = count + np.count_nonzero(kept_pair[pair], axis=-1)
     return total, count
 
 
@@ -121,25 +118,8 @@ def observed_disorder(
 
     Returns 0 when exclusions leave nothing to compare.
     """
-    _, rows = _as_index_rows(sequences)
-    total, count = _disorder_terms(rows, cfg.excluded_levels)
-    return total / count if count else 0.0
-
-
-def _null_rng(seed: int, trial: int) -> np.random.Generator:
-    # Trial generators derive from (seed, trial) so trials are
-    # schedule-independent and individually reproducible.
-    return np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, trial)))
-
-
-def _resample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(rows)
-    n = rows.shape[1]
-    for i in range(rows.shape[0]):
-        counts = np.bincount(rows[i], minlength=4)
-        marginal = counts / counts.sum()
-        out[i] = rng.choice(4, size=n, p=marginal)
-    return out
+    total, count = _disorder_terms(_as_index_rows(sequences), cfg.excluded_levels)
+    return float(total / count) if count else 0.0
 
 
 def expected_disorder(
@@ -148,17 +128,30 @@ def expected_disorder(
 ) -> float:
     """Mean disorder of null sets resampled from per-annotator marginals.
 
-    Each trial redraws every annotator's sequence i.i.d. from that
-    annotator's empirical level distribution; the trial disorder uses
-    the same exclusion rule as the observed one. Deterministic given
-    (sequences, seed, n_null).
+    Trial ``t`` draws one (annotators, clips) array of uniforms from
+    its own generator, seeded by (seed, t), and maps row ``i`` through
+    annotator ``i``'s empirical CDF: exactly the draws of
+    ``Generator.choice(4, size=clips, p=marginal_i)`` called annotator
+    by annotator. The trial disorder uses the observed exclusion rule
+    (a trial with nothing to compare counts as 0). Trials are scored in
+    blocks of ``NULL_BLOCK_UNIFORMS``. Deterministic given (sequences,
+    seed, n_null).
     """
-    _, rows = _as_index_rows(sequences)
-    trial_means = np.empty(cfg.n_null)
-    for t in range(cfg.n_null):
-        resampled = _resample_rows(rows, _null_rng(cfg.seed, t))
-        total, count = _disorder_terms(resampled, cfg.excluded_levels)
-        trial_means[t] = total / count if count else 0.0
+    rows = _as_index_rows(sequences)
+    cdf = np.cumsum([np.bincount(row, minlength=4) / row.size for row in rows], axis=1)
+    cdf /= cdf[:, -1:]
+    # Trial generators derive from (seed, trial) so trials are
+    # schedule-independent and individually reproducible.
+    seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
+    trial_means = np.zeros(cfg.n_null)
+    per_block = max(1, NULL_BLOCK_UNIFORMS // rows.size)
+    for start in range(0, cfg.n_null, per_block):
+        stop = min(start + per_block, cfg.n_null)
+        rngs = [np.random.default_rng((seed, t)) for t in range(start, stop)]
+        u = np.stack([rng.random(rows.shape) for rng in rngs])
+        null = np.stack([c.searchsorted(u[:, i], side="right") for i, c in enumerate(cdf)], axis=1)
+        total, count = _disorder_terms(null, cfg.excluded_levels)
+        np.divide(total, count, out=trial_means[start:stop], where=count > 0)
     return float(trial_means.mean())
 
 
@@ -166,10 +159,13 @@ def gamma(
     sequences: Mapping[str, Sequence[ObjLevel]],
     cfg: GammaConfig = GammaConfig(),
 ) -> GammaResult:
-    """Chance-corrected agreement of aligned level sequences."""
-    _, rows = _as_index_rows(sequences)
-    total, count = _disorder_terms(rows, cfg.excluded_levels)
-    observed = total / count if count else 0.0
+    """Chance-corrected agreement of aligned level sequences; raises
+    ``EmptyInput`` when the excluded levels leave nothing to compare."""
+    total, count = _disorder_terms(_as_index_rows(sequences), cfg.excluded_levels)
+    if not count:
+        pair = "|".join(sorted(sequences))
+        raise EmptyInput(f"pair {pair}: the excluded levels leave no clip to compare")
+    observed = float(total / count)
     expected = expected_disorder(sequences, cfg)
     if observed == 0.0:
         value = 1.0
@@ -184,7 +180,7 @@ def gamma(
         gamma=value,
         observed_disorder=observed,
         expected_disorder=expected,
-        n_pairs=count,
+        n_pairs=int(count),
     )
 
 
@@ -222,7 +218,10 @@ def gamma_per_film_and_average(
                 f"film {film_id!r} has {len(names)} annotator(s)"
             )
         for a, b in itertools.combinations(names, 2):
-            result = gamma({a: sequences[a], b: sequences[b]}, cfg)
+            try:
+                result = gamma({a: sequences[a], b: sequences[b]}, cfg)
+            except EmptyInput as e:
+                raise EmptyInput(f"film {film_id!r}, {e}") from None
             rows.append(FilmPairGamma(film_id, a, b, result))
     average = float(np.mean([r.result.gamma for r in rows]))
     return GammaSummary(per_pair=tuple(rows), average=average)

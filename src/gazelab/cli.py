@@ -51,6 +51,11 @@ from .stats import summarize, summary_rows, task_class_fractions
 
 SEED_ENV_VAR = "OBY_SEED"
 
+#: Exit code of each error class that ends a command with a one-line message.
+EXIT_CODES = {
+    ParseError: 2, FileNotFoundError: 2, InvariantError: 3, PreconditionError: 4, NumericError: 5
+}
+
 
 def _config_line(cfg: dict) -> str:
     return "# config: " + json.dumps(cfg, sort_keys=True)
@@ -59,6 +64,14 @@ def _config_line(cfg: dict) -> str:
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    _write_text(path, "".join(line + "\n" for line in lines))
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _read_path(path: str, binary: bool = False):
@@ -168,10 +181,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     for film in sorted(merged):
         for label in merged[film]:
             merged_lines.append(json.dumps(_label_to_obj(film, label)))
-    _write_text(out / "merged.jsonl", "".join(line + "\n" for line in merged_lines))
-    _write_text(
-        out / "merged.config.json", json.dumps(resolved, sort_keys=True, indent=2) + "\n"
-    )
+    _write_lines(out / "merged.jsonl", merged_lines)
+    _write_json(out / "merged.config.json", resolved)
 
     proj_lines = []
     for film in sorted(projections):
@@ -185,7 +196,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
                     "concepts": [c.label for c in sorted(label.concepts)],
                 }
                 proj_lines.append(json.dumps(obj))
-    _write_text(out / "projections.jsonl", "".join(line + "\n" for line in proj_lines))
+    _write_lines(out / "projections.jsonl", proj_lines)
 
     if rows is not None:
         lines = [_config_line({**resolved, "sweep": thresholds})]
@@ -194,7 +205,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
             counts = ",".join(str(row.counts[lv]) for lv in ObjLevel)
             deltas = ",".join(str(row.deltas[lv]) for lv in ObjLevel)
             lines.append(f"{row.threshold},{counts},{deltas}")
-        _write_text(out / "sweep.csv", "".join(line + "\n" for line in lines))
+        _write_lines(out / "sweep.csv", lines)
     return 0
 
 
@@ -227,7 +238,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
             f"{r.gamma:.6f},{r.observed_disorder:.6f},{r.expected_disorder:.6f},{r.n_pairs}"
         )
     lines.append(f"__average__,,{summary.average:.6f},,,")
-    _write_text(Path(args.out) / "gamma.csv", "".join(line + "\n" for line in lines))
+    _write_lines(Path(args.out) / "gamma.csv", lines)
     return 0
 
 
@@ -243,7 +254,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     lines = [_config_line(resolved), "level,concept,count,fraction"]
     for level, concept, count, fraction in summary_rows(summary):
         lines.append(f"{level},{concept},{count},{fraction:.6f}")
-    _write_text(Path(args.out) / "stats.csv", "".join(line + "\n" for line in lines))
+    _write_lines(Path(args.out) / "stats.csv", lines)
 
     doc = {
         "config": resolved,
@@ -258,7 +269,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if any(lbl.level is not ObjLevel.NS for lbl in labels)
         else {},
     }
-    _write_text(Path(args.out) / "summary.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(Path(args.out) / "summary.json", doc)
     return 0
 
 
@@ -294,12 +305,10 @@ def cmd_cav(args: argparse.Namespace) -> int:
     for mode in modes:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=mode, seed=seed)
         doc = {"config": resolved, "cavs": [cav.to_json() for cav in cavs]}
-        _write_text(
-            out / f"cavs_{mode.value}.json", json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(out / f"cavs_{mode.value}.json", doc)
         for cav in cavs:
             csv_lines.append(f"{cav.concept.label},{mode.value},{cav.cv_f1:.6f}")
-    _write_text(out / "concept_f1.csv", "".join(line + "\n" for line in csv_lines))
+    _write_lines(out / "concept_f1.csv", csv_lines)
     return 0
 
 
@@ -350,7 +359,7 @@ def cmd_pcbm(args: argparse.Namespace) -> int:
         "report": result.report.to_json(),
         "model": model_to_json(result.model),
     }
-    _write_text(out / "pcbm_report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "pcbm_report.json", doc)
     if kind is ModelKind.PCBM_DT:
         _write_text(out / "tree.txt", cbm_mod.export_tree_report(result.model))
     return 0
@@ -397,7 +406,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # Reports are listed column by column.
     reports = [r.to_json() for column in zip(*rows.values()) for r in column]
     doc = {"config": resolved, "reports": reports}
-    _write_text(out / "eval_report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "eval_report.json", doc)
 
     lines = [
         _config_line(resolved),
@@ -409,7 +418,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for name in ("random", "all_positive"):
         values = ",".join(f'"{r.baselines[name]:.4f}"' for r in rows[ObjLevel.EN])
         lines.append(f"{name},,{values}")
-    _write_text(out / "eval_table.csv", "".join(line + "\n" for line in lines))
+    _write_lines(out / "eval_table.csv", lines)
     return 0
 
 
@@ -455,7 +464,7 @@ def cmd_error(args: argparse.Namespace) -> int:
     for name in FACTOR_NAMES:
         lines.append(f"{name},{weights.weights[name]:.6f}")
     lines.append(f"__bias__,{weights.bias:.6f}")
-    _write_text(Path(args.out) / "error_factors.csv", "".join(line + "\n" for line in lines))
+    _write_lines(Path(args.out) / "error_factors.csv", lines)
     return 0
 
 
@@ -543,18 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as e:
+    except tuple(EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except InvariantError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(e, cls))
 
 
 def entry() -> None:

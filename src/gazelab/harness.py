@@ -65,9 +65,6 @@ class FoldPlan:
     def val_fold(self) -> int:
         return self.k - 2
 
-    def fold_ids(self, cls: Hashable, fold: int) -> tuple[str, ...]:
-        return self.folds[cls][fold]
-
     def ids(self, cls: Hashable, folds: Iterable[int]) -> tuple[str, ...]:
         """The ids of class ``cls`` in ``folds``, fold by fold."""
         return tuple(cid for fold in folds for cid in self.folds[cls][fold])
@@ -282,7 +279,7 @@ def run_task(
     plan = make_folds_from_ids(by_level, k=cfg.k, seed=cfg.seed)
 
     def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
-        return [cid for lv in levels if lv in by_level for cid in plan.fold_ids(lv, fold)]
+        return [cid for lv in levels if lv in by_level for cid in plan.ids(lv, [fold])]
 
     def xy(pos: Sequence[str], neg: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Stacked features of ``pos`` then ``neg``, labelled 1 and 0."""

@@ -16,7 +16,13 @@ from gazelab import (
     observed_disorder,
 )
 from gazelab.agreement import LEVEL_DISTANCE_MATRIX
-from gazelab.errors import DegenerateNull, FewerThanTwoAnnotators, InvariantViolation, LengthMismatch
+from gazelab.errors import (
+    DegenerateNull,
+    EmptyInput,
+    FewerThanTwoAnnotators,
+    InvariantViolation,
+    LengthMismatch,
+)
 
 EN, HN, NS, S = ObjLevel.EN, ObjLevel.HN, ObjLevel.NS, ObjLevel.S
 
@@ -128,8 +134,10 @@ def _rows(sequences):
 
 def _random_sets():
     """Level sequences with 2-4 annotators, from 1 clip up to a null of
-    several hundred thousand uniforms, including single-level rows (zero
-    steps in the CDF) and rows made only of NS."""
+    600,000 uniforms, including single-level rows (zero steps in the CDF)
+    and rows made only of NS. With 2^18 uniforms per null block, 2 x
+    3,000 clips over 100 trials span three blocks, and one trial of
+    2 x 140,000 clips is larger than a block."""
     rng = np.random.default_rng(77)
     cases = []
     for annotators, clips, n_null in [
@@ -253,6 +261,15 @@ class TestGamma:
         monkeypatch.setattr(agreement_mod, "expected_disorder", lambda s, cfg: 0.0)
         with pytest.raises(DegenerateNull):
             agreement_mod.gamma({"A": [EN, S], "B": [S, EN]}, GammaConfig(seed=1))
+
+    def test_nothing_left_to_compare_rejected(self):
+        # A pair whose every clip holds an excluded level has no
+        # agreement to report, not perfect agreement.
+        cfg = GammaConfig(seed=1, excluded_levels={NS})
+        with pytest.raises(EmptyInput, match=r"pair A\|B"):
+            gamma({"A": [NS, NS], "B": [EN, S]}, cfg)
+        with pytest.raises(EmptyInput, match=r"film 'f', pair A\|B"):
+            gamma_per_film_and_average({"f": {"A": [NS, NS], "B": [EN, S], "C": [EN, S]}}, cfg)
 
     def test_config_validation(self):
         with pytest.raises(InvariantViolation):

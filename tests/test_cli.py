@@ -395,6 +395,24 @@ class TestMalformedInputs:
         assert "line 7" in err and "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exclude", ["NS", "EN,HN,NS,S"])
+    def test_gamma_pair_with_nothing_to_compare(self, tmp_path, capsys, exclude):
+        # a rates both clips NS and b rates them EN and S: once NS is
+        # excluded the pair compares nothing, which is not agreement.
+        path = tmp_path / "projections.jsonl"
+        rows = [("a", "c1", "NS"), ("a", "c2", "NS"), ("b", "c1", "EN"), ("b", "c2", "S")]
+        path.write_text(
+            "".join(
+                json.dumps({"film": "f", "annotator": a, "clip": c, "level": lv}) + "\n"
+                for a, c, lv in rows
+            )
+        )
+        out = tmp_path / "out"
+        argv = ["gamma", str(path), "--seed", "1", "--exclude", exclude, "--out", str(out)]
+        err = self._exits(argv, capsys, 4)
+        assert "film 'f', pair a|b" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content", ["not json\n", '{"config": {}}\n', '{"cavs": 3}\n', '{"cavs": [1]}\n']
     )

@@ -2,13 +2,15 @@
 
 Arbitrary text, arbitrary JSON values, and records with the expected
 keys but arbitrary values go to ``fuse`` (annotation JSONL), ``stats``
-(merged labels) and ``gamma`` (projections); rows of clip ids, 0/1 values
-and arbitrary cells go to ``error`` (predictions CSV), and rows of clip
-ids, films and time cells to ``fuse`` (clip index); binary and CSV
-embedding tables go to ``cav``. Whatever the input, the command must
-end in one of the documented exit codes: 0 on success, 2 to 5 on
-rejected input. An exception escaping ``main`` fails the test. When
-``fuse`` succeeds, every span and clip bound it read must be finite.
+(merged labels) and ``gamma`` (projections, with any set of levels
+excluded); rows of clip ids, 0/1 values and arbitrary cells go to
+``error`` (predictions CSV), and rows of clip ids, films and time cells
+to ``fuse`` (clip index); binary and CSV embedding tables go to ``cav``.
+Whatever the input, the command must end in one of the documented exit
+codes: 0 on success, 2 to 5 on rejected input. An exception escaping
+``main`` fails the test. When ``fuse`` succeeds, every span and clip
+bound it read must be finite; when ``gamma`` succeeds, every pair it
+reports compared at least one clip.
 """
 
 import json
@@ -233,11 +235,34 @@ def test_stats_merged_labels(text):
     assert run(text, "stats", "{tmp}/input", "--out", "{tmp}/out") in EXIT_CODES
 
 
+# Projection files for ``gamma``: the generic files above, or records of
+# two or three annotators on one or two films with plausible levels, so
+# that many files reach the agreement score.
+projection_records = st.builds(
+    lambda film, annotator, level: json.dumps(
+        {"film": film, "annotator": annotator, "clip": "c", "level": level}
+    ),
+    st.sampled_from(["juno", "up"]),
+    st.sampled_from(["a1", "a2", "a3"]),
+    st.sampled_from(LEVELS),
+)
+projection_files = files | st.lists(projection_records, min_size=2, max_size=8).map("\n".join)
+
+
 @FUZZ
-@given(files)
-def test_gamma_projections(text):
-    code = run(text, "gamma", "{tmp}/input", "--seed", "1", "--out", "{tmp}/out")
-    assert code in EXIT_CODES
+@given(projection_files, st.sets(st.sampled_from(LEVELS)))
+def test_gamma_projections(text, excluded):
+    # Whatever levels are excluded, a successful run reports no pair
+    # that was left with nothing to compare.
+    exclude = ",".join(sorted(excluded))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "input").write_text(text, encoding="utf-8")
+        argv = ["gamma", f"{tmp}/input", "--seed", "1", "--exclude", exclude]
+        code = main([*argv, "--out", f"{tmp}/out"])
+        assert code in EXIT_CODES
+        if code == 0:
+            rows = (Path(tmp) / "out/gamma.csv").read_text().splitlines()[2:-1]
+            assert all(int(row.rsplit(",", 1)[1]) > 0 for row in rows)
 
 
 @FUZZ
