@@ -24,6 +24,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 #: (annotators, clips, null trials) of each film.
@@ -67,11 +68,7 @@ def main() -> None:
             gamma_per_film_and_average({"film": film}, cfg)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            rows = [
-                (p.annotator_a, p.annotator_b, p.result.gamma, p.result.observed_disorder,
-                 p.result.expected_disorder, p.result.n_pairs)
-                for p in summary.per_pair
-            ]
+            rows = [(p.annotator_a, p.annotator_b, *astuple(p.result)) for p in summary.per_pair]
             csv = [f"{a}|{b},{g:.6f},{o:.6f},{e:.6f},{n}" for a, b, g, o, e, n in rows]
             print(
                 json.dumps(
