@@ -25,8 +25,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from synthfix import make_compositional, make_entangled  # noqa: E402
 
-GRID = (0.1, 1.0, 10.0)
-
 
 def angle_to_axis(cav):
     return float(np.degrees(np.arccos(min(1.0, abs(float(cav.unit_normal[int(cav.concept)]))))))
@@ -41,7 +39,7 @@ def main():
         row = {}
         for mode in (NegativeMode.EN_ONLY, NegativeMode.EN_PLUS_WITHOUT):
             pos, neg = build_concept_sets(labels, concept, mode)
-            cav = fit_cav(emb, pos, neg, concept, mode=mode, c_grid=GRID, seed=3)
+            cav = fit_cav(emb, pos, neg, concept, mode=mode, seed=3)
             row[mode] = angle_to_axis(cav)
         print(
             f"  {concept.label:22s} {row[NegativeMode.EN_ONLY]:10.2f} "
@@ -60,7 +58,7 @@ def main():
     concept = Concept.TYPE_OF_SHOT  # shares a direction with Look
     for mode in (NegativeMode.EN_ONLY, NegativeMode.EN_PLUS_WITHOUT):
         pos, neg = build_concept_sets(train_labels, concept, mode)
-        cav = fit_cav(train_emb, pos, neg, concept, mode=mode, c_grid=GRID, seed=5)
+        cav = fit_cav(train_emb, pos, neg, concept, mode=mode, seed=5)
         test_pos, test_neg = build_concept_sets(test_labels, concept, mode)
         score = concept_presence_f1(cav, test_emb, test_pos, test_neg)
         print(

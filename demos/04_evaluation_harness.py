@@ -47,11 +47,9 @@ def main():
 
     print("== interpretable head on concept coordinates ==")
     comp_labels, comp_emb = make_compositional(seed=1, n=240, dim=16)
-    cavs = fit_all_cavs(
-        comp_emb, comp_labels, mode=NegativeMode.EN_ONLY, seed=7, c_grid=(0.1, 1.0, 10.0)
-    )
+    cavs = fit_all_cavs(comp_emb, comp_labels, mode=NegativeMode.EN_ONLY, seed=7)
     scores = score_table(comp_emb, cavs)
-    result = train_pcbm(scores, comp_labels, ModelKind.PCBM_DT, seed=9, tree_max_depth=4)
+    result = train_pcbm(scores, comp_labels, ModelKind.PCBM_DT, seed=9)
     print(f"  tree F1 on the held-out fold: {result.report.mean_f1:.3f}")
     print("  first levels of the fitted tree:")
     for line in export_tree_report(result.model).splitlines()[:8]:

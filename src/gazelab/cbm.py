@@ -29,8 +29,8 @@ from .errors import (
     PreconditionError,
 )
 from .harness import (
+    FOLDS,
     EvalReport,
-    FoldPlan,
     ModelKind,
     TaskConfig,
     balanced_draws,
@@ -39,6 +39,7 @@ from .harness import (
     run_task,
 )
 from .models import (
+    MODEL_FORMAT,
     DecisionTree,
     LinearModel,
     Metrics,
@@ -47,6 +48,7 @@ from .models import (
     train_svm_stack,
 )
 
+#: Margin tolerances that concept-axis cross-validation chooses from, ascending.
 DEFAULT_C_GRID: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
@@ -55,20 +57,13 @@ class NegativeMode(Enum):
     EN_PLUS_WITHOUT = "en-plus-without"
 
 
-@dataclass(frozen=True)
 class CavCvConfig:
-    """Fold layout for concept-axis fitting: the last of ``k`` folds is
-    the held-out test fold and validation rotates over the first
-    ``rotations`` remaining folds."""
+    """Fixed fold layout for concept-axis fitting: the last of the ``k``
+    (``harness.FOLDS``) folds is the held-out test fold, and validation
+    rotates over the first ``rotations`` of the remaining folds."""
 
-    k: int = 10
-    rotations: int = 8
-
-    def __post_init__(self):
-        if not 2 <= self.rotations <= self.k - 1:
-            raise InvariantViolation(
-                f"need 2 <= rotations <= k-1, got k={self.k}, rotations={self.rotations}"
-            )
+    k = FOLDS
+    rotations = 8
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,7 @@ class ConceptVector:
 
     def to_json(self) -> dict:
         return {
-            "format": "gazelab-model/1",
+            "format": MODEL_FORMAT,
             "kind": "cav",
             "concept": self.concept.label,
             "unit_normal": [float(v) for v in self.unit_normal],
@@ -102,6 +97,8 @@ class ConceptVector:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ConceptVector":
+        if doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"unsupported model format {doc.get('format')!r}")
         if doc.get("kind") != "cav":
             raise ValueError(f"not a concept-vector document: {doc.get('kind')!r}")
         return cls(
@@ -148,22 +145,21 @@ def fit_cav(
     neg: Sequence[str],
     concept: Concept,
     mode: NegativeMode = NegativeMode.EN_ONLY,
-    cv: CavCvConfig = CavCvConfig(),
-    c_grid: Sequence[float] = DEFAULT_C_GRID,
     seed: int = 0,
 ) -> ConceptVector:
     """Select the margin tolerance by cross-validation and fit the axis.
 
-    Both classes split into ``cv.k`` folds; the last fold of each is
-    held out as test. Validation rotates over the first ``cv.rotations``
-    remaining folds, each rotation training on the other folds with
-    balanced negative draws. The margin tolerance with the best mean
-    validation F1 (ties to the smaller value) is refit on all non-test
-    data; the returned score is the test-fold F1 of that refit model.
+    Both classes split into ``CavCvConfig.k`` folds; the last fold of
+    each is held out as test. Validation rotates over the first
+    ``CavCvConfig.rotations`` remaining folds, each rotation training on
+    the other folds with balanced negative draws. The tolerance of
+    ``DEFAULT_C_GRID`` with the best mean validation F1 (ties to the
+    smaller value) is refit on all non-test data; the returned score is
+    the test-fold F1 of that refit model.
 
-    Classes too small to fold (fewer than ``cv.k`` samples) skip the
-    selection and fit once on everything with the grid's middle
-    tolerance; the score is then the training F1.
+    Classes too small to fold (fewer than ``CavCvConfig.k`` samples)
+    skip the selection and fit once on everything with the grid's
+    middle tolerance; the score is then the training F1.
     """
     if not pos or not neg:
         raise EmptyClass(concept.label, "positive" if not pos else "negative")
@@ -187,13 +183,13 @@ def fit_cav(
             cv_f1=score,
         )
 
-    if len(pos) < cv.k or len(neg) < cv.k:
+    grid = DEFAULT_C_GRID
+    if len(pos) < CavCvConfig.k or len(neg) < CavCvConfig.k:
         X, y = matrices(pos, neg)
-        c_mid = sorted(c_grid)[len(c_grid) // 2]
-        model = train_svm(X, y, c=c_mid)
+        model = train_svm(X, y, c=grid[len(grid) // 2])
         return finish(model, f1_score(model.predict(X), y).f1)
 
-    plan: FoldPlan = make_folds_from_ids({"pos": pos, "neg": neg}, k=cv.k, seed=seed)
+    plan = make_folds_from_ids({"pos": pos, "neg": neg}, seed=seed)
 
     def split(folds: Sequence[int]):
         return matrices(plan.ids("pos", folds), plan.ids("neg", folds))
@@ -201,11 +197,10 @@ def fit_cav(
     # The draws do not depend on C: build every (rotation, draw) training
     # set once, then fit the whole grid for all sets of one row count
     # (fold sizes differ by one across rotations) in one stacked solve.
-    grid = sorted(c_grid)
-    validation = [split([rotation]) for rotation in range(cv.rotations)]
+    validation = [split([rotation]) for rotation in range(CavCvConfig.rotations)]
     sets: list[tuple[int, np.ndarray, np.ndarray]] = []  # rotation → draw order
-    for rotation in range(cv.rotations):
-        others = [fold for fold in range(cv.k - 1) if fold != rotation]
+    for rotation in range(CavCvConfig.rotations):
+        others = [fold for fold in range(plan.test_fold) if fold != rotation]
         rng = np.random.default_rng(derive_seed(seed, 3, rotation))
         for draw in balanced_draws(plan.ids("pos", others), plan.ids("neg", others), rng):
             sets.append((rotation, *matrices(*draw)))
@@ -224,7 +219,7 @@ def fit_cav(
     c_means = [(c, float(np.mean(row))) for c, row in zip(grid, scores)]
     best_c = max(c_means, key=lambda item: item[1])[0]
 
-    model = train_svm(*split(range(cv.k - 1)), c=best_c)
+    model = train_svm(*split(range(plan.test_fold)), c=best_c)
     test_X, test_y = split([plan.test_fold])
     return finish(model, f1_score(model.predict(test_X), test_y).f1)
 
@@ -233,8 +228,6 @@ def fit_all_cavs(
     emb: EmbeddingTable,
     labels: Sequence[ClipLabel],
     mode: NegativeMode = NegativeMode.EN_ONLY,
-    cv: CavCvConfig = CavCvConfig(),
-    c_grid: Sequence[float] = DEFAULT_C_GRID,
     seed: int = 0,
 ) -> list[ConceptVector]:
     """One concept vector per concept, in canonical order."""
@@ -242,16 +235,7 @@ def fit_all_cavs(
     for concept in CONCEPTS:
         pos, neg = build_concept_sets(labels, concept, mode)
         cavs.append(
-            fit_cav(
-                emb,
-                pos,
-                neg,
-                concept,
-                mode=mode,
-                cv=cv,
-                c_grid=c_grid,
-                seed=derive_seed(seed, 4, int(concept)),
-            )
+            fit_cav(emb, pos, neg, concept, mode=mode, seed=derive_seed(seed, 4, int(concept)))
         )
     return cavs
 
@@ -292,18 +276,14 @@ def concept_presence_f1(
     emb: EmbeddingTable,
     test_pos: Sequence[str],
     test_neg: Sequence[str],
-    include_bias: bool = True,
 ) -> Metrics:
     """Score presence detection on held-out clips.
 
-    Presence is a positive signed distance to the hyperplane; with
-    ``include_bias=False`` the raw projection coordinate is thresholded
-    at zero instead.
+    Presence is a positive signed distance to the hyperplane.
     """
     X = emb.matrix(list(test_pos) + list(test_neg)).astype(np.float64)
     y = np.array([1] * len(test_pos) + [0] * len(test_neg), dtype=np.int64)
-    scores = X @ cav.unit_normal + (cav.bias if include_bias else 0.0)
-    return f1_score((scores > 0).astype(np.int64), y)
+    return f1_score((cav.decision(X) > 0).astype(np.int64), y)
 
 
 @dataclass(frozen=True)
@@ -319,38 +299,29 @@ def train_pcbm(
     train_negatives: ObjLevel = ObjLevel.EN,
     test_negatives: frozenset[ObjLevel] = frozenset({ObjLevel.EN}),
     seed: int = 0,
-    k: int = 10,
-    tree_max_depth: int = 10,
-    logreg_l2: float = 1e-3,
 ) -> PcbmResult:
     """Interpretable classifier on concept coordinates.
 
-    Reuses the task harness (folds, balanced draws, trivial baselines)
-    with the 8-dimensional coordinates as features; the returned model
-    is the one fitted on the last balanced draw, the report aggregates
-    all draws.
+    Reuses the task harness (its ``FOLDS`` folds, balanced draws and
+    trivial baselines) with the 8-dimensional coordinates as features;
+    the tree is grown to ``TREE_MAX_DEPTH`` and the logistic head uses
+    ``LOGREG_L2``. The returned model is the one fitted on the last
+    balanced draw, the report aggregates all draws.
     """
     if kind not in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
         raise InvariantViolation(f"kind must be PCBM_DT or PCBM_LR, got {kind}")
-    cfg = TaskConfig(
-        train_negatives=train_negatives,
-        model=kind,
-        seed=seed,
-        k=k,
-        tree_max_depth=tree_max_depth,
-        logreg_l2=logreg_l2,
-    )
+    cfg = TaskConfig(train_negatives=train_negatives, model=kind, seed=seed)
     (report,) = run_task(cfg, labels, scores, [test_negatives])
     return PcbmResult(model=report.draws[-1].model, report=report)
 
 
-def export_tree_report(tree: DecisionTree, feature_names: Sequence[str] | None = None) -> str:
-    """Readable rendering of a tree over named concept coordinates.
+def export_tree_report(tree: DecisionTree) -> str:
+    """Readable rendering of a tree over the eight concept coordinates.
 
     One line per branch; internal branches show the split condition and
     the node majority, leaf branches end with the predicted class.
     """
-    names = list(feature_names) if feature_names is not None else [c.label for c in CONCEPTS]
+    names = [c.label for c in CONCEPTS]
     if tree.n_features != len(names):
         raise DimensionMismatch("<tree>", len(names), tree.n_features)
     class_names = {0: "negative", 1: "positive"}

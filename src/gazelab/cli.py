@@ -31,6 +31,7 @@ from .core import (
     read_jsonl,
 )
 from .errors import (
+    ClipSetMismatch,
     InvariantError,
     MalformedRecord,
     NumericError,
@@ -212,16 +213,36 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 # --- gamma ------------------------------------------------------------------
 
 
+def _aligned_sequences(
+    film: str, ratings: dict[str, dict[str, ObjLevel]]
+) -> dict[str, list[ObjLevel]]:
+    """Each annotator's levels in the clip order of the film's first
+    annotator; every annotator must rate the same clips."""
+    first, *others = ratings
+    for other in others:
+        if ratings[other].keys() != ratings[first].keys():
+            raise ClipSetMismatch(
+                f"film {film!r}: annotators {first!r} and {other!r} rate different clips"
+            )
+    return {a: [levels[clip] for clip in ratings[first]] for a, levels in ratings.items()}
+
+
 def cmd_gamma(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    films: dict[str, dict[str, list[ObjLevel]]] = {}
+    films: dict[str, dict[str, dict[str, ObjLevel]]] = {}
     for lineno, obj in read_jsonl(_read_path(args.projections)):
-        film, annotator, level = _fields(lineno, obj, "film", "annotator", "level")
-        films.setdefault(film, {}).setdefault(annotator, []).append(ObjLevel.from_name(level))
+        film, annotator, clip, level = _fields(lineno, obj, "film", "annotator", "clip", "level")
+        ratings = films.setdefault(film, {}).setdefault(annotator, {})
+        if clip in ratings:
+            raise MalformedRecord(
+                lineno, f"second rating of clip {clip!r} by {annotator!r} in film {film!r}"
+            )
+        ratings[clip] = ObjLevel.from_name(level)
 
     excluded = _parse_levels(args.exclude) if args.exclude else frozenset()
     cfg = GammaConfig(n_null=args.n_null, seed=seed, excluded_levels=excluded)
-    summary = gamma_per_film_and_average(films, cfg)
+    sequences = {film: _aligned_sequences(film, ratings) for film, ratings in films.items()}
+    summary = gamma_per_film_and_average(sequences, cfg)
 
     resolved = {
         "command": "gamma",

@@ -42,6 +42,12 @@ from .models import (
     trivial_baseline_f1,
 )
 
+#: The fixed evaluation protocol: folds per class, and the depth and L2
+#: penalty of the decision-tree and logistic heads.
+FOLDS = 10
+TREE_MAX_DEPTH = 10
+LOGREG_L2 = 1e-3
+
 
 def derive_seed(seed: int, *branch: int) -> int:
     """Stable child seed so adding draws never perturbs earlier ones."""
@@ -54,49 +60,44 @@ class FoldPlan:
     """Per-class ordered fold assignments, test fold last."""
 
     folds: Mapping[Hashable, tuple[tuple[str, ...], ...]]
-    k: int
     seed: int
 
-    @property
-    def test_fold(self) -> int:
-        return self.k - 1
-
-    @property
-    def val_fold(self) -> int:
-        return self.k - 2
+    test_fold = FOLDS - 1
+    val_fold = FOLDS - 2
 
     def ids(self, cls: Hashable, folds: Iterable[int]) -> tuple[str, ...]:
         """The ids of class ``cls`` in ``folds``, fold by fold."""
         return tuple(cid for fold in folds for cid in self.folds[cls][fold])
 
     def train_ids(self, cls: Hashable) -> tuple[str, ...]:
-        return self.ids(cls, (i for i in range(self.k) if i not in (self.test_fold, self.val_fold)))
+        """The ids of class ``cls`` in the folds before validation."""
+        return self.ids(cls, range(self.val_fold))
 
 
 def make_folds_from_ids(
-    ids_by_class: Mapping[Hashable, Sequence[str]], k: int = 10, seed: int = 0
+    ids_by_class: Mapping[Hashable, Sequence[str]], seed: int = 0
 ) -> FoldPlan:
     """Seeded shuffle then round-robin assignment within each class."""
     folds: dict[Hashable, tuple[tuple[str, ...], ...]] = {}
     for cls_index, cls in enumerate(sorted(ids_by_class, key=str)):
         ids = list(ids_by_class[cls])
-        if len(ids) < k:
-            raise ClassTooSmall(str(cls), len(ids), k)
+        if len(ids) < FOLDS:
+            raise ClassTooSmall(str(cls), len(ids), FOLDS)
         rng = np.random.default_rng(derive_seed(seed, 2, cls_index))
         order = rng.permutation(len(ids))
-        assigned: list[list[str]] = [[] for _ in range(k)]
+        assigned: list[list[str]] = [[] for _ in range(FOLDS)]
         for pos, idx in enumerate(order):
-            assigned[pos % k].append(ids[idx])
+            assigned[pos % FOLDS].append(ids[idx])
         folds[cls] = tuple(tuple(f) for f in assigned)
-    return FoldPlan(folds=folds, k=k, seed=seed)
+    return FoldPlan(folds=folds, seed=seed)
 
 
-def make_folds(labels: Sequence[ClipLabel], k: int = 10, seed: int = 0) -> FoldPlan:
+def make_folds(labels: Sequence[ClipLabel], seed: int = 0) -> FoldPlan:
     """Fold plan over the levels present in a label set."""
     ids_by_level: dict[ObjLevel, list[str]] = {}
     for lbl in labels:
         ids_by_level.setdefault(lbl.level, []).append(lbl.clip_id)
-    return make_folds_from_ids(ids_by_level, k=k, seed=seed)
+    return make_folds_from_ids(ids_by_level, seed=seed)
 
 
 def balanced_draws(
@@ -162,12 +163,9 @@ class TaskConfig:
     train_negatives: ObjLevel
     model: ModelKind
     seed: int
-    k: int = 10
     mlp_epochs: int = 100
     mlp_lr: float = 1e-3
     mlp_batch: int = 32
-    tree_max_depth: int = 10
-    logreg_l2: float = 1e-3
 
     def __post_init__(self):
         if self.train_negatives not in (ObjLevel.EN, ObjLevel.HN):
@@ -178,12 +176,12 @@ class TaskConfig:
             "train_negatives": self.train_negatives.name,
             "model": self.model.value,
             "seed": self.seed,
-            "k": self.k,
+            "k": FOLDS,
             "mlp_epochs": self.mlp_epochs,
             "mlp_lr": self.mlp_lr,
             "mlp_batch": self.mlp_batch,
-            "tree_max_depth": self.tree_max_depth,
-            "logreg_l2": self.logreg_l2,
+            "tree_max_depth": TREE_MAX_DEPTH,
+            "logreg_l2": LOGREG_L2,
         }
 
 
@@ -249,9 +247,9 @@ def _train_for_draw(
             seed=draw_seed,
         ).model
     if cfg.model is ModelKind.PCBM_DT:
-        return train_tree(X_train, y_train, max_depth=cfg.tree_max_depth)
+        return train_tree(X_train, y_train, max_depth=TREE_MAX_DEPTH)
     if cfg.model is ModelKind.PCBM_LR:
-        return train_logreg(X_train, y_train, l2=cfg.logreg_l2)
+        return train_logreg(X_train, y_train, l2=LOGREG_L2)
     raise InvariantViolation(f"unknown model kind {cfg.model}")
 
 
@@ -276,7 +274,7 @@ def run_task(
     by_level = _split_levels(labels)
     if ObjLevel.S not in by_level:
         raise NoTrainData("no S clips to use as positives")
-    plan = make_folds_from_ids(by_level, k=cfg.k, seed=cfg.seed)
+    plan = make_folds_from_ids(by_level, seed=cfg.seed)
 
     def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
         return [cid for lv in levels if lv in by_level for cid in plan.ids(lv, [fold])]

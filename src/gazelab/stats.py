@@ -34,19 +34,14 @@ class DatasetSummary:
     level_fractions: Mapping[ObjLevel, float]
     concept_counts_by_level: np.ndarray  # (8 concepts, 4 levels)
     mean_concepts_per_level: Mapping[ObjLevel, float]
-    per_annotator_means: Mapping[str, AnnotatorTrend] | None = None
 
 
-def summarize(
-    labels: Sequence[ClipLabel],
-    per_annotator: Mapping[str, Sequence[ClipLabel]] | None = None,
-) -> DatasetSummary:
+def summarize(labels: Sequence[ClipLabel]) -> DatasetSummary:
     """Class balance, concept histogram, and concept counts per level.
 
     Mean concept counts are reported only for positive levels that
     actually occur; an absent level is omitted rather than shown as 0.
-    Pass the pre-merge ``per_annotator`` timelines to also fill in the
-    per-annotator means.
+    Per-annotator means come from ``per_annotator_trend``.
     """
     if not labels:
         raise EmptyInput("cannot summarize an empty label set")
@@ -70,7 +65,6 @@ def summarize(
         level_fractions=fractions,
         concept_counts_by_level=concept_counts,
         mean_concepts_per_level=means,
-        per_annotator_means=per_annotator_trend(per_annotator) if per_annotator else None,
     )
 
 

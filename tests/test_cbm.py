@@ -27,6 +27,7 @@ from gazelab import (
     train_tree,
 )
 from gazelab.cbm import DEFAULT_C_GRID, CavCvConfig
+from gazelab.harness import FOLDS
 from gazelab.errors import (
     DimensionMismatch,
     EmptyClass,
@@ -121,20 +122,20 @@ class TestFitCav:
             rows[label.clip_id][0] += 1.0 if Concept.BODY in label.concepts else 0.0
         emb = EmbeddingTable(rows)
         pos, neg = build_concept_sets(labels, Concept.BODY, NegativeMode.EN_PLUS_WITHOUT)
-        cv, seed = CavCvConfig(), 7
+        seed = 7
 
         # fit_cav's selection as a C -> rotation -> draw loop of single fits.
         def matrices(pos_ids, neg_ids):
             X = emb.matrix(list(pos_ids) + list(neg_ids)).astype(np.float64)
             return X, np.array([1] * len(pos_ids) + [0] * len(neg_ids))
 
-        plan = make_folds_from_ids({"pos": pos, "neg": neg}, k=cv.k, seed=seed)
+        plan = make_folds_from_ids({"pos": pos, "neg": neg}, seed=seed)
         split = lambda folds: matrices(plan.ids("pos", folds), plan.ids("neg", folds))
         c_means, row_counts = [], set()
         for c in sorted(DEFAULT_C_GRID):
             scores = []
-            for rotation in range(cv.rotations):
-                others = [fold for fold in range(cv.k - 1) if fold != rotation]
+            for rotation in range(CavCvConfig.rotations):
+                others = [fold for fold in range(FOLDS - 1) if fold != rotation]
                 val_X, val_y = split([rotation])
                 draw_rng = np.random.default_rng(derive_seed(seed, 3, rotation))
                 draws = balanced_draws(plan.ids("pos", others), plan.ids("neg", others), draw_rng)
@@ -148,7 +149,7 @@ class TestFitCav:
         assert len(row_counts) == 2
         assert len({mean for _, mean in c_means}) > 1  # the choice of C matters
         best_c = max(c_means, key=lambda item: item[1])[0]
-        model = train_svm(*split(range(cv.k - 1)), c=best_c)
+        model = train_svm(*split(range(FOLDS - 1)), c=best_c)
         test_X, test_y = split([plan.test_fold])
         norm = float(np.linalg.norm(model.weights))
 
@@ -156,10 +157,6 @@ class TestFitCav:
         assert np.array_equal(cav.unit_normal, model.weights / norm)
         assert cav.bias == model.bias / norm
         assert cav.cv_f1 == f1(model.predict(test_X), test_y).f1
-
-    def test_cv_config_validation(self):
-        with pytest.raises(InvariantViolation):
-            CavCvConfig(k=10, rotations=12)
 
 
 class TestConceptScores:
@@ -252,7 +249,7 @@ class TestPresence:
             test_labels, test_emb = make_entangled(seed + 900, n=400)
             concept = Concept.TYPE_OF_SHOT
             pos, neg = build_concept_sets(train_labels, concept, NegativeMode.EN_ONLY)
-            cav = fit_cav(train_emb, pos, neg, concept, seed=seed, c_grid=(0.1, 1.0, 10.0))
+            cav = fit_cav(train_emb, pos, neg, concept, seed=seed)
             easy_pos, easy_neg = build_concept_sets(test_labels, concept, NegativeMode.EN_ONLY)
             hard_pos, hard_neg = build_concept_sets(
                 test_labels, concept, NegativeMode.EN_PLUS_WITHOUT
@@ -330,7 +327,7 @@ class TestPcbm:
                 by_level = {}
                 for lbl in labels:
                     by_level.setdefault(lbl.level, []).append(lbl.clip_id)
-                plan = make_folds_from_ids(by_level, k=10, seed=13)
+                plan = make_folds_from_ids(by_level, seed=13)
                 pos_ids, neg_ids = balanced_train_sets(plan, ObjLevel.S, train_neg)[-1]
                 X = np.stack([scores[cid] for cid in pos_ids + neg_ids])
                 y = np.array([1] * len(pos_ids) + [0] * len(neg_ids))
@@ -413,6 +410,6 @@ class TestTreeReport:
         assert text == expected
 
     def test_feature_name_count_guard(self):
-        tree = DecisionTree(root=self._leaf(1, 0, 0), max_depth=10, n_features=8)
+        tree = DecisionTree(root=self._leaf(1, 0, 0), max_depth=10, n_features=2)
         with pytest.raises(DimensionMismatch):
-            export_tree_report(tree, ["only", "two"])
+            export_tree_report(tree)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gazelab import EmbeddingTable, cbm, dump_embeddings
+from gazelab import CONCEPTS, ConceptVector, EmbeddingTable, NegativeMode, cbm, dump_embeddings
 from gazelab.cli import main
 from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
@@ -395,23 +395,42 @@ class TestMalformedInputs:
         assert "line 7" in err and "non-finite" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("exclude", ["NS", "EN,HN,NS,S"])
-    def test_gamma_pair_with_nothing_to_compare(self, tmp_path, capsys, exclude):
-        # a rates both clips NS and b rates them EN and S: once NS is
-        # excluded the pair compares nothing, which is not agreement.
+    def _gamma(self, tmp_path, rows, *flags):
+        """``gamma`` argv over (annotator, clip, level) records of film f."""
         path = tmp_path / "projections.jsonl"
-        rows = [("a", "c1", "NS"), ("a", "c2", "NS"), ("b", "c1", "EN"), ("b", "c2", "S")]
         path.write_text(
             "".join(
                 json.dumps({"film": "f", "annotator": a, "clip": c, "level": lv}) + "\n"
                 for a, c, lv in rows
             )
         )
-        out = tmp_path / "out"
-        argv = ["gamma", str(path), "--seed", "1", "--exclude", exclude, "--out", str(out)]
-        err = self._exits(argv, capsys, 4)
+        return ["gamma", str(path), "--seed", "1", *flags, "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("exclude", ["NS", "EN,HN,NS,S"])
+    def test_gamma_pair_with_nothing_to_compare(self, tmp_path, capsys, exclude):
+        # a rates both clips NS and b rates them EN and S: once NS is
+        # excluded the pair compares nothing, which is not agreement.
+        rows = [("a", "c1", "NS"), ("a", "c2", "NS"), ("b", "c1", "EN"), ("b", "c2", "S")]
+        err = self._exits(self._gamma(tmp_path, rows, "--exclude", exclude), capsys, 4)
         assert "film 'f', pair a|b" in err
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_gamma_aligns_ratings_by_clip(self, tmp_path):
+        # b lists a's ratings in the other clip order: they agree exactly.
+        rows = [("a", "c1", "EN"), ("a", "c2", "S"), ("b", "c2", "S"), ("b", "c1", "EN")]
+        assert main(self._gamma(tmp_path, rows)) == 0
+        row = read(tmp_path / "out" / "gamma.csv").splitlines()[2]
+        assert row.split(",")[:3] == ["f", "a|b", "1.000000"]
+
+    def test_gamma_annotators_rate_different_clips(self, tmp_path, capsys):
+        rows = [("a", "c1", "EN"), ("a", "c2", "S"), ("b", "c1", "EN"), ("b", "c9", "S")]
+        err = self._exits(self._gamma(tmp_path, rows), capsys, 4)
+        assert "film 'f'" in err and "'a' and 'b'" in err
+
+    def test_gamma_clip_rated_twice(self, tmp_path, capsys):
+        rows = [("a", "c1", "EN"), ("a", "c2", "S"), ("b", "c1", "EN"), ("b", "c2", "S")]
+        err = self._exits_2(self._gamma(tmp_path, rows + [("b", "c1", "S")]), capsys)
+        assert "line 5" in err and "'c1'" in err and "'b'" in err
 
     @pytest.mark.parametrize(
         "content", ["not json\n", '{"config": {}}\n', '{"cavs": 3}\n', '{"cavs": [1]}\n']
@@ -433,22 +452,8 @@ class TestMalformedInputs:
         argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "dt", "--cavs", str(cavs_path)]
         self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
 
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--test-neg", "HN", "test negatives must be {EN} or {EN, HN}"),
-            ("--train-neg", "S", "train negatives must be EN or HN"),
-        ],
-    )
-    def test_pcbm_checks_negatives_before_fitting(
-        self, tmp_path, capsys, monkeypatch, flag, value, message
-    ):
-        # Without --cavs, pcbm fits every concept axis first; a bad grid
-        # cell must be rejected before that work starts.
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fit_all_cavs called before the negatives were checked")
-
-        monkeypatch.setattr(cbm, "fit_all_cavs", no_fit)
+    def _pcbm_inputs(self, tmp_path):
+        """A 100-clip, 4-d linear task as pcbm's embeddings and labels."""
         labels, emb = make_linear_task(0, n=100, dim=4)
         emb_path = tmp_path / "emb.bin"
         emb_path.write_bytes(dump_embeddings(EmbeddingTable(emb), "binary"))
@@ -466,7 +471,43 @@ class TestMalformedInputs:
                 for l in labels
             )
         )
-        argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "lr", flag, value]
+        return [str(emb_path), str(labels_path)]
+
+    @pytest.mark.parametrize("fmt", ["gazelab-model/2", None])
+    def test_cavs_file_format_is_checked(self, tmp_path, capsys, fmt):
+        cavs = [
+            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            for c in CONCEPTS
+        ]
+        path = tmp_path / "cavs.json"
+        argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "lr", "--cavs", str(path)]
+        argv += ["--seed", "1", "--out", str(tmp_path / "o")]
+        path.write_text(json.dumps({"cavs": cavs}))
+        assert main(argv) == 0
+        for doc in cavs:
+            doc.pop("format")
+            if fmt is not None:
+                doc["format"] = fmt
+        path.write_text(json.dumps({"cavs": cavs}))
+        assert "unsupported model format" in self._exits_2(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--test-neg", "HN", "test negatives must be {EN} or {EN, HN}"),
+            ("--train-neg", "S", "train negatives must be EN or HN"),
+        ],
+    )
+    def test_pcbm_checks_negatives_before_fitting(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        # Without --cavs, pcbm fits every concept axis first; a bad grid
+        # cell must be rejected before that work starts.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_all_cavs called before the negatives were checked")
+
+        monkeypatch.setattr(cbm, "fit_all_cavs", no_fit)
+        argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "lr", flag, value]
         err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 3)
         assert err == f"error: {message}\n"
 

@@ -235,34 +235,62 @@ def test_stats_merged_labels(text):
     assert run(text, "stats", "{tmp}/input", "--out", "{tmp}/out") in EXIT_CODES
 
 
-# Projection files for ``gamma``: the generic files above, or records of
-# two or three annotators on one or two films with plausible levels, so
-# that many files reach the agreement score.
+# Projection files for ``gamma``: the generic files above, records of
+# two or three annotators on one or two films with plausible clips and
+# levels, or valid files in which every annotator of a film rates the
+# same clips once, so that many files reach the agreement score.
 projection_records = st.builds(
-    lambda film, annotator, level: json.dumps(
-        {"film": film, "annotator": annotator, "clip": "c", "level": level}
+    lambda film, annotator, clip, level: json.dumps(
+        {"film": film, "annotator": annotator, "clip": clip, "level": level}
     ),
     st.sampled_from(["juno", "up"]),
     st.sampled_from(["a1", "a2", "a3"]),
+    st.sampled_from(["c1", "c2", "c3"]),
     st.sampled_from(LEVELS),
 )
-projection_files = files | st.lists(projection_records, min_size=2, max_size=8).map("\n".join)
+
+
+@st.composite
+def projection_grids(draw):
+    lines = []
+    for film in draw(st.sampled_from([["juno"], ["juno", "up"]])):
+        clips = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+        for annotator in ["a1", "a2", "a3"][: draw(st.integers(2, 3))]:
+            for clip in clips:
+                record = {"film": film, "annotator": annotator, "clip": clip}
+                lines.append(json.dumps({**record, "level": draw(st.sampled_from(LEVELS))}))
+    return "\n".join(lines)
+
+
+projection_files = (
+    files
+    | st.lists(projection_records, min_size=2, max_size=8).map("\n".join)
+    | projection_grids()
+)
 
 
 @FUZZ
-@given(projection_files, st.sets(st.sampled_from(LEVELS)))
-def test_gamma_projections(text, excluded):
+@given(projection_files, st.sets(st.sampled_from(LEVELS)), st.randoms(use_true_random=False))
+def test_gamma_projections(text, excluded, rnd):
     # Whatever levels are excluded, a successful run reports no pair
-    # that was left with nothing to compare.
+    # that was left with nothing to compare, and the same records in
+    # another order give the same gamma.csv, byte for byte.
     exclude = ",".join(sorted(excluded))
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "input").write_text(text, encoding="utf-8")
-        argv = ["gamma", f"{tmp}/input", "--seed", "1", "--exclude", exclude]
-        code = main([*argv, "--out", f"{tmp}/out"])
+        path = Path(tmp) / "input"
+        path.write_text(text, encoding="utf-8")
+        argv = ["gamma", str(path), "--seed", "1", "--exclude", exclude, "--out"]
+        code = main([*argv, f"{tmp}/out"])
         assert code in EXIT_CODES
         if code == 0:
-            rows = (Path(tmp) / "out/gamma.csv").read_text().splitlines()[2:-1]
+            result = (Path(tmp) / "out/gamma.csv").read_text()
+            rows = result.splitlines()[2:-1]
             assert all(int(row.rsplit(",", 1)[1]) > 0 for row in rows)
+            lines = text.splitlines()
+            rnd.shuffle(lines)
+            path.write_text("\n".join(lines), encoding="utf-8")
+            assert main([*argv, f"{tmp}/shuffled"]) == 0
+            assert (Path(tmp) / "shuffled/gamma.csv").read_text() == result
 
 
 @FUZZ

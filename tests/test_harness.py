@@ -46,7 +46,7 @@ def labels_of(n_s, n_en, n_hn=0):
 
 class TestFolds:
     def test_equal_folds_with_reserved_test_and_validation(self):
-        plan = make_folds(labels_of(100, 100), k=10, seed=0)
+        plan = make_folds(labels_of(100, 100), seed=0)
         for cls in (ObjLevel.S, ObjLevel.EN):
             sizes = [len(f) for f in plan.folds[cls]]
             assert sizes == [10] * 10
@@ -54,7 +54,7 @@ class TestFolds:
         assert plan.val_fold == 8
 
     def test_singleton_folds_at_boundary(self):
-        plan = make_folds(labels_of(10, 10), k=10, seed=1)
+        plan = make_folds(labels_of(10, 10), seed=1)
         assert all(len(f) == 1 for f in plan.folds[ObjLevel.S])
 
     def test_same_seed_identical_plan(self):
@@ -64,7 +64,7 @@ class TestFolds:
 
     def test_folds_partition_each_class(self):
         labels = labels_of(37, 53)
-        plan = make_folds(labels, k=10, seed=3)
+        plan = make_folds(labels, seed=3)
         for cls, expected in ((ObjLevel.S, 37), (ObjLevel.EN, 53)):
             ids = [cid for fold in plan.folds[cls] for cid in fold]
             assert len(ids) == len(set(ids)) == expected
@@ -73,13 +73,13 @@ class TestFolds:
 
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
-            make_folds(labels_of(9, 100), k=10, seed=0)
+            make_folds(labels_of(9, 100), seed=0)
 
 
 class TestBalancedTrainSets:
     def test_imbalance_three_draws(self):
         # 100 S / 300 EN: train folds hold 80 / 240, giving 3 sets of 80+80.
-        plan = make_folds(labels_of(100, 300), k=10, seed=0)
+        plan = make_folds(labels_of(100, 300), seed=0)
         sets = balanced_train_sets(plan, ObjLevel.S, ObjLevel.EN)
         assert len(sets) == 3
         drawn = set()
@@ -89,7 +89,7 @@ class TestBalancedTrainSets:
             drawn |= set(neg)
 
     def test_equal_classes_single_full_set(self):
-        plan = make_folds(labels_of(50, 50), k=10, seed=0)
+        plan = make_folds(labels_of(50, 50), seed=0)
         sets = balanced_train_sets(plan, ObjLevel.S, ObjLevel.EN)
         assert len(sets) == 1
         pos, neg = sets[0]
@@ -97,13 +97,13 @@ class TestBalancedTrainSets:
 
     def test_leftover_negatives_unused(self):
         # 100 S / 125 EN: train folds hold 80 / 100, one set, 20 unused.
-        plan = make_folds(labels_of(100, 125), k=10, seed=0)
+        plan = make_folds(labels_of(100, 125), seed=0)
         sets = balanced_train_sets(plan, ObjLevel.S, ObjLevel.EN)
         assert len(sets) == 1
         assert len(sets[0][1]) == 80
 
     def test_no_train_data(self):
-        plan = make_folds_from_ids({"pos": [f"p{i}" for i in range(10)]}, k=10, seed=0)
+        plan = make_folds_from_ids({"pos": [f"p{i}" for i in range(10)]}, seed=0)
         with pytest.raises((NoTrainData, KeyError)):
             balanced_train_sets(plan, "pos", "neg")
 

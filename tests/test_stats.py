@@ -36,14 +36,13 @@ def test_all_en_dataset():
 
 
 def test_summarize_with_per_annotator_timelines():
-    merged = [lbl(1, ObjLevel.S, Concept.BODY, Concept.LOOK), lbl(2, ObjLevel.EN)]
     per_annotator = {
         "a1": [lbl(1, ObjLevel.S, Concept.BODY), lbl(2, ObjLevel.EN)],
         "a2": [lbl(1, ObjLevel.S, Concept.LOOK), lbl(2, ObjLevel.EN)],
     }
-    summary = summarize(merged, per_annotator=per_annotator)
-    assert set(summary.per_annotator_means) == {"a1", "a2"}
-    assert summary.per_annotator_means["a1"].means == {ObjLevel.S: 1.0}
+    trends = per_annotator_trend(per_annotator)
+    assert set(trends) == {"a1", "a2"}
+    assert trends["a1"].means == {ObjLevel.S: 1.0}
 
 
 def test_fractions_sum_to_one():
