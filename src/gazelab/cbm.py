@@ -183,10 +183,9 @@ def fit_cav(
             cv_f1=score,
         )
 
-    grid = DEFAULT_C_GRID
     if len(pos) < CavCvConfig.k or len(neg) < CavCvConfig.k:
         X, y = matrices(pos, neg)
-        model = train_svm(X, y, c=grid[len(grid) // 2])
+        model = train_svm(X, y, c=DEFAULT_C_GRID[len(DEFAULT_C_GRID) // 2])
         return finish(model, f1_score(model.predict(X), y).f1)
 
     plan = make_folds_from_ids({"pos": pos, "neg": neg}, seed=seed)
@@ -207,16 +206,15 @@ def fit_cav(
     by_rows: dict[int, list[int]] = {}
     for i, (_, _, y) in enumerate(sets):
         by_rows.setdefault(len(y), []).append(i)
-    scores = np.empty((len(grid), len(sets)))
+    scores = np.empty((len(DEFAULT_C_GRID), len(sets)))
     for group in by_rows.values():
-        models = train_svm_stack(
-            np.stack([sets[i][1] for i in group]), np.stack([sets[i][2] for i in group]), grid
-        )
+        X = np.stack([sets[i][1] for i in group])
+        models = train_svm_stack(X, np.stack([sets[i][2] for i in group]), DEFAULT_C_GRID)
         for i, row in zip(group, models):
             val_X, val_y = validation[sets[i][0]]
             for j, model in enumerate(row):
                 scores[j, i] = f1_score(model.predict(val_X), val_y).f1
-    c_means = [(c, float(np.mean(row))) for c, row in zip(grid, scores)]
+    c_means = [(c, float(np.mean(row))) for c, row in zip(DEFAULT_C_GRID, scores)]
     best_c = max(c_means, key=lambda item: item[1])[0]
 
     model = train_svm(*split(range(plan.test_fold)), c=best_c)

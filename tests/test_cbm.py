@@ -27,14 +27,13 @@ from gazelab import (
     train_tree,
 )
 from gazelab.cbm import DEFAULT_C_GRID, CavCvConfig
-from gazelab.harness import FOLDS
 from gazelab.errors import (
     DimensionMismatch,
     EmptyClass,
     InvariantViolation,
     PreconditionError,
 )
-from gazelab.harness import balanced_draws, derive_seed
+from gazelab.harness import FOLDS, balanced_draws, derive_seed
 from gazelab.models import DecisionTree, TreeNode, f1
 from synthfix import make_compositional, make_entangled
 

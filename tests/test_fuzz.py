@@ -10,7 +10,8 @@ Whatever the input, the command must end in one of the documented exit
 codes: 0 on success, 2 to 5 on rejected input. An exception escaping
 ``main`` fails the test. When ``fuse`` succeeds, every span and clip
 bound it read must be finite; when ``gamma`` succeeds, every pair it
-reports compared at least one clip.
+reports compared at least one clip, and the same records in another
+order give a byte-identical result.
 """
 
 import json
