@@ -238,13 +238,17 @@ def fit_all_cavs(
     return cavs
 
 
-def _check_cavs(cavs: Sequence[ConceptVector]) -> None:
+def _basis(cavs: Sequence[ConceptVector], dim: int, name: str) -> np.ndarray:
     if len(cavs) != len(CONCEPTS) or any(
         cav.concept is not concept for cav, concept in zip(cavs, CONCEPTS)
     ):
         raise InvariantViolation(
             "need one concept vector per concept, in canonical order"
         )
+    for cav in cavs:
+        if cav.unit_normal.size != dim:
+            raise DimensionMismatch(name, cav.unit_normal.size, dim)
+    return np.stack([cav.unit_normal for cav in cavs])
 
 
 def concept_scores(x: np.ndarray, cavs: Sequence[ConceptVector]) -> np.ndarray:
@@ -254,18 +258,13 @@ def concept_scores(x: np.ndarray, cavs: Sequence[ConceptVector]) -> np.ndarray:
     are deliberately excluded (these are projection coordinates, not
     presence calls).
     """
-    _check_cavs(cavs)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != cavs[0].unit_normal.size:
-        raise DimensionMismatch("<vector>", cavs[0].unit_normal.size, x.shape[-1])
-    basis = np.stack([cav.unit_normal for cav in cavs])
-    return x @ basis.T
+    return x @ _basis(cavs, x.shape[-1], "<vector>").T
 
 
 def score_table(emb: EmbeddingTable, cavs: Sequence[ConceptVector]) -> dict[str, np.ndarray]:
     """Concept coordinates for every clip in the table."""
-    _check_cavs(cavs)
-    basis = np.stack([cav.unit_normal for cav in cavs])
+    basis = _basis(cavs, emb.dim, emb.clip_ids()[0])
     return {cid: emb[cid].astype(np.float64) @ basis.T for cid in emb.clip_ids()}
 
 

@@ -392,13 +392,17 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
-    def probabilities(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        hidden = np.maximum(X @ self.w1 + self.b1, 0.0)
+    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hidden pre-activations, hidden activations and class probabilities."""
+        z1 = np.asarray(X, dtype=np.float64) @ self.w1 + self.b1
+        hidden = np.maximum(z1, 0.0)
         logits = hidden @ self.w2 + self.b2
         logits = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
+        return z1, hidden, e / e.sum(axis=1, keepdims=True)
+
+    def probabilities(self, X: np.ndarray) -> np.ndarray:
+        return self.forward(X)[2]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.probabilities(X)[:, 1] > 0.5).astype(np.int64)
@@ -423,19 +427,15 @@ def init_mlp(dim: int, seed: int) -> MlpModel:
 
 def mlp_gradient(
     model: MlpModel, X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagation gradients of the mean cross-entropy on a batch."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Backpropagation gradients (fresh arrays) of a batch's mean cross-entropy, then that loss."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] != y.shape[0]:
         raise LengthMismatch(f"{X.shape[0]} samples vs {y.shape[0]} labels")
     n = X.shape[0]
-    z1 = X @ model.w1 + model.b1
-    hidden = np.maximum(z1, 0.0)
-    logits = hidden @ model.w2 + model.b2
-    logits = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    probs = e / e.sum(axis=1, keepdims=True)
+    z1, hidden, probs = model.forward(X)
+    loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
     dlogits = probs
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
@@ -445,11 +445,13 @@ def mlp_gradient(
     dz1 = dhidden * (z1 > 0.0)
     dw1 = X.T @ dz1
     db1 = dz1.sum(axis=0)
-    return dw1, db1, dw2, db2
+    return dw1, db1, dw2, db2, loss
 
 
 @dataclass
 class MlpTrainResult:
+    """The kept model and, per epoch, the batch-size-weighted mean of the
+    mini-batch losses, each taken just before that batch's update."""
     model: MlpModel
     epoch_losses: list[float] = field(default_factory=list)
 
@@ -469,7 +471,9 @@ def train_mlp(
     Shuffling and initialization are driven by ``seed``; the result is
     bit-identical across runs. The returned model is the parameters
     after the first epoch with the best F1 on ``(X_val, y_val)``; zero
-    epochs returns the initialization.
+    epochs returns the initialization. ``NonFiniteLoss`` is raised after
+    the first epoch with a non-finite mini-batch loss or validation
+    probability (the latter catches the run's last update).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -479,20 +483,21 @@ def train_mlp(
     model = init_mlp(X.shape[1], seed)
     result = MlpTrainResult(model=model)
     best_f1 = -1.0
-    for _ in range(epochs):
+    for epoch in range(epochs):
         perm = rng.permutation(n)
+        total = 0.0
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            dw1, db1, dw2, db2 = mlp_gradient(model, X[idx], y[idx])
-            model.w1 -= lr * dw1
-            model.b1 -= lr * db1
-            model.w2 -= lr * dw2
-            model.b2 -= lr * db2
-        loss = model.loss(X, y)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"training diverged (loss={loss}); lower the learning rate")
-        result.epoch_losses.append(loss)
-        score = f1(model.predict(X_val), y_val).f1
+            *grads, loss = mlp_gradient(model, X[idx], y[idx])
+            total += loss * len(idx)
+            for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
+                np.multiply(grad, lr, out=grad)
+                np.subtract(param, grad, out=param)
+        probs = model.probabilities(X_val)
+        if not (np.isfinite(total) and np.isfinite(probs).all()):
+            raise NonFiniteLoss(f"training diverged in epoch {epoch + 1}; lower the learning rate")
+        result.epoch_losses.append(total / n)
+        score = f1((probs[:, 1] > 0.5).astype(np.int64), y_val).f1
         if score > best_f1 + 1e-12:
             best_f1 = score
             result.model = model.copy()

@@ -212,6 +212,14 @@ class TestConceptScores:
         with pytest.raises(DimensionMismatch):
             concept_scores(np.zeros(5), self._cavs(dim=16))
 
+    def test_axes_of_mixed_dimensions_rejected(self):
+        cavs = self._cavs(dim=16)
+        cavs[3] = self._cavs(dim=9)[3]
+        with pytest.raises(DimensionMismatch):
+            concept_scores(np.zeros(16), cavs)
+        with pytest.raises(DimensionMismatch):
+            score_table(EmbeddingTable({"c0": np.zeros(16)}), cavs)
+
     def test_wrong_cav_count_rejected(self):
         with pytest.raises(InvariantViolation):
             concept_scores(np.zeros(16), self._cavs()[:-1])

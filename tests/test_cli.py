@@ -491,6 +491,17 @@ class TestMalformedInputs:
         path.write_text(json.dumps({"cavs": cavs}))
         assert "unsupported model format" in self._exits_2(argv, capsys)
 
+    def test_cavs_of_another_dimension(self, tmp_path, capsys):
+        cavs = [
+            ConceptVector(c, np.eye(3)[int(c) % 3], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            for c in CONCEPTS
+        ]
+        path = tmp_path / "cavs.json"
+        path.write_text(json.dumps({"cavs": cavs}))
+        argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "lr", "--cavs", str(path)]
+        err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 3)
+        assert "expected 3 components, got 4" in err
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

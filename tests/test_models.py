@@ -443,7 +443,7 @@ class TestMlp:
         model = init_mlp(3, 2)
         model.w1[:] = 0.0
         model.b1[:] = 0.0
-        dw1, db1, _, _ = mlp_gradient(model, np.zeros((4, 3)), np.array([0, 1, 0, 1]))
+        dw1, db1, *_ = mlp_gradient(model, np.zeros((4, 3)), np.array([0, 1, 0, 1]))
         assert np.array_equal(dw1, np.zeros_like(dw1))
         assert np.array_equal(db1, np.zeros_like(db1))
 
@@ -460,6 +460,13 @@ class TestMlp:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
             train_mlp(X * 1e6, y, X, y, epochs=50, lr=1e3, batch=8, seed=0)
 
+    def test_divergence_in_the_last_update_raises(self):
+        # One epoch of one batch: its loss is taken before the update that
+        # diverges, so only the check on the validation output can see it.
+        X, y = blobs(3, n_per=20)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
+            train_mlp(X, y, X, y, epochs=1, lr=1e308, batch=len(y))
+
     def test_returns_first_best_validation_epoch(self):
         # Oracle: replay the training loop by hand to get the parameters
         # after every epoch, score each on the validation set, and expect
@@ -474,12 +481,14 @@ class TestMlp:
         after_epoch, scores = [], []
         for epoch in range(epochs):
             perm = rng.permutation(len(y))
+            total = 0.0
             for start in range(0, len(y), batch):
                 idx = perm[start : start + batch]
+                total += model.loss(X[idx], y[idx]) * len(idx)
                 grads = mlp_gradient(model, X[idx], y[idx])
                 for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
                     param -= lr * grad
-            assert model.loss(X, y) == result.epoch_losses[epoch]
+            assert total / len(y) == result.epoch_losses[epoch]
             after_epoch.append(model.copy())
             scores.append(f1(model.predict(Xv), yv).f1)
         best = scores.index(max(scores))
