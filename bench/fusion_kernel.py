@@ -63,13 +63,11 @@ def main() -> None:
             )
             for s, n, lv, c in zip(starts, lengths, levels, concepts)
         ]
-    project_s, labels = median_s(
-        lambda: [project(spans, clips) for spans in spans_by_annotator.values()], args.repeats
-    )
-    sweep_s, rows = median_s(
-        lambda: sweep_thresholds(spans_by_annotator, clips, THRESHOLDS), args.repeats
-    )
     spans = [s for group in spans_by_annotator.values() for s in group]
+    project_s, labels = median_s(
+        lambda: [project(group, clips) for group in spans_by_annotator.values()], args.repeats
+    )
+    sweep_s, rows = median_s(lambda: sweep_thresholds(spans, clips, THRESHOLDS), args.repeats)
     overlap_pairs = sum(
         int(((np.minimum(s.end, edges[1:]) - np.maximum(s.start, edges[:-1])) > 0).sum())
         for s in spans

@@ -56,11 +56,8 @@ def main():
     print()
 
     print("== class counts while sweeping the overlap threshold ==")
-    spans_by = {}
-    for s in spans:
-        spans_by.setdefault(s.annotator_id, []).append(s)
     print("  threshold   EN  HN  NS   S")
-    for row in sweep_thresholds(spans_by, clips, [0.1, 0.2, 0.3, 0.4]):
+    for row in sweep_thresholds(spans, clips, [0.1, 0.2, 0.3, 0.4]):
         counts = "  ".join(f"{row.counts[lv]:2d}" for lv in row.counts)
         print(f"  {row.threshold:9.1f}  {counts}")
     print("  (sure clips fall away as the bar rises; easy negatives absorb them)")

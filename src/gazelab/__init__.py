@@ -26,7 +26,6 @@ from .cbm import (
     NegativeMode,
     build_concept_sets,
     concept_presence_f1,
-    concept_scores,
     export_tree_report,
     fit_all_cavs,
     fit_cav,
@@ -39,23 +38,18 @@ from .core import (
     ClipLabel,
     Concept,
     EmbeddingTable,
-    FrameTokenMatrix,
     ObjLevel,
     SpanAnnotation,
     dump_embeddings,
     load_embeddings,
     parse_annotations,
     parse_clip_index,
-    pool_frames,
-    serialize_annotations,
-    serialize_clip_index,
 )
 from .fusion import (
     OverlapBasis,
     ProjectionConfig,
     SweepRow,
     fuse,
-    labels_as_spans,
     merge,
     overlap_fraction,
     project,
@@ -67,12 +61,9 @@ from .harness import (
     FactorWeights,
     FoldPlan,
     ModelKind,
-    MovieSplit,
     TaskConfig,
     balanced_train_sets,
     error_factor_analysis,
-    leave_movies_out,
-    make_folds,
     make_folds_from_ids,
     run_task,
 )
@@ -85,7 +76,6 @@ from .models import (
     f1,
     init_mlp,
     mlp_gradient,
-    model_from_json,
     model_to_json,
     train_logreg,
     train_mlp,

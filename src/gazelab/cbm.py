@@ -238,7 +238,14 @@ def fit_all_cavs(
     return cavs
 
 
-def _basis(cavs: Sequence[ConceptVector], dim: int, name: str) -> np.ndarray:
+def score_table(emb: EmbeddingTable, cavs: Sequence[ConceptVector]) -> dict[str, np.ndarray]:
+    """Concept coordinates of every clip in the table.
+
+    Plain dot products with the eight unit normals, in canonical order;
+    the hyperplane offsets are deliberately excluded (these are
+    projection coordinates, not presence calls). Each clip is its own
+    product, so its coordinates do not depend on the other rows.
+    """
     if len(cavs) != len(CONCEPTS) or any(
         cav.concept is not concept for cav, concept in zip(cavs, CONCEPTS)
     ):
@@ -246,25 +253,9 @@ def _basis(cavs: Sequence[ConceptVector], dim: int, name: str) -> np.ndarray:
             "need one concept vector per concept, in canonical order"
         )
     for cav in cavs:
-        if cav.unit_normal.size != dim:
-            raise DimensionMismatch(name, cav.unit_normal.size, dim)
-    return np.stack([cav.unit_normal for cav in cavs])
-
-
-def concept_scores(x: np.ndarray, cavs: Sequence[ConceptVector]) -> np.ndarray:
-    """Coordinates of an embedding in the concept subspace.
-
-    Plain dot products with the unit normals; the hyperplane offsets
-    are deliberately excluded (these are projection coordinates, not
-    presence calls).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return x @ _basis(cavs, x.shape[-1], "<vector>").T
-
-
-def score_table(emb: EmbeddingTable, cavs: Sequence[ConceptVector]) -> dict[str, np.ndarray]:
-    """Concept coordinates for every clip in the table."""
-    basis = _basis(cavs, emb.dim, emb.clip_ids()[0])
+        if cav.unit_normal.size != emb.dim:
+            raise DimensionMismatch(emb.clip_ids()[0], cav.unit_normal.size, emb.dim)
+    basis = np.stack([cav.unit_normal for cav in cavs])
     return {cid: emb[cid].astype(np.float64) @ basis.T for cid in emb.clip_ids()}
 
 

@@ -124,9 +124,14 @@ def _fields(lineno: int, obj: dict, *keys: str) -> list[str]:
 
 
 def _read_merged_labels(text: str) -> list[ClipLabel]:
+    """Merged-label JSONL, each clip once (clip ids key everything downstream)."""
     out: list[ClipLabel] = []
+    seen: set[str] = set()
     for lineno, obj in read_jsonl(text):
         clip_id, level = _fields(lineno, obj, "clip", "level")
+        if clip_id in seen:
+            raise MalformedRecord(lineno, f"second record of clip {clip_id!r}")
+        seen.add(clip_id)
         concepts, annotators = obj.get("concepts", []), obj.get("annotators", [])
         if not is_string_list(concepts) or not is_string_list(annotators):
             raise MalformedRecord(lineno, "concepts and annotators must be arrays of strings")
@@ -155,19 +160,12 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     thresholds = _parse_thresholds(args.sweep) if args.sweep else None
     spans = parse_annotations(_read_path(args.annotations))
     clips = parse_clip_index(_read_path(args.clips))
-    basis = (
-        fusion_mod.OverlapBasis.CLIP_DURATION
-        if args.basis == "clip"
-        else fusion_mod.OverlapBasis.SPAN_DURATION
-    )
+    basis = fusion_mod.OverlapBasis(args.basis)
     cfg = fusion_mod.ProjectionConfig(overlap_threshold=args.threshold, overlap_basis=basis)
     projections, merged = fusion_mod.fuse(spans, clips, cfg)
     rows = None
     if thresholds is not None:
-        spans_by_annotator: dict[str, list] = {}
-        for s in spans:
-            spans_by_annotator.setdefault(s.annotator_id, []).append(s)
-        rows = fusion_mod.sweep_thresholds(spans_by_annotator, clips, thresholds, basis)
+        rows = fusion_mod.sweep_thresholds(spans, clips, thresholds, basis)
 
     out = Path(args.out)
     resolved = {
@@ -393,17 +391,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     emb, labels = _load_task_inputs(args)
     model = ModelKind(args.model)
-    if model in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
-        cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
-        features = cbm_mod.score_table(emb, cavs)
-    else:
-        features = emb
-
-    # Rows are the train negatives, columns the test negative sets;
-    # each row is fitted once and scored on both columns.
-    rows = {}
-    for train_neg in (ObjLevel.EN, ObjLevel.HN):
-        cfg = TaskConfig(
+    # Rows are the train negatives, columns the test negative sets; both
+    # rows' settings are checked before any concept axis is fitted.
+    configs = [
+        TaskConfig(
             train_negatives=train_neg,
             model=model,
             seed=seed,
@@ -411,7 +402,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
             mlp_lr=args.lr,
             mlp_batch=args.batch,
         )
-        rows[train_neg] = run_task(cfg, labels, features, TEST_NEGATIVE_SETS)
+        for train_neg in (ObjLevel.EN, ObjLevel.HN)
+    ]
+    if model in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
+        cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
+        features = cbm_mod.score_table(emb, cavs)
+    else:
+        features = emb
+
+    # Each row is fitted once and scored on both columns.
+    rows = {
+        cfg.train_negatives: run_task(cfg, labels, features, TEST_NEGATIVE_SETS)
+        for cfg in configs
+    }
 
     resolved = {
         "command": "eval",

@@ -41,7 +41,6 @@ import numpy as np
 from .errors import (
     BadMagic,
     DimensionMismatch,
-    EmptyMatrix,
     InvariantViolation,
     MalformedRecord,
     MissingEmbedding,
@@ -250,27 +249,6 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
         return all(np.array_equal(self[k], other[k]) for k in self._index)
 
 
-@dataclass(frozen=True)
-class FrameTokenMatrix:
-    """Per-frame token vectors of one clip, shape (frames, dim)."""
-
-    clip_id: str
-    tokens: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.tokens, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise EmptyMatrix(f"clip {self.clip_id!r}: need a non-empty (frames, dim) matrix")
-        object.__setattr__(self, "tokens", arr)
-
-
-def pool_frames(m: FrameTokenMatrix) -> np.ndarray:
-    """Collapse frame tokens to a single vector by componentwise max."""
-    if m.tokens.shape[0] < 1:
-        raise EmptyMatrix(f"clip {m.clip_id!r}: no frames to pool")
-    return m.tokens.max(axis=0)
-
-
 # --- JSONL records ------------------------------------------------------
 
 
@@ -350,32 +328,19 @@ def parse_annotations(text: str) -> list[SpanAnnotation]:
     return spans
 
 
-def serialize_annotations(spans: Iterable[SpanAnnotation]) -> str:
-    """Inverse of parse_annotations, one JSON record per line."""
-    lines = []
-    for s in spans:
-        obj = {
-            "film": s.film_id,
-            "annotator": s.annotator_id,
-            "start": s.start,
-            "end": s.end,
-            "level": s.level.name,
-            "concepts": [c.label for c in sorted(s.concepts)],
-        }
-        lines.append(json.dumps(obj))
-    return "".join(line + "\n" for line in lines)
-
-
 # --- clip index CSV ------------------------------------------------------
 
 
 def parse_clip_index(text: str) -> list[ClipDelimitation]:
     """Parse a headerless ``clip_id,film_id,start_s,end_s`` CSV.
 
-    Returns clips grouped by film and sorted by start within each film;
-    overlapping or duplicate clips within a film are rejected.
+    Returns clips grouped by film and sorted by start within each film.
+    A clip id names one clip in the whole index, since embeddings,
+    labels and folds are keyed by it alone, so a repeated id is
+    rejected, in any film; overlapping clips within a film are too.
     """
     clips: list[ClipDelimitation] = []
+    seen: set[str] = set()
     reader = csv.reader(io.StringIO(text))
     for lineno, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -387,6 +352,9 @@ def parse_clip_index(text: str) -> list[ClipDelimitation]:
             start, end = float(start_s), float(end_s)
         except ValueError:
             raise MalformedRecord(lineno, "start and end must be numbers") from None
+        if clip_id in seen:
+            raise InvariantViolation(f"duplicate clip id {clip_id!r}", line=lineno)
+        seen.add(clip_id)
         try:
             clips.append(ClipDelimitation(clip_id, film_id, start, end))
         except InvariantViolation as e:
@@ -398,26 +366,11 @@ def parse_clip_index(text: str) -> list[ClipDelimitation]:
     ordered: list[ClipDelimitation] = []
     for film_id in sorted(by_film):
         film_clips = sorted(by_film[film_id], key=lambda c: (c.start, c.clip_id))
-        seen: set[str] = set()
         for prev, cur in zip(film_clips, film_clips[1:]):
             if cur.start < prev.end:
                 raise OverlappingClips(film_id, prev.clip_id, cur.clip_id)
-        for clip in film_clips:
-            if clip.clip_id in seen:
-                raise InvariantViolation(
-                    f"duplicate clip id {clip.clip_id!r} in film {film_id!r}"
-                )
-            seen.add(clip.clip_id)
         ordered.extend(film_clips)
     return ordered
-
-
-def serialize_clip_index(clips: Iterable[ClipDelimitation]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for c in clips:
-        writer.writerow([c.clip_id, c.film_id, repr(float(c.start)), repr(float(c.end))])
-    return out.getvalue()
 
 
 # --- embedding tables ----------------------------------------------------

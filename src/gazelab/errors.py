@@ -83,10 +83,6 @@ class NonFiniteInput(InvariantError):
 # --- preconditions -----------------------------------------------------
 
 
-class EmptyMatrix(PreconditionError):
-    """Frame-token matrix has zero rows."""
-
-
 class FilmMismatch(PreconditionError):
     """Spans and clips passed to a projection do not share one film."""
 
@@ -144,16 +140,6 @@ class NoTrainData(PreconditionError):
     """Fold plan leaves no training samples for one of the classes."""
 
 
-class FilmOverlap(PreconditionError):
-    """Train, validation, and test films must be pairwise disjoint."""
-
-
-class EmptyFilm(PreconditionError):
-    def __init__(self, film_id: str):
-        super().__init__(f"film {film_id!r} has no clips")
-        self.film_id = film_id
-
-
 class DegenerateTarget(PreconditionError):
     """Success labels are all identical; factor regression is undefined."""
 
@@ -167,10 +153,6 @@ class DegenerateNull(NumericError):
 
 class NonFiniteLoss(NumericError):
     """Training loss became NaN or infinite (typically the step is too large)."""
-
-
-class EmptyFilmWarning(UserWarning):
-    """A split's test film contains no positive clips; F1 will be undefined."""
 
 
 class UnannotatedFilmWarning(UserWarning):

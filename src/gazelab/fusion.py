@@ -228,29 +228,27 @@ class SweepRow:
 
 
 def sweep_thresholds(
-    spans_by_annotator: Mapping[str, Sequence[SpanAnnotation]],
+    spans: Sequence[SpanAnnotation],
     clips: Sequence[ClipDelimitation],
     thresholds: Sequence[float],
     basis: OverlapBasis = OverlapBasis.CLIP_DURATION,
 ) -> list[SweepRow]:
     """Tabulate the merged level counts of ``fuse`` at each threshold.
 
-    The overlaps of each film are computed once and re-thresholded per
-    threshold: a clip's merged level is the highest level of any
-    annotator's span that qualifies on it, or EN. Every threshold is
-    checked before any work. Deltas are reported against the first
-    threshold in the list.
+    A clip's merged level is the highest level of any annotator's span
+    that qualifies on it, or EN, so which annotator a span came from
+    does not matter: each film's spans form one timeline, whose
+    overlaps are computed once and re-thresholded per threshold. Every
+    threshold is checked before any work. Deltas are reported against
+    the first threshold in the list.
     """
     if not thresholds:
         raise EmptyInput("no thresholds to sweep")
     for t in thresholds:
         ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
-    all_spans = [s for spans in spans_by_annotator.values() for s in spans]
-    # Which annotator a qualifying span came from does not change the
-    # merged level, so each film's spans are pooled into one timeline.
     pooled = [
         _clip_overlaps(film_spans, film_clips, basis)
-        for film_clips, film_spans in _by_film(all_spans, clips).values()
+        for film_clips, film_spans in _by_film(spans, clips).values()
     ]
     rows: list[SweepRow] = []
     base: dict[ObjLevel, int] | None = None
@@ -264,30 +262,3 @@ def sweep_thresholds(
         deltas = {level: counts[level] - base[level] for level in ObjLevel}
         rows.append(SweepRow(threshold=t, counts=counts, deltas=deltas))
     return rows
-
-
-def labels_as_spans(
-    labels: Sequence[ClipLabel],
-    clips: Sequence[ClipDelimitation],
-    annotator_id: str,
-) -> list[SpanAnnotation]:
-    """Re-express clip labels as spans on the clip boundaries.
-
-    EN clips become EN spans, so reprojecting at any threshold up to 1
-    reproduces the input labels exactly (the spans are clip-aligned).
-    """
-    by_id = {c.clip_id: c for c in clips}
-    spans = []
-    for lbl in labels:
-        clip = by_id[lbl.clip_id]
-        spans.append(
-            SpanAnnotation(
-                film_id=clip.film_id,
-                annotator_id=annotator_id,
-                start=clip.start,
-                end=clip.end,
-                level=lbl.level,
-                concepts=lbl.concepts,
-            )
-        )
-    return spans

@@ -13,7 +13,7 @@ from each test composition.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Hashable, Iterable, Mapping, Sequence
@@ -24,9 +24,6 @@ from .core import CONCEPTS, ClipLabel, ObjLevel
 from .errors import (
     ClassTooSmall,
     DegenerateTarget,
-    EmptyFilm,
-    EmptyFilmWarning,
-    FilmOverlap,
     InvariantViolation,
     LengthMismatch,
     MissingEmbedding,
@@ -90,14 +87,6 @@ def make_folds_from_ids(
             assigned[pos % FOLDS].append(ids[idx])
         folds[cls] = tuple(tuple(f) for f in assigned)
     return FoldPlan(folds=folds, seed=seed)
-
-
-def make_folds(labels: Sequence[ClipLabel], seed: int = 0) -> FoldPlan:
-    """Fold plan over the levels present in a label set."""
-    ids_by_level: dict[ObjLevel, list[str]] = {}
-    for lbl in labels:
-        ids_by_level.setdefault(lbl.level, []).append(lbl.clip_id)
-    return make_folds_from_ids(ids_by_level, seed=seed)
 
 
 def balanced_draws(
@@ -170,6 +159,12 @@ class TaskConfig:
     def __post_init__(self):
         if self.train_negatives not in (ObjLevel.EN, ObjLevel.HN):
             raise InvariantViolation("train negatives must be EN or HN")
+        if self.mlp_epochs < 0:
+            raise InvariantViolation(f"MLP epochs must be at least 0, got {self.mlp_epochs}")
+        if self.mlp_batch < 1:
+            raise InvariantViolation(f"MLP batch must be at least 1, got {self.mlp_batch}")
+        if not (math.isfinite(self.mlp_lr) and self.mlp_lr > 0):
+            raise InvariantViolation(f"MLP learning rate must be finite and > 0, got {self.mlp_lr}")
 
     def describe(self) -> dict:
         return {
@@ -336,47 +331,6 @@ def run_task(
             )
         )
     return tuple(reports)
-
-
-# --- leave-movies-out -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MovieSplit:
-    train: tuple[ClipLabel, ...]
-    validation: tuple[ClipLabel, ...]
-    test: tuple[ClipLabel, ...]
-
-
-def leave_movies_out(
-    labels_by_film: Mapping[str, Sequence[ClipLabel]],
-    test_movie: str,
-    val_movie: str,
-) -> MovieSplit:
-    """Split clips so train, validation, and test films never overlap."""
-    if test_movie == val_movie:
-        raise FilmOverlap(f"test and validation film are both {test_movie!r}")
-    for film in (test_movie, val_movie):
-        if film not in labels_by_film or not labels_by_film[film]:
-            raise EmptyFilm(film)
-    train: list[ClipLabel] = []
-    for film, labels in labels_by_film.items():
-        if film not in (test_movie, val_movie):
-            train.extend(labels)
-    if not train:
-        raise EmptyFilm("<train>")
-    test = tuple(labels_by_film[test_movie])
-    if not any(lbl.level is ObjLevel.S for lbl in test):
-        warnings.warn(
-            f"test film {test_movie!r} has no S clips; F1 will be undefined",
-            EmptyFilmWarning,
-            stacklevel=2,
-        )
-    return MovieSplit(
-        train=tuple(train),
-        validation=tuple(labels_by_film[val_movie]),
-        test=test,
-    )
 
 
 # --- error-factor analysis ---------------------------------------------------

@@ -11,6 +11,7 @@ models. Positive class is 1 everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -202,6 +203,8 @@ def train_logreg(
     drops below ``tol`` or at the iteration cap. Deterministic from a
     zero start.
     """
+    if not (math.isfinite(l2) and l2 >= 0):
+        raise InvariantViolation(f"L2 penalty must be finite and >= 0, got {l2}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_binary_training_data(X, y)
@@ -283,9 +286,7 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[int, float, float] | None:
+def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, float] | None:
     """Lowest weighted child Gini over every (feature, threshold).
 
     Candidate thresholds are midpoints between consecutive distinct
@@ -305,9 +306,6 @@ def _best_split(
         ones = np.cumsum(labels)
         left_n = distinct + 1
         right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
         left_ones = ones[distinct]
         right_ones = ones[-1] - left_ones
         g_left = 1.0 - (left_ones / left_n) ** 2 - ((left_n - left_ones) / left_n) ** 2
@@ -315,10 +313,7 @@ def _best_split(
             1.0 - (right_ones / right_n) ** 2 - ((right_n - right_ones) / right_n) ** 2
         )
         weighted = (left_n * g_left + right_n * g_right) / n
-        weighted = np.where(valid, weighted, np.inf)
         score = float(weighted.min())
-        if not np.isfinite(score):
-            continue
         # Exact-math ties can differ by an ulp between candidates, so pick
         # the first candidate within tolerance of the minimum (lowest
         # threshold) and only switch features on a clear improvement.
@@ -333,22 +328,20 @@ def train_tree(
     X: np.ndarray,
     y: np.ndarray,
     max_depth: int = 10,
-    min_leaf: int = 1,
 ) -> DecisionTree:
     """CART with Gini impurity and an exhaustive per-feature split scan.
 
-    Impure nodes split as long as depth and leaf-size limits allow,
-    even when the best split does not reduce impurity immediately (a
-    later level may); single-class data degenerates to one leaf.
+    Impure nodes split as long as the depth limit allows, even when the
+    best split does not reduce impurity immediately (a later level
+    may); single-class data degenerates to one leaf. Every candidate
+    split leaves at least one sample on each side.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not np.isfinite(X).all():
         raise NonFiniteInput("training matrix contains non-finite entries")
-    if y.size < 2 * min_leaf:
-        raise PreconditionError(
-            f"need at least {2 * min_leaf} samples for min_leaf={min_leaf}, got {y.size}"
-        )
+    if y.size < 2:
+        raise PreconditionError(f"need at least 2 samples, got {y.size}")
 
     def counts_of(labels: np.ndarray) -> np.ndarray:
         return np.bincount(labels, minlength=2)[:2]
@@ -356,13 +349,9 @@ def train_tree(
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         labels = y[rows]
         node = TreeNode(class_counts=counts_of(labels), depth=depth)
-        if (
-            depth >= max_depth
-            or np.unique(labels).size < 2
-            or rows.size < 2 * min_leaf
-        ):
+        if depth >= max_depth or np.unique(labels).size < 2:
             return node
-        found = _best_split(X[rows], labels, min_leaf)
+        found = _best_split(X[rows], labels)
         if found is None:
             return node
         j, thr, _ = found
@@ -406,10 +395,6 @@ class MlpModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.probabilities(X)[:, 1] > 0.5).astype(np.int64)
-
-    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
-        p = self.probabilities(X)[np.arange(len(y)), np.asarray(y, dtype=np.int64)]
-        return float(-np.log(np.maximum(p, 1e-300)).mean())
 
 
 def init_mlp(dim: int, seed: int) -> MlpModel:
@@ -574,19 +559,6 @@ def _node_to_json(node: TreeNode) -> dict:
     return doc
 
 
-def _node_from_json(doc: dict) -> TreeNode:
-    node = TreeNode(
-        class_counts=np.array(doc["class_counts"], dtype=np.int64),
-        depth=doc["depth"],
-    )
-    if "feature" in doc:
-        node.feature = doc["feature"]
-        node.threshold = doc["threshold"]
-        node.left = _node_from_json(doc["left"])
-        node.right = _node_from_json(doc["right"])
-    return node
-
-
 def model_to_json(model) -> dict:
     """Versioned JSON document for inspection and replay."""
     if isinstance(model, LinearModel):
@@ -617,29 +589,3 @@ def model_to_json(model) -> dict:
             "b2": model.b2.tolist(),
         }
     raise TypeError(f"cannot serialize {type(model).__name__}")
-
-
-def model_from_json(doc: dict):
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {doc.get('format')!r}")
-    kind = doc["kind"]
-    if kind in (LinearKind.SVM.value, LinearKind.LOGISTIC.value):
-        return LinearModel(
-            weights=np.array(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            kind=LinearKind(kind),
-        )
-    if kind == "tree":
-        return DecisionTree(
-            root=_node_from_json(doc["root"]),
-            max_depth=doc["max_depth"],
-            n_features=doc["n_features"],
-        )
-    if kind == "mlp":
-        return MlpModel(
-            w1=np.array(doc["w1"], dtype=np.float64),
-            b1=np.array(doc["b1"], dtype=np.float64),
-            w2=np.array(doc["w2"], dtype=np.float64),
-            b2=np.array(doc["b2"], dtype=np.float64),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")

@@ -1,11 +1,19 @@
-"""Synthetic dataset builders shared by the unit and acceptance tests.
+"""Synthetic dataset builders and test-only helpers shared by the tests.
 
 Every builder is deterministic given its seed and constructs data with
 a known ground truth, so tests can assert against the generating
-process instead of against the code under test.
+process instead of against the code under test. The helpers invert the
+package's readers and writers (serializers for the annotation and clip
+index formats, a model reader, clip labels as spans) so that round
+trips can be checked; no command needs them.
 """
 
 from __future__ import annotations
+
+import csv
+import io
+import json
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -13,13 +21,17 @@ from gazelab import (
     ClipDelimitation,
     ClipLabel,
     Concept,
+    DecisionTree,
     EmbeddingTable,
+    LinearKind,
+    LinearModel,
+    MlpModel,
     ObjLevel,
     SpanAnnotation,
     init_mlp,
     mlp_gradient,
 )
-from gazelab.models import MlpModel
+from gazelab.models import MODEL_FORMAT, TreeNode
 
 
 def make_compositional(seed: int, n: int = 480, dim: int = 64, sigma: float = 0.05):
@@ -205,7 +217,7 @@ def mlp_gradcheck_worst_error(n_instances: int, master_seed: int = 2024, h: floa
                 size = int(np.prod(s))
                 parts.append(vec[off : off + size].reshape(s))
                 off += size
-            return MlpModel(*parts).loss(X, y)
+            return mlp_gradient(MlpModel(*parts), X, y)[-1]
 
         numeric = np.empty_like(flat)
         for i in range(flat.size):
@@ -241,3 +253,103 @@ def random_fusion_fixture(rng: np.random.Generator, film: str = "f"):
             spans.append(SpanAnnotation(film, aid, start, end, level, concepts))
         spans_by_annotator[aid] = spans
     return clips, spans_by_annotator
+
+
+def ids_by_level(labels: Sequence[ClipLabel]) -> dict[ObjLevel, list[str]]:
+    """Clip ids per level, in label order: the classes of a fold plan."""
+    out: dict[ObjLevel, list[str]] = {}
+    for lbl in labels:
+        out.setdefault(lbl.level, []).append(lbl.clip_id)
+    return out
+
+
+def serialize_annotations(spans: Iterable[SpanAnnotation]) -> str:
+    """Inverse of parse_annotations, one JSON record per line."""
+    lines = []
+    for s in spans:
+        obj = {
+            "film": s.film_id,
+            "annotator": s.annotator_id,
+            "start": s.start,
+            "end": s.end,
+            "level": s.level.name,
+            "concepts": [c.label for c in sorted(s.concepts)],
+        }
+        lines.append(json.dumps(obj))
+    return "".join(line + "\n" for line in lines)
+
+
+def serialize_clip_index(clips: Iterable[ClipDelimitation]) -> str:
+    """Inverse of parse_clip_index for clips already in its order."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for c in clips:
+        writer.writerow([c.clip_id, c.film_id, repr(float(c.start)), repr(float(c.end))])
+    return out.getvalue()
+
+
+def labels_as_spans(
+    labels: Sequence[ClipLabel],
+    clips: Sequence[ClipDelimitation],
+    annotator_id: str,
+) -> list[SpanAnnotation]:
+    """Re-express clip labels as spans on the clip boundaries.
+
+    EN clips become EN spans, so reprojecting at any threshold up to 1
+    reproduces the input labels exactly (the spans are clip-aligned).
+    """
+    by_id = {c.clip_id: c for c in clips}
+    spans = []
+    for lbl in labels:
+        clip = by_id[lbl.clip_id]
+        spans.append(
+            SpanAnnotation(
+                film_id=clip.film_id,
+                annotator_id=annotator_id,
+                start=clip.start,
+                end=clip.end,
+                level=lbl.level,
+                concepts=lbl.concepts,
+            )
+        )
+    return spans
+
+
+def _node_from_json(doc: dict) -> TreeNode:
+    node = TreeNode(
+        class_counts=np.array(doc["class_counts"], dtype=np.int64),
+        depth=doc["depth"],
+    )
+    if "feature" in doc:
+        node.feature = doc["feature"]
+        node.threshold = doc["threshold"]
+        node.left = _node_from_json(doc["left"])
+        node.right = _node_from_json(doc["right"])
+    return node
+
+
+def model_from_json(doc: dict):
+    """Inverse of model_to_json."""
+    if doc.get("format") != MODEL_FORMAT:
+        raise ValueError(f"unsupported model format {doc.get('format')!r}")
+    kind = doc["kind"]
+    if kind in (LinearKind.SVM.value, LinearKind.LOGISTIC.value):
+        return LinearModel(
+            weights=np.array(doc["weights"], dtype=np.float64),
+            bias=float(doc["bias"]),
+            kind=LinearKind(kind),
+        )
+    if kind == "tree":
+        return DecisionTree(
+            root=_node_from_json(doc["root"]),
+            max_depth=doc["max_depth"],
+            n_features=doc["n_features"],
+        )
+    if kind == "mlp":
+        return MlpModel(
+            w1=np.array(doc["w1"], dtype=np.float64),
+            b1=np.array(doc["b1"], dtype=np.float64),
+            w2=np.array(doc["w2"], dtype=np.float64),
+            b2=np.array(doc["b2"], dtype=np.float64),
+        )
+    raise ValueError(f"unknown model kind {kind!r}")

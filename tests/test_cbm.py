@@ -15,7 +15,6 @@ from gazelab import (
     balanced_train_sets,
     build_concept_sets,
     concept_presence_f1,
-    concept_scores,
     export_tree_report,
     fit_cav,
     make_folds_from_ids,
@@ -159,13 +158,30 @@ class TestFitCav:
 
 
 class TestConceptScores:
+    """``score_table``: the coordinates of every clip in the concept subspace.
+
+    Tables store float32, so every input row here is float32-exact and
+    the expectations use exactly the stored values.
+    """
+
     def _cavs(self, dim=16, seed=0):
         rng = np.random.default_rng(seed)
         basis, _ = np.linalg.qr(rng.normal(0, 1, (dim, 8)))
+        return self._as_cavs(basis.T)
+
+    def _hadamard_cavs(self):
+        # Eight orthonormal 16-d rows with entries +-1/4: exact in float32.
+        h = np.array([[1.0]])
+        for _ in range(4):
+            h = np.block([[h, h], [h, -h]])
+        return self._as_cavs(h[:8] / 4.0), h[8:] / 4.0
+
+    @staticmethod
+    def _as_cavs(normals):
         return [
             ConceptVector(
                 concept=c,
-                unit_normal=basis[:, int(c)],
+                unit_normal=normals[int(c)],
                 bias=0.0,
                 negative_mode=NegativeMode.EN_ONLY,
                 cv_f1=1.0,
@@ -173,28 +189,28 @@ class TestConceptScores:
             for c in CONCEPTS
         ]
 
+    @staticmethod
+    def _scores(rows, cavs):
+        return score_table(EmbeddingTable({f"c{i}": r for i, r in enumerate(rows)}), cavs)
+
     def test_self_projection(self):
-        cavs = self._cavs()
-        j = 3
-        scores = concept_scores(cavs[j].unit_normal, cavs)
-        assert scores[j] == pytest.approx(1.0, abs=1e-9)
-        for i, cav in enumerate(cavs):
-            expected = float(cavs[j].unit_normal @ cav.unit_normal)
-            assert scores[i] == pytest.approx(expected, abs=1e-12)
+        cavs, _ = self._hadamard_cavs()
+        scores = self._scores([cav.unit_normal for cav in cavs], cavs)
+        for j in range(8):
+            np.testing.assert_array_equal(scores[f"c{j}"], np.eye(8)[j])
 
     def test_orthogonal_vector_scores_zero(self):
-        cavs = self._cavs(dim=16)
-        basis = np.stack([c.unit_normal for c in cavs])
+        cavs, complement = self._hadamard_cavs()
         rng = np.random.default_rng(1)
-        x = rng.normal(0, 1, 16)
-        x -= basis.T @ (basis @ x)  # remove the concept-subspace part
-        assert np.allclose(concept_scores(x, cavs), 0.0, atol=1e-9)
+        x = rng.integers(-8, 9, 8) @ complement  # outside the concept subspace
+        assert np.any(x != 0.0)
+        np.testing.assert_array_equal(self._scores([x], cavs)["c0"], np.zeros(8))
 
     def test_matches_bruteforce_dot_products(self):
         cavs = self._cavs(dim=16, seed=2)
         rng = np.random.default_rng(3)
-        x = rng.normal(0, 1, 16)
-        scores = concept_scores(x, cavs)
+        x = rng.normal(0, 1, 16).astype(np.float32)
+        scores = self._scores([x], cavs)["c0"]
         for i, cav in enumerate(cavs):
             manual = sum(float(a) * float(b) for a, b in zip(x, cav.unit_normal))
             assert scores[i] == pytest.approx(manual, abs=1e-9)
@@ -202,37 +218,39 @@ class TestConceptScores:
     def test_linearity(self):
         cavs = self._cavs(dim=16, seed=4)
         rng = np.random.default_rng(5)
-        x, z = rng.normal(0, 1, (2, 16))
+        # Small integers keep a * x + b * z exact in float32.
+        x, z = rng.integers(-8, 9, (2, 16)).astype(np.float64)
         a, b = 2.5, -1.25
-        combined = concept_scores(a * x + b * z, cavs)
-        expected = a * concept_scores(x, cavs) + b * concept_scores(z, cavs)
-        np.testing.assert_allclose(combined, expected, atol=1e-9)
+        scores = self._scores([a * x + b * z, x, z], cavs)
+        expected = a * scores["c1"] + b * scores["c2"]
+        np.testing.assert_allclose(scores["c0"], expected, atol=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            concept_scores(np.zeros(5), self._cavs(dim=16))
+            self._scores([np.zeros(5)], self._cavs(dim=16))
 
     def test_axes_of_mixed_dimensions_rejected(self):
         cavs = self._cavs(dim=16)
         cavs[3] = self._cavs(dim=9)[3]
         with pytest.raises(DimensionMismatch):
-            concept_scores(np.zeros(16), cavs)
-        with pytest.raises(DimensionMismatch):
-            score_table(EmbeddingTable({"c0": np.zeros(16)}), cavs)
+            self._scores([np.zeros(16)], cavs)
 
     def test_wrong_cav_count_rejected(self):
         with pytest.raises(InvariantViolation):
-            concept_scores(np.zeros(16), self._cavs()[:-1])
+            self._scores([np.zeros(16)], self._cavs()[:-1])
 
     def test_score_table_matches_single_scores(self):
-        cavs = self._cavs(dim=16, seed=6)
+        # Each clip is scored by its own product: a one-product table
+        # (all rows against the basis at once) may differ in the last
+        # bits, which would move every downstream threshold.
+        cavs = self._cavs(dim=64, seed=6)
         rng = np.random.default_rng(7)
-        emb = EmbeddingTable({f"c{i}": rng.normal(0, 1, 16) for i in range(5)})
+        emb = EmbeddingTable({f"c{i}": rng.normal(0, 1, 64) for i in range(50)})
+        basis = np.stack([cav.unit_normal for cav in cavs])
         table = score_table(emb, cavs)
+        assert list(table) == list(emb.clip_ids())
         for cid in emb.clip_ids():
-            np.testing.assert_allclose(
-                table[cid], concept_scores(emb[cid].astype(np.float64), cavs), atol=1e-9
-            )
+            assert table[cid].tobytes() == (emb[cid].astype(np.float64) @ basis.T).tobytes()
 
 
 class TestPresence:

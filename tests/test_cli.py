@@ -522,8 +522,90 @@ class TestMalformedInputs:
         err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 3)
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "model, flag, value, code, message",
+        [
+            ("mlp", "--batch", "0", 3, "MLP batch must be at least 1, got 0"),
+            ("mlp", "--batch", "-3", 3, "MLP batch must be at least 1, got -3"),
+            ("mlp", "--epochs", "-3", 3, "MLP epochs must be at least 0, got -3"),
+            ("mlp", "--lr", "0", 3, "MLP learning rate must be finite and > 0, got 0.0"),
+            ("mlp", "--lr", "-0.1", 3, "MLP learning rate must be finite and > 0, got -0.1"),
+            ("mlp", "--lr", "nan", 3, "MLP learning rate must be finite and > 0, got nan"),
+            ("mlp", "--lr", "inf", 3, "MLP learning rate must be finite and > 0, got inf"),
+            ("pcbm-dt", "--batch", "0", 3, "MLP batch must be at least 1, got 0"),
+            # A finite rate that is too large still trains, and diverges.
+            ("mlp", "--lr", "1e308", 5, "training diverged in epoch 1; lower the learning rate"),
+        ],
+    )
+    def test_eval_options_are_checked(
+        self, tmp_path, capsys, monkeypatch, model, flag, value, code, message
+    ):
+        # Both train rows' settings are checked before any concept axis
+        # is fitted, and nothing is written.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_all_cavs called before the options were checked")
+
+        monkeypatch.setattr(cbm, "fit_all_cavs", no_fit)
+        out = tmp_path / "o"
+        argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", model, flag, value]
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = self._exits(argv + ["--seed", "1", "--out", str(out)], capsys, code)
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_eval_zero_epochs_is_valid(self, tmp_path):
+        # Zero epochs keeps each draw's initialization, as documented.
+        argv = ["eval", *self._pcbm_inputs(tmp_path), "--epochs", "0", "--batch", "1"]
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("l2", ["nan", "-5", "inf"])
+    def test_error_l2_must_be_finite_and_non_negative(self, tmp_path, capsys, l2):
+        argv = ["error", *self._error_inputs(tmp_path), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--l2", "0"]) == 0
+        out = tmp_path / "bad"
+        err = self._exits(argv[:-1] + [str(out), "--l2", l2], capsys, 3)
+        assert err == f"error: L2 penalty must be finite and >= 0, got {float(l2)}\n"
+        assert not out.exists()
+
+    def test_clip_id_in_two_films(self, fusion_inputs, tmp_path, capsys):
+        # One id for clips of two films would give two merged records of
+        # c1 (S on juno, EN on sofia) that every later stage keys alike.
+        ann, clips = fusion_inputs
+        clips.write_text(FUSION_FIXTURE_CLIPS_CSV + "c1,sofia,0,60\n")
+        out = tmp_path / "out"
+        err = self._exits(["fuse", str(ann), str(clips), "--out", str(out)], capsys, 3)
+        assert err == "error: line 6: duplicate clip id 'c1'\n"
+        assert not out.exists()
+
+    def test_merged_labels_repeat_a_clip(self, tmp_path, capsys):
+        path = tmp_path / "merged.jsonl"
+        path.write_text(
+            '{"film": "juno", "clip": "c1", "level": "S", "concepts": ["Body"]}\n'
+            '{"film": "juno", "clip": "c2", "level": "EN"}\n'
+            '{"film": "sofia", "clip": "c1", "level": "HN", "concepts": ["Look"]}\n'
+        )
+        out = tmp_path / "out"
+        err = self._exits_2(["stats", str(path), "--out", str(out)], capsys)
+        assert err == "error: line 3: second record of clip 'c1'\n"
+        assert not out.exists()
+
     # c1..c6 are EN, S, HN, EN, S, HN; the valid rows miss only on c3.
     GOOD_ROWS = ["c1,0", "c2,1", "c3,1", "c4,0", "c5,1", "c6,0"]
+
+    def _error_inputs(self, tmp_path, rows=GOOD_ROWS):
+        """``error``'s labels (c1..c6) and predictions (``rows``) as paths."""
+        labels = tmp_path / "merged.jsonl"
+        labels.write_text(
+            "".join(
+                json.dumps({"clip": f"c{i}", "level": level, "concepts": concepts}) + "\n"
+                for i, (level, concepts) in enumerate(
+                    [("EN", []), ("S", ["Body"]), ("HN", ["Look"])] * 2, start=1
+                )
+            )
+        )
+        preds = tmp_path / "preds.csv"
+        preds.write_text("".join(row + "\n" for row in rows))
+        return [str(labels), str(preds)]
 
     @pytest.mark.parametrize(
         "rows",
@@ -536,18 +618,8 @@ class TestMalformedInputs:
         ],
     )
     def test_bad_predictions_to_error(self, tmp_path, capsys, rows):
-        labels = tmp_path / "merged.jsonl"
-        labels.write_text(
-            "".join(
-                json.dumps({"clip": f"c{i}", "level": level, "concepts": concepts}) + "\n"
-                for i, (level, concepts) in enumerate(
-                    [("EN", []), ("S", ["Body"]), ("HN", ["Look"])] * 2, start=1
-                )
-            )
-        )
-        preds = tmp_path / "preds.csv"
-        argv = ["error", str(labels), str(preds), "--out", str(tmp_path / "o")]
-        preds.write_text("".join(row + "\n" for row in self.GOOD_ROWS))
+        labels, preds = self._error_inputs(tmp_path)
+        argv = ["error", labels, preds, "--out", str(tmp_path / "o")]
         assert main(argv) == 0
-        preds.write_text("".join(row + "\n" for row in rows))
+        self._error_inputs(tmp_path, rows)
         self._exits_2(argv, capsys)

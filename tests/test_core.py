@@ -7,26 +7,22 @@ from gazelab import (
     ClipLabel,
     Concept,
     EmbeddingTable,
-    FrameTokenMatrix,
     ObjLevel,
     SpanAnnotation,
     dump_embeddings,
     load_embeddings,
     parse_annotations,
     parse_clip_index,
-    pool_frames,
-    serialize_annotations,
-    serialize_clip_index,
 )
 from gazelab.errors import (
     BadMagic,
     DimensionMismatch,
-    EmptyMatrix,
     InvariantViolation,
     MalformedRecord,
     NonFiniteValue,
     OverlappingClips,
 )
+from synthfix import serialize_annotations, serialize_clip_index
 
 
 class TestLevelsAndConcepts:
@@ -249,33 +245,3 @@ class TestEmbeddings:
     def test_duplicate_clip_rejected(self):
         with pytest.raises(InvariantViolation):
             EmbeddingTable([("a", np.zeros(2)), ("a", np.ones(2))])
-
-
-class TestPoolFrames:
-    def test_single_frame_identity(self):
-        m = FrameTokenMatrix("c", np.array([[1.0, -2.0, 3.0]]))
-        assert np.array_equal(pool_frames(m), np.array([1.0, -2.0, 3.0]))
-
-    def test_componentwise_max(self):
-        m = FrameTokenMatrix("c", np.array([[1.0, -2.0], [0.0, 5.0]]))
-        assert np.array_equal(pool_frames(m), np.array([1.0, 5.0]))
-
-    def test_matches_bruteforce_column_scan(self):
-        rng = np.random.default_rng(3)
-        tokens = rng.normal(0, 1, (7, 4))
-        pooled = pool_frames(FrameTokenMatrix("c", tokens))
-        # Independent oracle: explicit per-column loop.
-        expected = np.array([max(tokens[t][d] for t in range(7)) for d in range(4)])
-        assert np.array_equal(pooled, expected)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(4)
-        tokens = rng.normal(0, 1, (9, 6))
-        base = pool_frames(FrameTokenMatrix("c", tokens))
-        for _ in range(5):
-            shuffled = tokens[rng.permutation(9)]
-            assert np.array_equal(pool_frames(FrameTokenMatrix("c", shuffled)), base)
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(EmptyMatrix):
-            FrameTokenMatrix("c", np.zeros((0, 4)))

@@ -25,6 +25,7 @@ from gazelab.cli import main
 from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
     FUSION_FIXTURE_CLIPS_CSV,
+    ids_by_level,
     make_compositional,
     make_error_fixture,
     make_linear_task,
@@ -169,7 +170,7 @@ def test_eval_fits_each_train_row_once(tmp_path, monkeypatch):
     _write_inputs(tmp_path)
     assert main(RUNS["eval"]) == 0
     labels, _ = make_linear_task(2, n=500, dim=16)
-    plan = harness.make_folds(labels, seed=6)
+    plan = harness.make_folds_from_ids(ids_by_level(labels), seed=6)
     rows = (ObjLevel.EN, ObjLevel.HN)
     draws = [len(harness.balanced_train_sets(plan, ObjLevel.S, neg)) for neg in rows]
     assert len(calls) == sum(draws)

@@ -13,14 +13,13 @@ from gazelab import (
     SpanAnnotation,
     SweepRow,
     fuse,
-    labels_as_spans,
     merge,
     overlap_fraction,
     project,
     sweep_thresholds,
 )
 from gazelab.errors import ClipSetMismatch, EmptyInput, FilmMismatch, InvariantViolation
-from synthfix import random_fusion_fixture
+from synthfix import labels_as_spans, random_fusion_fixture
 
 CLIP = ClipDelimitation("c1", "f", 0.0, 10.0)
 
@@ -183,15 +182,14 @@ class TestSweep:
     def test_borderline_span_moves_between_thresholds(self):
         # One span covers 15% of its clip: counted at 0.1, dropped at 0.2.
         clips = [ClipDelimitation("c1", "f", 0.0, 10.0), ClipDelimitation("c2", "f", 10.0, 20.0)]
-        spans = {"a1": [span(0.0, 1.5, ObjLevel.S)]}
-        rows = sweep_thresholds(spans, clips, [0.1, 0.2])
+        rows = sweep_thresholds([span(0.0, 1.5, ObjLevel.S)], clips, [0.1, 0.2])
         assert rows[0].counts[ObjLevel.S] == 1 and rows[0].counts[ObjLevel.EN] == 1
         assert rows[1].counts[ObjLevel.S] == 0 and rows[1].counts[ObjLevel.EN] == 2
         assert rows[1].deltas[ObjLevel.S] == -1 and rows[1].deltas[ObjLevel.EN] == 1
 
     def test_single_threshold_zero_deltas(self):
         clips = [CLIP]
-        rows = sweep_thresholds({"a1": [span(0.0, 9.0, ObjLevel.S)]}, clips, [0.2])
+        rows = sweep_thresholds([span(0.0, 9.0, ObjLevel.S)], clips, [0.2])
         assert len(rows) == 1
         assert all(d == 0 for d in rows[0].deltas.values())
 
@@ -201,14 +199,15 @@ class TestSweep:
         rng = np.random.default_rng(13)
         for _ in range(15):
             clips, spans_by = random_fusion_fixture(rng)
-            rows = sweep_thresholds(spans_by, clips, [0.1, 0.2, 0.3, 0.4])
+            spans = [s for group in spans_by.values() for s in group]
+            rows = sweep_thresholds(spans, clips, [0.1, 0.2, 0.3, 0.4])
             for before, after in zip(rows, rows[1:]):
                 assert after.counts[ObjLevel.S] <= before.counts[ObjLevel.S]
                 assert after.counts[ObjLevel.EN] >= before.counts[ObjLevel.EN]
 
     def test_no_thresholds_rejected(self):
         with pytest.raises(EmptyInput):
-            sweep_thresholds({"a1": []}, [CLIP], [])
+            sweep_thresholds([], [CLIP], [])
 
 
 class TestFuse:
@@ -217,7 +216,7 @@ class TestFuse:
         with pytest.raises(FilmMismatch, match="'ghost'"):
             fuse([span(0.0, 9.0, ObjLevel.S), ghost], [CLIP])
         with pytest.raises(FilmMismatch, match="'ghost'"):
-            sweep_thresholds({"a1": [ghost]}, [CLIP], [0.2])
+            sweep_thresholds([ghost], [CLIP], [0.2])
 
     def test_roster_adds_implicit_en_timeline(self):
         spans = [span(0.0, 9.0, ObjLevel.S)]
@@ -376,11 +375,12 @@ class TestAllPairsReference:
         rng = np.random.default_rng(2025)
         for _ in range(REFERENCE_FIXTURES):
             clips, spans_by = reference_fixture(rng)
+            spans = [s for group in spans_by.values() for s in group]
             thresholds = reference_thresholds(rng)
             for basis in OverlapBasis:
                 expected = all_pairs_sweep(spans_by, clips, thresholds, basis)
-                assert sweep_thresholds(spans_by, clips, thresholds, basis) == expected
-                # Any order of thresholds, deltas against the first one.
+                assert sweep_thresholds(spans, clips, thresholds, basis) == expected
+                # Any order of thresholds or spans, deltas against the first threshold.
                 backwards = thresholds[::-1]
                 expected = all_pairs_sweep(spans_by, clips, backwards, basis)
-                assert sweep_thresholds(spans_by, clips, backwards, basis) == expected
+                assert sweep_thresholds(spans[::-1], clips, backwards, basis) == expected

@@ -1,4 +1,4 @@
-"""Folds, balanced draws, task evaluation, splits, and error factors."""
+"""Folds, balanced draws, task evaluation, and error factors."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from gazelab import (
     balanced_train_sets,
     error_factor_analysis,
     f1,
-    leave_movies_out,
-    make_folds,
     make_folds_from_ids,
     run_task,
     trivial_baseline_f1,
@@ -22,15 +20,12 @@ from gazelab import (
 from gazelab.errors import (
     ClassTooSmall,
     DegenerateTarget,
-    EmptyFilm,
-    EmptyFilmWarning,
-    FilmOverlap,
     InvariantViolation,
     NoTrainData,
     PreconditionError,
 )
 from gazelab.harness import derive_seed
-from synthfix import make_error_fixture, make_linear_task
+from synthfix import ids_by_level, make_error_fixture, make_linear_task
 
 
 def labels_of(n_s, n_en, n_hn=0):
@@ -46,7 +41,7 @@ def labels_of(n_s, n_en, n_hn=0):
 
 class TestFolds:
     def test_equal_folds_with_reserved_test_and_validation(self):
-        plan = make_folds(labels_of(100, 100), seed=0)
+        plan = make_folds_from_ids(ids_by_level(labels_of(100, 100)), seed=0)
         for cls in (ObjLevel.S, ObjLevel.EN):
             sizes = [len(f) for f in plan.folds[cls]]
             assert sizes == [10] * 10
@@ -54,17 +49,17 @@ class TestFolds:
         assert plan.val_fold == 8
 
     def test_singleton_folds_at_boundary(self):
-        plan = make_folds(labels_of(10, 10), seed=1)
+        plan = make_folds_from_ids(ids_by_level(labels_of(10, 10)), seed=1)
         assert all(len(f) == 1 for f in plan.folds[ObjLevel.S])
 
     def test_same_seed_identical_plan(self):
-        labels = labels_of(40, 60)
-        assert make_folds(labels, seed=7) == make_folds(labels, seed=7)
-        assert make_folds(labels, seed=7) != make_folds(labels, seed=8)
+        ids = ids_by_level(labels_of(40, 60))
+        assert make_folds_from_ids(ids, seed=7) == make_folds_from_ids(ids, seed=7)
+        assert make_folds_from_ids(ids, seed=7) != make_folds_from_ids(ids, seed=8)
 
     def test_folds_partition_each_class(self):
         labels = labels_of(37, 53)
-        plan = make_folds(labels, seed=3)
+        plan = make_folds_from_ids(ids_by_level(labels), seed=3)
         for cls, expected in ((ObjLevel.S, 37), (ObjLevel.EN, 53)):
             ids = [cid for fold in plan.folds[cls] for cid in fold]
             assert len(ids) == len(set(ids)) == expected
@@ -73,13 +68,13 @@ class TestFolds:
 
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
-            make_folds(labels_of(9, 100), seed=0)
+            make_folds_from_ids(ids_by_level(labels_of(9, 100)), seed=0)
 
 
 class TestBalancedTrainSets:
     def test_imbalance_three_draws(self):
         # 100 S / 300 EN: train folds hold 80 / 240, giving 3 sets of 80+80.
-        plan = make_folds(labels_of(100, 300), seed=0)
+        plan = make_folds_from_ids(ids_by_level(labels_of(100, 300)), seed=0)
         sets = balanced_train_sets(plan, ObjLevel.S, ObjLevel.EN)
         assert len(sets) == 3
         drawn = set()
@@ -89,7 +84,7 @@ class TestBalancedTrainSets:
             drawn |= set(neg)
 
     def test_equal_classes_single_full_set(self):
-        plan = make_folds(labels_of(50, 50), seed=0)
+        plan = make_folds_from_ids(ids_by_level(labels_of(50, 50)), seed=0)
         sets = balanced_train_sets(plan, ObjLevel.S, ObjLevel.EN)
         assert len(sets) == 1
         pos, neg = sets[0]
@@ -97,7 +92,7 @@ class TestBalancedTrainSets:
 
     def test_leftover_negatives_unused(self):
         # 100 S / 125 EN: train folds hold 80 / 100, one set, 20 unused.
-        plan = make_folds(labels_of(100, 125), seed=0)
+        plan = make_folds_from_ids(ids_by_level(labels_of(100, 125)), seed=0)
         sets = balanced_train_sets(plan, ObjLevel.S, ObjLevel.EN)
         assert len(sets) == 1
         assert len(sets[0][1]) == 80
@@ -218,45 +213,6 @@ class TestRunTask:
         early = [derive_seed(42, 1, i) for i in range(3)]
         later = [derive_seed(42, 1, i) for i in range(6)]
         assert later[:3] == early
-
-
-class TestLeaveMoviesOut:
-    def _labels_by_film(self, n_films=12, with_s=True):
-        films = {}
-        for i in range(n_films):
-            name = f"film{i:02d}"
-            labels = [ClipLabel(f"{name}_e{j}", ObjLevel.EN, frozenset()) for j in range(3)]
-            if with_s:
-                labels.append(ClipLabel(f"{name}_s", ObjLevel.S, frozenset({Concept.BODY})))
-            films[name] = labels
-        return films
-
-    def test_partition(self):
-        films = self._labels_by_film()
-        split = leave_movies_out(films, "film00", "film01")
-        all_ids = {l.clip_id for labels in films.values() for l in labels}
-        got = (
-            {l.clip_id for l in split.train}
-            | {l.clip_id for l in split.validation}
-            | {l.clip_id for l in split.test}
-        )
-        assert got == all_ids
-        assert len(split.train) + len(split.validation) + len(split.test) == len(all_ids)
-        assert {l.clip_id for l in split.test} == {l.clip_id for l in films["film00"]}
-
-    def test_film_overlap_rejected(self):
-        with pytest.raises(FilmOverlap):
-            leave_movies_out(self._labels_by_film(), "film00", "film00")
-
-    def test_missing_film_rejected(self):
-        with pytest.raises(EmptyFilm):
-            leave_movies_out(self._labels_by_film(), "nope", "film01")
-
-    def test_zero_positive_test_film_warns(self):
-        films = self._labels_by_film(with_s=True)
-        films["film00"] = [ClipLabel("film00_e0", ObjLevel.EN, frozenset())]
-        with pytest.warns(EmptyFilmWarning):
-            leave_movies_out(films, "film00", "film01")
 
 
 class TestErrorFactors:

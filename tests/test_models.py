@@ -10,7 +10,6 @@ from gazelab import (
     f1,
     init_mlp,
     mlp_gradient,
-    model_from_json,
     model_to_json,
     train_logreg,
     train_mlp,
@@ -28,7 +27,7 @@ from gazelab.errors import (
     PreconditionError,
     SingleClass,
 )
-from synthfix import mlp_gradcheck_worst_error
+from synthfix import mlp_gradcheck_worst_error, model_from_json
 
 
 def blobs(seed, n_per=100, dim=4, center=3.0):
@@ -301,15 +300,17 @@ class TestTree:
         assert tree.root.is_leaf and tree.root.majority == 1
 
     def test_depth_cap_and_min_leaf(self):
+        # Depth is the only growth limit; every split leaves at least one
+        # sample on each side, so no leaf is empty.
         rng = np.random.default_rng(1)
         X = rng.normal(0, 1, (200, 4))
         y = rng.integers(0, 2, 200)
-        tree = train_tree(X, y, max_depth=3, min_leaf=5)
-        assert tree.depth() <= 3
+        tree = train_tree(X, y, max_depth=3)
+        assert tree.depth() == 3
 
         def check(node):
             if node.is_leaf:
-                assert node.class_counts.sum() >= 5
+                assert node.class_counts.sum() >= 1
             else:
                 check(node.left)
                 check(node.right)
@@ -398,7 +399,7 @@ class TestTree:
 
     def test_min_samples_precondition(self):
         with pytest.raises(PreconditionError):
-            train_tree(np.zeros((3, 1)), np.array([0, 1, 0]), min_leaf=2)
+            train_tree(np.zeros((1, 1)), np.array([0]))
 
 
 class TestMlp:
@@ -484,8 +485,8 @@ class TestMlp:
             total = 0.0
             for start in range(0, len(y), batch):
                 idx = perm[start : start + batch]
-                total += model.loss(X[idx], y[idx]) * len(idx)
-                grads = mlp_gradient(model, X[idx], y[idx])
+                *grads, loss = mlp_gradient(model, X[idx], y[idx])
+                total += loss * len(idx)
                 for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
                     param -= lr * grad
             assert total / len(y) == result.epoch_losses[epoch]
