@@ -12,16 +12,24 @@ one stacked solve (median of N // 2 runs). For the stack it also prints
 how far each stacked problem is from its one-by-one fit: the largest
 absolute weight difference and the largest relative difference of the
 SVM objective, lam/2 * |w|^2 + mean hinge with lam = 1/(C * rows).
-BLAS runs on one thread.
+A last line times ``cbm.fit_all_cavs`` (EN-only negatives, median of N
+runs) on the inputs of the concepts benchmark's seed 1, written by
+``perfbench/workloads.generate_concepts`` into a temporary directory
+and read back as ``gazelab cav`` reads them: 180 clips at 64
+dimensions, one concept cross-validated and seven too rare to fold. Its
+sha256 of the axes' bytes tells whether two checkouts fit the same
+axes. BLAS runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -30,6 +38,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 DRAWS, ROWS, POSITIVES = 8, 144, 96
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def median_s(fn, repeats: int) -> tuple[float, object]:
@@ -55,7 +64,7 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import numpy as np
-    from gazelab import models
+    from gazelab import cbm, models
 
     stack = getattr(models, "train_svm_stack", None)
     for dim in (64, 512):
@@ -88,6 +97,23 @@ def main() -> None:
                     dobj.append(abs(objective(a, X[d], y[d], c) - ref) / ref)
             row["max_abs_dw"], row["max_rel_dobj"] = max(dw), max(dobj)
         print(json.dumps(row), flush=True)
+
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    from gazelab import cli
+
+    with tempfile.TemporaryDirectory() as root:
+        shape = workloads.generate_concepts(Path(root), seed=1)
+        inputs = argparse.Namespace(
+            embeddings=str(Path(root, workloads.EMB)), labels=str(Path(root, workloads.MERGED))
+        )
+        emb, labels = cli._load_task_inputs(inputs)
+    all_s, cavs = median_s(lambda: cbm.fit_all_cavs(emb, labels, seed=1), args.repeats)
+    digest = hashlib.sha256()
+    for cav in cavs:
+        digest.update(cav.unit_normal.tobytes() + repr((cav.bias, cav.cv_f1)).encode())
+    row = {"clips": shape["clips"], "dim": shape["dim"], "fit_all_cavs_s": all_s}
+    print(json.dumps({**row, "sha256": digest.hexdigest()}), flush=True)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from each test composition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Hashable, Iterable, Mapping, Sequence
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .models import (
     Metrics,
+    check_mlp_settings,
     f1,
     train_logreg,
     train_mlp,
@@ -159,12 +159,7 @@ class TaskConfig:
     def __post_init__(self):
         if self.train_negatives not in (ObjLevel.EN, ObjLevel.HN):
             raise InvariantViolation("train negatives must be EN or HN")
-        if self.mlp_epochs < 0:
-            raise InvariantViolation(f"MLP epochs must be at least 0, got {self.mlp_epochs}")
-        if self.mlp_batch < 1:
-            raise InvariantViolation(f"MLP batch must be at least 1, got {self.mlp_batch}")
-        if not (math.isfinite(self.mlp_lr) and self.mlp_lr > 0):
-            raise InvariantViolation(f"MLP learning rate must be finite and > 0, got {self.mlp_lr}")
+        check_mlp_settings(self.mlp_epochs, self.mlp_batch, self.mlp_lr)
 
     def describe(self) -> dict:
         return {

@@ -90,7 +90,8 @@ def train_svm_stack(
     tolerance ``cs[j]``. Each product runs one gemm per draw over the C
     problems, so a draw's results are bit-identical whatever draws share
     its stack, while a problem may differ from ``train_svm(X[d], y[d],
-    cs[j], max_iter)`` in the last bits (about 1e-15).
+    cs[j], max_iter)`` in the last bits (about 1e-15) unless ``cs`` has
+    one value.
 
     Every problem runs five stages of at most ``max_iter // 5`` steps,
     each restarting from the problem's best objective with a step five
@@ -441,6 +442,17 @@ class MlpTrainResult:
     epoch_losses: list[float] = field(default_factory=list)
 
 
+def check_mlp_settings(epochs: int, batch: int, lr: float) -> None:
+    """Raise ``InvariantViolation`` unless ``train_mlp`` can run these."""
+    if epochs < 0:
+        raise InvariantViolation(f"MLP epochs must be at least 0, got {epochs}")
+    if batch < 1:
+        raise InvariantViolation(f"MLP batch must be at least 1, got {batch}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvariantViolation(f"MLP learning rate must be finite and > 0, got {lr}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises NonFiniteLoss alone
 def train_mlp(
     X: np.ndarray,
     y: np.ndarray,
@@ -460,6 +472,7 @@ def train_mlp(
     the first epoch with a non-finite mini-batch loss or validation
     probability (the latter catches the run's last update).
     """
+    check_mlp_settings(epochs, batch, lr)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_binary_training_data(X, y)

@@ -14,8 +14,10 @@ from gazelab import (
     ObjLevel,
     balanced_train_sets,
     build_concept_sets,
+    cbm,
     concept_presence_f1,
     export_tree_report,
+    fit_all_cavs,
     fit_cav,
     make_folds_from_ids,
     model_to_json,
@@ -23,6 +25,7 @@ from gazelab import (
     train_logreg,
     train_pcbm,
     train_svm,
+    train_svm_stack,
     train_tree,
 )
 from gazelab.cbm import DEFAULT_C_GRID, CavCvConfig
@@ -155,6 +158,75 @@ class TestFitCav:
         assert np.array_equal(cav.unit_normal, model.weights / norm)
         assert cav.bias == model.bias / norm
         assert cav.cv_f1 == f1(model.predict(test_X), test_y).f1
+
+
+FOLDED = (Concept.LOOK, Concept.BODY)
+
+
+def two_folded_six_rare():
+    """40 EN clips, 24 S clips each for LOOK and BODY, 3 or 5 HN clips for each other concept.
+
+    LOOK and BODY are cross-validated in both negative modes, on sets of
+    the same sizes, so their grids could share stacks. Every other
+    concept is too rare to fold; with EN-only negatives the rare
+    concepts' training sets have two row counts (43 and 45).
+    """
+    rng = np.random.default_rng(21)
+    labels = [lbl(f"en{i}", ObjLevel.EN) for i in range(40)]
+    for concept in CONCEPTS:
+        count = 24 if concept in FOLDED else 3 if int(concept) % 2 else 5
+        level = ObjLevel.S if concept in FOLDED else ObjLevel.HN
+        labels += [lbl(f"{concept.label}{i}", level, concept) for i in range(count)]
+    rows = {}
+    for label in labels:
+        rows[label.clip_id] = rng.normal(0, 1, 8)
+        for concept in label.concepts:
+            rows[label.clip_id][int(concept)] += 1.5
+    return labels, EmbeddingTable(rows)
+
+
+class TestFitAllCavs:
+    @pytest.mark.parametrize("mode", list(NegativeMode))
+    def test_final_fits_share_stacks_and_match_fit_cav(self, monkeypatch, mode):
+        labels, emb = two_folded_six_rare()
+        calls = []
+
+        def counted(X, y, cs, max_iter=2500):
+            calls.append((X.shape[1], tuple(cs), X.shape[0]))
+            return train_svm_stack(X, y, cs, max_iter)
+
+        monkeypatch.setattr(cbm, "train_svm_stack", counted)
+        cavs = fit_all_cavs(emb, labels, mode=mode, seed=5)
+        shared = list(calls)
+        alone = {}  # concept → its fit_cav's (rows, C tuple, problems) calls
+        for cav, concept in zip(cavs, CONCEPTS):
+            pos, neg = build_concept_sets(labels, concept, mode)
+            calls[:] = []
+            single = fit_cav(emb, pos, neg, concept, mode=mode, seed=derive_seed(5, 4, int(concept)))
+            assert cav.concept is concept and cav.negative_mode is mode
+            assert np.array_equal(cav.unit_normal, single.unit_normal)
+            assert cav.bias == single.bias
+            assert cav.cv_f1 == single.cv_f1
+            alone[concept] = list(calls)
+
+        # The grids run concept by concept, as fit_cav runs them, although
+        # LOOK's and BODY's have the same row counts.
+        def grids(calls):
+            return [call for call in calls if call[1] == DEFAULT_C_GRID]
+
+        assert grids(shared) == [call for c in CONCEPTS for call in grids(alone[c])]
+        assert [call[0] for call in grids(alone[Concept.LOOK])] == [
+            call[0] for call in grids(alone[Concept.BODY])
+        ]
+        # The final fits, one per concept at one C, make one stack per
+        # distinct (rows, C) holding every concept's fit of that key.
+        finals = [call for call in shared if call[1] != DEFAULT_C_GRID]
+        expected = {}
+        for concept in CONCEPTS:
+            ((rows, cs, draws),) = [call for call in alone[concept] if len(call[1]) == 1]
+            expected[rows, cs] = expected.get((rows, cs), 0) + draws
+        assert {(rows, cs): draws for rows, cs, draws in finals} == expected
+        assert len(finals) == len(expected) < len(CONCEPTS)
 
 
 class TestConceptScores:

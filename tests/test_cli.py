@@ -1,10 +1,16 @@
 """Command-line drivers: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gazelab
 from gazelab import CONCEPTS, ConceptVector, EmbeddingTable, NegativeMode, cbm, dump_embeddings
 from gazelab.cli import main
 from synthfix import (
@@ -548,10 +554,27 @@ class TestMalformedInputs:
         monkeypatch.setattr(cbm, "fit_all_cavs", no_fit)
         out = tmp_path / "o"
         argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", model, flag, value]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             err = self._exits(argv + ["--seed", "1", "--out", str(out)], capsys, code)
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_divergence_prints_one_line(self, tmp_path):
+        # In a fresh interpreter numpy's overflow warnings would reach
+        # stderr: the diverging run must print only its error.
+        argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", "mlp", "--lr", "1e308"]
+        paths = [str(Path(gazelab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gazelab.cli", *argv, "--seed", "1", "--out", str(tmp_path / "o")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr == "error: training diverged in epoch 1; lower the learning rate\n"
 
     def test_eval_zero_epochs_is_valid(self, tmp_path):
         # Zero epochs keeps each draw's initialization, as documented.

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gazelab import (
 from gazelab.cbm import DEFAULT_C_GRID
 from gazelab.errors import (
     BothZero,
+    InvariantViolation,
     LengthMismatch,
     NonFiniteInput,
     NonFiniteLoss,
@@ -235,6 +237,21 @@ class TestSvmStack:
         # after 1,200-2,000 steps) with problems that run all 2,500 steps,
         # so the per-problem stop masks are exercised.
         assert min(steps) < 2500 and max(steps) == 2500
+
+    def test_one_c_over_unrelated_draws_matches_train_svm_bits(self):
+        # fit_all_cavs stacks the single-C fits of different concepts that
+        # share a row count; each must be train_svm's fit on its own draw.
+        rng = np.random.default_rng(3)
+        draws, n, dim = 4, 50, 16
+        X = rng.normal(size=(draws, n, dim)) * np.array([0.5, 1.0, 2.0, 4.0])[:, None, None]
+        y = (rng.random((draws, n)) < np.array([0.2, 0.4, 0.6, 0.8])[:, None]).astype(np.int64)
+        X[..., 0] += np.array([0.0, 0.5, 2.0, 8.0])[:, None] * y  # from overlapping to separable
+        for c in (0.01, 1.0, 100.0):
+            stack = train_svm_stack(X, y, (c,))
+            for d in range(draws):
+                single = train_svm(X[d], y[d], c=c)
+                assert np.array_equal(stack[d][0].weights, single.weights)
+                assert stack[d][0].bias == single.bias
 
     def test_agrees_with_the_per_fit_loop(self):
         # The dense subgradient sums the same violators in a different
@@ -457,16 +474,35 @@ class TestMlp:
         assert a.epoch_losses == b.epoch_losses
 
     def test_divergence_raises(self):
+        # The overflow on the way raises no numpy warning.
         X, y = blobs(3, n_per=20)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
+        with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
+            warnings.simplefilter("error")
             train_mlp(X * 1e6, y, X, y, epochs=50, lr=1e3, batch=8, seed=0)
 
     def test_divergence_in_the_last_update_raises(self):
         # One epoch of one batch: its loss is taken before the update that
         # diverges, so only the check on the validation output can see it.
         X, y = blobs(3, n_per=20)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
+        with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
+            warnings.simplefilter("error")
             train_mlp(X, y, X, y, epochs=1, lr=1e308, batch=len(y))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"epochs": -1}, "MLP epochs must be at least 0, got -1"),
+            ({"batch": 0}, "MLP batch must be at least 1, got 0"),
+            ({"lr": 0.0}, "MLP learning rate must be finite and > 0, got 0.0"),
+            ({"lr": float("nan")}, "MLP learning rate must be finite and > 0, got nan"),
+            ({"lr": float("inf")}, "MLP learning rate must be finite and > 0, got inf"),
+        ],
+    )
+    def test_settings_are_checked(self, setting, message):
+        X, y = blobs(3, n_per=20)
+        with pytest.raises(InvariantViolation) as raised:
+            train_mlp(X, y, X, y, **setting)
+        assert str(raised.value) == message
 
     def test_returns_first_best_validation_epoch(self):
         # Oracle: replay the training loop by hand to get the parameters
