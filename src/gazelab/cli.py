@@ -5,8 +5,9 @@ Subcommands: ``fuse``, ``gamma``, ``stats``, ``cav``, ``pcbm``,
 files), 3 for invariant violations, 4 for precondition failures, 5 for
 numerical divergence. Stochastic subcommands require a seed, either
 via ``--seed`` or the ``OBY_SEED`` environment variable; every run is
-fully reproducible and every output embeds its resolved configuration
-in a header comment or sidecar JSON, never a timestamp.
+fully reproducible. Every CSV and JSON report records the run's resolved
+configuration (``_resolved``), never a timestamp: in a ``# config:``
+line, a ``config`` object or ``merged.config.json``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ SEED_ENV_VAR = "OBY_SEED"
 EXIT_CODES = {
     ParseError: 2, FileNotFoundError: 2, InvariantError: 3, PreconditionError: 4, NumericError: 5
 }
+
+
+def _resolved(args: argparse.Namespace, **values) -> dict:
+    """A run's configuration: every parsed argument but ``--out``, with
+    ``values`` (the resolved seed, say) written over the parsed ones."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    return {**cfg, **values}
 
 
 def _config_line(cfg: dict) -> str:
@@ -168,13 +176,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         rows = fusion_mod.sweep_thresholds(spans, clips, thresholds, basis)
 
     out = Path(args.out)
-    resolved = {
-        "command": "fuse",
-        "annotations": args.annotations,
-        "clips": args.clips,
-        "threshold": args.threshold,
-        "basis": args.basis,
-    }
+    resolved = _resolved(args)
+    del resolved["sweep"]  # recorded in sweep.csv, the one output it shapes
 
     merged_lines = []
     for film in sorted(merged):
@@ -242,13 +245,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     sequences = {film: _aligned_sequences(film, ratings) for film, ratings in films.items()}
     summary = gamma_per_film_and_average(sequences, cfg)
 
-    resolved = {
-        "command": "gamma",
-        "projections": args.projections,
-        "n_null": args.n_null,
-        "seed": seed,
-        "exclude": sorted(lv.name for lv in excluded),
-    }
+    resolved = _resolved(args, seed=seed, exclude=sorted(lv.name for lv in excluded))
     lines = [_config_line(resolved), "film,pair,gamma,delta_a,delta_c,n_pairs"]
     for row in summary.per_pair:
         r = row.result
@@ -269,7 +266,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not labels:
         raise PreconditionError(f"no labels found in {args.labels}")
     summary = summarize(labels)
-    resolved = {"command": "stats", "labels": args.labels}
+    resolved = _resolved(args)
     lines = [_config_line(resolved), "level,concept,count,fraction"]
     for level, concept, count, fraction in summary_rows(summary):
         lines.append(f"{level},{concept},{count},{fraction:.6f}")
@@ -312,13 +309,7 @@ def cmd_cav(args: argparse.Namespace) -> int:
         "en-plus-without": [cbm_mod.NegativeMode.EN_PLUS_WITHOUT],
         "both": [cbm_mod.NegativeMode.EN_ONLY, cbm_mod.NegativeMode.EN_PLUS_WITHOUT],
     }[args.mode]
-    resolved = {
-        "command": "cav",
-        "embeddings": args.embeddings,
-        "labels": args.labels,
-        "mode": args.mode,
-        "seed": seed,
-    }
+    resolved = _resolved(args, seed=seed)
     out = Path(args.out)
     csv_lines = [_config_line(resolved), "concept,mode,f1"]
     for mode in modes:
@@ -362,16 +353,7 @@ def cmd_pcbm(args: argparse.Namespace) -> int:
         test_negatives=test_neg,
         seed=seed,
     )
-    resolved = {
-        "command": "pcbm",
-        "embeddings": args.embeddings,
-        "labels": args.labels,
-        "kind": args.kind,
-        "train_neg": args.train_neg,
-        "test_neg": args.test_neg,
-        "cavs": args.cavs,
-        "seed": seed,
-    }
+    resolved = _resolved(args, seed=seed)
     out = Path(args.out)
     doc = {
         "config": resolved,
@@ -416,16 +398,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for cfg in configs
     }
 
-    resolved = {
-        "command": "eval",
-        "embeddings": args.embeddings,
-        "labels": args.labels,
-        "model": args.model,
-        "seed": seed,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "batch": args.batch,
-    }
+    resolved = _resolved(args, seed=seed)
     out = Path(args.out)
     # Reports are listed column by column.
     reports = [r.to_json() for column in zip(*rows.values()) for r in column]
@@ -478,12 +451,7 @@ def cmd_error(args: argparse.Namespace) -> int:
     pred_list = [preds[lbl.clip_id] for lbl in ordered]
     truth_list = [truths[lbl.clip_id] for lbl in ordered] if truths else None
     weights = error_factor_analysis(ordered, pred_list, truth_list, l2=args.l2)
-    resolved = {
-        "command": "error",
-        "labels": args.labels,
-        "predictions": args.predictions,
-        "l2": args.l2,
-    }
+    resolved = _resolved(args)
     lines = [_config_line(resolved), "factor,weight"]
     for name in FACTOR_NAMES:
         lines.append(f"{name},{weights.weights[name]:.6f}")

@@ -30,6 +30,11 @@ from .errors import (
 
 MODEL_FORMAT = "gazelab-model/1"
 MLP_HIDDEN = 128
+#: Step budget of every SVM problem, over its five stages.
+SVM_MAX_ITER = 2500
+#: Iteration cap and gradient infinity-norm stop of logistic regression.
+LOGREG_MAX_ITER = 10000
+LOGREG_TOL = 1e-6
 
 
 def _check_binary_training_data(X: np.ndarray, y: np.ndarray) -> None:
@@ -60,12 +65,7 @@ class LinearModel:
         return (self.decision(X) > 0).astype(np.int64)
 
 
-def train_svm(
-    X: np.ndarray,
-    y: np.ndarray,
-    c: float = 1.0,
-    max_iter: int = 2500,
-) -> LinearModel:
+def train_svm(X: np.ndarray, y: np.ndarray, c: float = 1.0) -> LinearModel:
     """L2-regularized hinge loss, regularization strength 1/(c*n).
 
     Full-batch subgradient descent with a staged step-size decay and
@@ -74,15 +74,10 @@ def train_svm(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    return train_svm_stack(X[None], y[None], (c,), max_iter)[0][0]
+    return train_svm_stack(X[None], y[None], (c,))[0][0]
 
 
-def train_svm_stack(
-    X: np.ndarray,
-    y: np.ndarray,
-    cs: Sequence[float],
-    max_iter: int = 2500,
-) -> list[list[LinearModel]]:
+def train_svm_stack(X: np.ndarray, y: np.ndarray, cs: Sequence[float]) -> list[list[LinearModel]]:
     """Fit every (draw, C) problem of a stack in one lockstep descent.
 
     ``X`` is ``(draws, n, dim)`` and ``y`` is ``(draws, n)``; entry
@@ -90,10 +85,9 @@ def train_svm_stack(
     tolerance ``cs[j]``. Each product runs one gemm per draw over the C
     problems, so a draw's results are bit-identical whatever draws share
     its stack, while a problem may differ from ``train_svm(X[d], y[d],
-    cs[j], max_iter)`` in the last bits (about 1e-15) unless ``cs`` has
-    one value.
+    cs[j])`` in the last bits (about 1e-15) unless ``cs`` has one value.
 
-    Every problem runs five stages of at most ``max_iter // 5`` steps,
+    Every problem runs five stages of at most ``SVM_MAX_ITER // 5`` steps,
     each restarting from the problem's best objective with a step five
     times smaller. A problem stops for the rest of its stage after 101
     steps without improving its best objective by a relative 1e-12; it
@@ -153,7 +147,7 @@ def train_svm_stack(
     improved = np.empty(shape, dtype=bool)
     improved_col = improved[..., None]
     stages = 5
-    per_stage = max(1, max_iter // stages)
+    per_stage = SVM_MAX_ITER // stages
     for stage in range(stages):
         eta = (eta0 / (5.0**stage))[:, None, None]
         if stage:
@@ -191,18 +185,12 @@ def train_svm_stack(
     ]
 
 
-def train_logreg(
-    X: np.ndarray,
-    y: np.ndarray,
-    l2: float = 0.0,
-    max_iter: int = 10000,
-    tol: float = 1e-6,
-) -> LinearModel:
+def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
     """L2-penalized logistic regression by plain gradient descent.
 
     The bias is unpenalized. Stops when the gradient infinity norm
-    drops below ``tol`` or at the iteration cap. Deterministic from a
-    zero start.
+    drops below ``LOGREG_TOL`` or after ``LOGREG_MAX_ITER`` steps.
+    Deterministic from a zero start.
     """
     if not (math.isfinite(l2) and l2 >= 0):
         raise InvariantViolation(f"L2 penalty must be finite and >= 0, got {l2}")
@@ -219,13 +207,13 @@ def train_logreg(
 
     w = np.zeros(dim)
     b = 0.0
-    for _ in range(max_iter):
+    for _ in range(LOGREG_MAX_ITER):
         z = s * (X @ w + b)
         # sigmoid(-z), stable on both tails
         sig = np.exp(-np.logaddexp(0.0, z))
         gw = -(X.T @ (s * sig)) / n + l2 * w
         gb = -(s * sig).mean()
-        if max(np.abs(gw).max(), abs(gb)) < tol:
+        if max(np.abs(gw).max(), abs(gb)) < LOGREG_TOL:
             break
         w -= step * gw
         b -= step * gb
@@ -277,14 +265,6 @@ class DecisionTree:
             return 1 + max(walk(node.left), walk(node.right))
 
         return walk(self.root)
-
-
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
 
 
 def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, float] | None:

@@ -83,18 +83,8 @@ def per_annotator_trend(
         labels = per_annotator[annotator_id]
         if not labels:
             raise EmptyInput(f"annotator {annotator_id!r} has no labels")
-        totals: dict[ObjLevel, int] = {}
-        counts: dict[ObjLevel, int] = {}
-        for lbl in labels:
-            if lbl.level in POSITIVE_LEVELS:
-                totals[lbl.level] = totals.get(lbl.level, 0) + len(lbl.concepts)
-                counts[lbl.level] = counts.get(lbl.level, 0) + 1
-        means = {
-            level: totals[level] / counts[level]
-            for level in POSITIVE_LEVELS
-            if level in counts
-        }
-        ordered = [means[level] for level in POSITIVE_LEVELS if level in means]
+        means = summarize(labels).mean_concepts_per_level
+        ordered = list(means.values())
         non_decreasing = all(a <= b for a, b in zip(ordered, ordered[1:]))
         out[annotator_id] = AnnotatorTrend(means=means, non_decreasing=non_decreasing)
     return out

@@ -191,9 +191,9 @@ class TestFitAllCavs:
         labels, emb = two_folded_six_rare()
         calls = []
 
-        def counted(X, y, cs, max_iter=2500):
+        def counted(X, y, cs):
             calls.append((X.shape[1], tuple(cs), X.shape[0]))
-            return train_svm_stack(X, y, cs, max_iter)
+            return train_svm_stack(X, y, cs)
 
         monkeypatch.setattr(cbm, "train_svm_stack", counted)
         cavs = fit_all_cavs(emb, labels, mode=mode, seed=5)

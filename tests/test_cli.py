@@ -1,5 +1,6 @@
 """Command-line drivers: exit codes, file outputs, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import gazelab
 from gazelab import CONCEPTS, ConceptVector, EmbeddingTable, NegativeMode, cbm, dump_embeddings
-from gazelab.cli import main
+from gazelab.cli import build_parser, main
 from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
     FUSION_FIXTURE_CLIPS_CSV,
@@ -315,6 +316,157 @@ class TestEval:
             outs.append(out)
         for fname in ("eval_report.json", "eval_table.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+# Each command with every option at a non-default value, the values its
+# header must record (besides "command" and the seed) and the outputs
+# that carry it, each with the keys only that output records.
+HEADER_CASES = {
+    "fuse": (
+        ["{ann}", "{clips}", "--threshold", "0.3", "--basis", "span", "--sweep", "0.4,0.1"],
+        {"annotations": "{ann}", "clips": "{clips}", "threshold": 0.3, "basis": "span"},
+        {"merged.config.json": {}, "sweep.csv": {"sweep": [0.4, 0.1]}},
+    ),
+    "gamma": (
+        ["{proj}", "--n-null", "7", "--exclude", "NS,HN"],
+        {"projections": "{proj}", "n_null": 7, "exclude": ["HN", "NS"]},
+        {"gamma.csv": {}},
+    ),
+    "stats": (["{labels}"], {"labels": "{labels}"}, {"stats.csv": {}, "summary.json": {}}),
+    "cav": (
+        ["{emb}", "{labels}", "--mode", "en-only"],
+        {"embeddings": "{emb}", "labels": "{labels}", "mode": "en-only"},
+        {"concept_f1.csv": {}, "cavs_en-only.json": {}},
+    ),
+    "pcbm": (
+        ["{emb}", "{labels}", "--kind", "lr", "--cavs", "{cavs}", "--train-neg", "HN"]
+        + ["--test-neg", "EN,HN"],
+        {
+            "embeddings": "{emb}",
+            "labels": "{labels}",
+            "kind": "lr",
+            "cavs": "{cavs}",
+            "train_neg": "HN",
+            "test_neg": "EN,HN",
+        },
+        {"pcbm_report.json": {}},
+    ),
+    "eval": (
+        ["{emb}", "{labels}", "--model", "pcbm-lr", "--epochs", "3", "--lr", "0.01"]
+        + ["--batch", "8"],
+        {
+            "embeddings": "{emb}",
+            "labels": "{labels}",
+            "model": "pcbm-lr",
+            "epochs": 3,
+            "lr": 0.01,
+            "batch": 8,
+        },
+        {"eval_report.json": {}, "eval_table.csv": {}},
+    ),
+    "error": (
+        ["{labels}", "{preds}", "--l2", "0.5"],
+        {"labels": "{labels}", "predictions": "{preds}", "l2": 0.5},
+        {"error_factors.csv": {}},
+    ),
+}
+
+
+def header_inputs(tmp_path):
+    """Input files for every command of ``HEADER_CASES``, by placeholder."""
+    names = {
+        "ann": "annotations.jsonl",
+        "clips": "clips.csv",
+        "proj": "projections.jsonl",
+        "labels": "merged.jsonl",
+        "emb": "emb.bin",
+        "cavs": "cavs.json",
+        "preds": "preds.csv",
+    }
+    paths = {k: tmp_path / name for k, name in names.items()}
+    paths["ann"].write_text(FUSION_FIXTURE_ANNOTATIONS_JSONL)
+    paths["clips"].write_text(FUSION_FIXTURE_CLIPS_CSV)
+    ratings = {"a": "EN S HN S NS EN", "b": "EN S HN EN NS S"}
+    paths["proj"].write_text(
+        "".join(
+            json.dumps({"film": "f", "annotator": a, "clip": f"c{i}", "level": level}) + "\n"
+            for a, levels in ratings.items()
+            for i, level in enumerate(levels.split())
+        )
+    )
+    labels, emb = make_linear_task(0, n=100, dim=4)
+    paths["labels"].write_text(
+        "".join(
+            json.dumps(
+                {
+                    "clip": l.clip_id,
+                    "level": l.level.name,
+                    "concepts": [c.label for c in sorted(l.concepts)],
+                }
+            )
+            + "\n"
+            for l in labels
+        )
+    )
+    paths["emb"].write_bytes(dump_embeddings(EmbeddingTable(emb), "binary"))
+    cavs = [
+        ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+        for c in CONCEPTS
+    ]
+    paths["cavs"].write_text(json.dumps({"cavs": cavs}))
+    # Right on every clip but the first five.
+    paths["preds"].write_text(
+        "".join(
+            f"{l.clip_id},{int((l.level.name == 'S') != (i < 5))}\n" for i, l in enumerate(labels)
+        )
+    )
+    return {k: str(v) for k, v in paths.items()}
+
+
+def header_of(path):
+    """The configuration an output records."""
+    if path.suffix == ".csv":
+        first = read(path).splitlines()[0]
+        assert first.startswith("# config: ")
+        return json.loads(first.removeprefix("# config: "))
+    doc = json.loads(read(path))
+    return doc if path.name.endswith(".config.json") else doc["config"]
+
+
+@pytest.mark.parametrize("seed_from", ["flag", "env"])
+@pytest.mark.parametrize("command", list(HEADER_CASES))
+def test_header_records_every_argument_but_out(tmp_path, monkeypatch, command, seed_from):
+    template, values, outputs = HEADER_CASES[command]
+    paths = header_inputs(tmp_path)
+    argv = [arg.format(**paths) for arg in template]
+    expected = {"command": command}
+    expected |= {k: v.format(**paths) if isinstance(v, str) else v for k, v in values.items()}
+    subparser = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[command]
+    options = {a.dest: a for a in subparser._actions if a.dest not in ("help", "out")}
+    # OBY_SEED is set either way: --seed overrides it, and a command
+    # without a seed records none.
+    monkeypatch.setenv("OBY_SEED", "13")
+    if "seed" in options:
+        expected["seed"] = 13
+        if seed_from == "flag":
+            argv += ["--seed", "11"]
+            expected["seed"] = 11
+
+    # The case covers every argument the command accepts, each option
+    # set away from its default.
+    extra = {k for extras in outputs.values() for k in extras}
+    assert set(options) == set(expected) - {"command"} | extra
+    parsed = vars(build_parser().parse_args([command, *argv, "--out", "x"]))
+    for dest, action in options.items():
+        if action.option_strings and dest != "seed":
+            assert parsed[dest] != action.default, dest
+
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    for name, extras in outputs.items():
+        assert header_of(out / name) == expected | extras, name
 
 
 class TestMalformedInputs:
