@@ -20,25 +20,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import statistics
 import sys
-import time
 import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
+from timing import median_s
+
 #: (annotators, clips, null trials) of each film.
 SHAPES = ((5, 400, 62), (2, 5000, 1000))
 LEVEL_MIX = (0.4, 0.2, 0.1, 0.3)
-
-
-def median_s(fn, repeats: int) -> tuple[float, object]:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), result
 
 
 def main() -> None:

@@ -17,22 +17,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
+
+from timing import median_s
 
 CLIPS, ANNOTATORS, SPANS_PER_ANNOTATOR = 3000, 4, 1500
 THRESHOLDS = (0.1, 0.2, 0.3, 0.4)
-
-
-def median_s(fn, repeats: int) -> tuple[float, object]:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), result
 
 
 def main() -> None:

@@ -20,8 +20,9 @@ import json
 import os
 import statistics
 import sys
-import time
 from pathlib import Path
+
+from timing import times_s
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
@@ -47,11 +48,10 @@ def main() -> None:
 
     X, y = draw(ROWS)
     X_val, y_val = draw(VAL_ROWS)
-    times = []
-    for _ in range(args.repeats):
-        start = time.perf_counter()
-        result = models.train_mlp(X, y, X_val, y_val, epochs=EPOCHS, batch=BATCH, seed=1)
-        times.append(time.perf_counter() - start)
+    times, result = times_s(
+        lambda: models.train_mlp(X, y, X_val, y_val, epochs=EPOCHS, batch=BATCH, seed=1),
+        args.repeats,
+    )
     digest = hashlib.sha256()
     for name in ("w1", "b1", "w2", "b2"):
         digest.update(np.ascontiguousarray(getattr(result.model, name), dtype=np.float64).tobytes())

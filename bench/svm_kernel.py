@@ -27,11 +27,11 @@ import argparse
 import hashlib
 import json
 import os
-import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+from timing import median_s
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
@@ -39,16 +39,6 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 DRAWS, ROWS, POSITIVES = 8, 144, 96
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def median_s(fn, repeats: int) -> tuple[float, object]:
-    """Median seconds of ``repeats`` calls of ``fn``, and its last result."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), result
 
 
 def objective(model, X, y, c: float) -> float:

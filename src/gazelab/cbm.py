@@ -185,6 +185,14 @@ def fit_all_cavs(
     return _fit_cavs(emb, axes, mode)
 
 
+def _labelled(
+    emb: EmbeddingTable, pos: Sequence[str], neg: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embeddings of ``pos`` then ``neg`` as float64 rows, labelled 1 and 0."""
+    X = emb.matrix(list(pos) + list(neg)).astype(np.float64)
+    return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
+
+
 def _fit_cavs(
     emb: EmbeddingTable,
     axes: Sequence[tuple[Concept, Sequence[str], Sequence[str], int]],
@@ -199,10 +207,6 @@ def _fit_cavs(
     tolerance. A fit's bits do not depend on the stack it is in.
     """
 
-    def labelled(pos: Sequence[str], neg: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        X = emb.matrix(list(pos) + list(neg)).astype(np.float64)
-        return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
-
     def solve(problems) -> list[list[LinearModel]]:
         """The SVMs of each ``(positives, negatives, tolerances)`` problem."""
         groups: dict[tuple[int, tuple[float, ...]], list[int]] = {}
@@ -210,7 +214,7 @@ def _fit_cavs(
             groups.setdefault((len(pos) + len(neg), cs), []).append(i)
         models: list[list[LinearModel]] = [[] for _ in problems]
         for (_, cs), group in groups.items():
-            X, y = zip(*(labelled(*problems[i][:2]) for i in group))
+            X, y = zip(*(_labelled(emb, *problems[i][:2]) for i in group))
             for i, row in zip(group, train_svm_stack(np.stack(X), np.stack(y), cs)):
                 models[i] = row
         return models
@@ -238,7 +242,7 @@ def _fit_cavs(
             others = [fold for fold in range(plan.test_fold) if fold != rotation]
             rng = np.random.default_rng(derive_seed(seed, 3, rotation))
             sets += [(rotation, *draw) for draw in balanced_draws(*split(plan, others), rng)]
-        validation = [labelled(*split(plan, [r])) for r in range(CavCvConfig.rotations)]
+        validation = [_labelled(emb, *split(plan, [r])) for r in range(CavCvConfig.rotations)]
         scores = np.empty((len(DEFAULT_C_GRID), len(sets)))
         grid = solve([(*s[1:], DEFAULT_C_GRID) for s in sets])
         for i, ((rotation, *_), row) in enumerate(zip(sets, grid)):
@@ -256,7 +260,7 @@ def _fit_cavs(
             raise InvariantViolation(
                 f"degenerate separator for concept {concept.label!r} (zero normal)"
             )
-        X, y = labelled(*ids)
+        X, y = _labelled(emb, *ids)
         score = f1_score(model.predict(X), y).f1
         cavs.append(ConceptVector(concept, model.weights / norm, model.bias / norm, mode, score))
     return cavs
@@ -293,8 +297,7 @@ def concept_presence_f1(
 
     Presence is a positive signed distance to the hyperplane.
     """
-    X = emb.matrix(list(test_pos) + list(test_neg)).astype(np.float64)
-    y = np.array([1] * len(test_pos) + [0] * len(test_neg), dtype=np.int64)
+    X, y = _labelled(emb, test_pos, test_neg)
     return f1_score((cav.decision(X) > 0).astype(np.int64), y)
 
 
@@ -324,7 +327,7 @@ def train_pcbm(
         raise InvariantViolation(f"kind must be PCBM_DT or PCBM_LR, got {kind}")
     cfg = TaskConfig(train_negatives=train_negatives, model=kind, seed=seed)
     (report,) = run_task(cfg, labels, scores, [test_negatives])
-    return PcbmResult(model=report.draws[-1].model, report=report)
+    return PcbmResult(model=report.models[-1], report=report)
 
 
 def export_tree_report(tree: DecisionTree) -> str:

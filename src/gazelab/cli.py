@@ -34,6 +34,7 @@ from .core import (
 from .errors import (
     ClipSetMismatch,
     InvariantError,
+    InvariantViolation,
     MalformedRecord,
     NumericError,
     ParseError,
@@ -143,14 +144,16 @@ def _read_merged_labels(text: str) -> list[ClipLabel]:
         concepts, annotators = obj.get("concepts", []), obj.get("annotators", [])
         if not is_string_list(concepts) or not is_string_list(annotators):
             raise MalformedRecord(lineno, "concepts and annotators must be arrays of strings")
-        out.append(
-            ClipLabel(
+        try:
+            label = ClipLabel(
                 clip_id=clip_id,
                 level=ObjLevel.from_name(level),
                 concepts=frozenset(Concept.from_label(c) for c in concepts),
                 annotators=frozenset(annotators),
             )
-        )
+        except InvariantViolation as e:
+            raise InvariantViolation(e.reason, line=lineno) from None
+        out.append(label)
     return out
 
 
@@ -238,7 +241,10 @@ def cmd_gamma(args: argparse.Namespace) -> int:
             raise MalformedRecord(
                 lineno, f"second rating of clip {clip!r} by {annotator!r} in film {film!r}"
             )
-        ratings[clip] = ObjLevel.from_name(level)
+        try:
+            ratings[clip] = ObjLevel.from_name(level)
+        except InvariantViolation as e:
+            raise InvariantViolation(e.reason, line=lineno) from None
 
     excluded = _parse_levels(args.exclude) if args.exclude else frozenset()
     cfg = GammaConfig(n_null=args.n_null, seed=seed, excluded_levels=excluded)

@@ -23,6 +23,7 @@ from .core import CONCEPTS, ClipLabel, ObjLevel
 from .errors import (
     ClassTooSmall,
     DegenerateTarget,
+    EmptyInput,
     InvariantViolation,
     LengthMismatch,
     MissingEmbedding,
@@ -30,7 +31,6 @@ from .errors import (
     PreconditionError,
 )
 from .models import (
-    Metrics,
     check_mlp_settings,
     f1,
     train_logreg,
@@ -63,7 +63,9 @@ class FoldPlan:
     val_fold = FOLDS - 2
 
     def ids(self, cls: Hashable, folds: Iterable[int]) -> tuple[str, ...]:
-        """The ids of class ``cls`` in ``folds``, fold by fold."""
+        """The ids of class ``cls`` in ``folds``, fold by fold; none if the plan lacks it."""
+        if cls not in self.folds:
+            return ()
         return tuple(cid for fold in folds for cid in self.folds[cls][fold])
 
     def train_ids(self, cls: Hashable) -> tuple[str, ...]:
@@ -115,9 +117,8 @@ def balanced_train_sets(
     pos = plan.train_ids(positive)
     neg = plan.train_ids(negative)
     if not pos or not neg:
-        raise NoTrainData(
-            f"no training data for classes {positive!r}/{negative!r}"
-        )
+        names = "/".join(c.name if isinstance(c, Enum) else repr(c) for c in (positive, negative))
+        raise NoTrainData(f"no training data for classes {names}")
     return balanced_draws(pos, neg, np.random.default_rng(derive_seed(plan.seed, 0x0B)))
 
 
@@ -176,14 +177,6 @@ class TaskConfig:
 
 
 @dataclass(frozen=True)
-class DrawOutcome:
-    draw_index: int
-    metrics: Metrics
-    predictions: tuple[tuple[str, int, int], ...]  # (clip_id, predicted, truth)
-    model: Any  # the fitted model; anything with predict(X)
-
-
-@dataclass(frozen=True)
 class EvalReport:
     mean_f1: float
     std_f1: float
@@ -191,7 +184,7 @@ class EvalReport:
     baselines: Mapping[str, float]
     config: TaskConfig
     test_negatives: frozenset[ObjLevel]
-    draws: tuple[DrawOutcome, ...]
+    models: tuple[Any, ...]  # each balanced draw's fitted model; anything with predict(X)
     test_positive_fraction: float
 
     def to_json(self) -> dict:
@@ -205,15 +198,6 @@ class EvalReport:
             "test_positive_fraction": self.test_positive_fraction,
             "config": config,
         }
-
-
-def _split_levels(labels: Sequence[ClipLabel]) -> dict[ObjLevel, list[str]]:
-    by_level: dict[ObjLevel, list[str]] = {}
-    for lbl in labels:
-        if lbl.level is ObjLevel.NS:
-            raise PreconditionError("NS clips must be dropped before evaluation")
-        by_level.setdefault(lbl.level, []).append(lbl.clip_id)
-    return by_level
 
 
 def _train_for_draw(
@@ -261,13 +245,16 @@ def run_task(
     composition.
     """
     test_sets = check_test_sets(test_sets)
-    by_level = _split_levels(labels)
-    if ObjLevel.S not in by_level:
-        raise NoTrainData("no S clips to use as positives")
+    by_level: dict[ObjLevel, list[str]] = {}
+    for lbl in labels:
+        if lbl.level is ObjLevel.NS:
+            raise PreconditionError("NS clips must be dropped before evaluation")
+        by_level.setdefault(lbl.level, []).append(lbl.clip_id)
     plan = make_folds_from_ids(by_level, seed=cfg.seed)
+    train_sets = balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
 
     def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
-        return [cid for lv in levels if lv in by_level for cid in plan.ids(lv, [fold])]
+        return [cid for lv in levels for cid in plan.ids(lv, [fold])]
 
     def xy(pos: Sequence[str], neg: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Stacked features of ``pos`` then ``neg``, labelled 1 and 0."""
@@ -278,50 +265,36 @@ def run_task(
         return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
 
     test_pos = fold_of([ObjLevel.S], plan.test_fold)
-    tests = []
-    for test_negatives in test_sets:
-        test_neg = fold_of(sorted(test_negatives), plan.test_fold)
-        tests.append((test_pos + test_neg, *xy(test_pos, test_neg)))
+    tests = [xy(test_pos, fold_of(sorted(neg), plan.test_fold)) for neg in test_sets]
     X_val, y_val = xy(
         fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold)
     )
 
-    draws: list[list[DrawOutcome]] = [[] for _ in test_sets]
-    for draw_index, (pos_ids, neg_ids) in enumerate(
-        balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
-    ):
+    models = []
+    draw_f1: list[list[float]] = [[] for _ in test_sets]
+    for draw_index, (pos_ids, neg_ids) in enumerate(train_sets):
         draw_seed = derive_seed(cfg.seed, 1, draw_index)
         X_train, y_train = xy(pos_ids, neg_ids)
         model = _train_for_draw(cfg, X_train, y_train, X_val, y_val, draw_seed)
-        for (test_ids, X_test, y_test), outcomes in zip(tests, draws):
-            preds = model.predict(X_test)
-            outcomes.append(
-                DrawOutcome(
-                    draw_index=draw_index,
-                    metrics=f1(preds, y_test),
-                    predictions=tuple(
-                        (cid, int(p), int(t)) for cid, p, t in zip(test_ids, preds, y_test)
-                    ),
-                    model=model,
-                )
-            )
+        models.append(model)
+        for (X_test, y_test), row in zip(tests, draw_f1):
+            row.append(f1(model.predict(X_test), y_test).f1)
 
     reports = []
-    for test_negatives, (test_ids, _, _), outcomes in zip(test_sets, tests, draws):
-        scores = np.array([d.metrics.f1 for d in outcomes])
-        f_data = len(test_pos) / len(test_ids)
+    for test_negatives, (_, y_test), row in zip(test_sets, tests, draw_f1):
+        f_data = len(test_pos) / len(y_test)
         reports.append(
             EvalReport(
-                mean_f1=float(scores.mean()),
-                std_f1=float(scores.std()),
-                per_draw_f1=tuple(float(s) for s in scores),
+                mean_f1=float(np.mean(row)),
+                std_f1=float(np.std(row)),
+                per_draw_f1=tuple(row),
                 baselines={
                     "random": trivial_baseline_f1(f_data, 0.5),
                     "all_positive": trivial_baseline_f1(f_data, 1.0),
                 },
                 config=cfg,
                 test_negatives=test_negatives,
-                draws=tuple(outcomes),
+                models=tuple(models),
                 test_positive_fraction=f_data,
             )
         )
@@ -377,6 +350,8 @@ def error_factor_analysis(
         raise LengthMismatch(
             f"{len(labels)} labels vs {preds.size} predictions vs {t.size} truths"
         )
+    if preds.size == 0:
+        raise EmptyInput("there are no predictions to attribute")
     success = (preds == t).astype(np.int64)
     if success.all():
         raise DegenerateTarget("every prediction is correct; nothing to attribute")

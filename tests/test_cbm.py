@@ -420,7 +420,7 @@ class TestPcbm:
         for kind in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
             for train_neg in (ObjLevel.EN, ObjLevel.HN):
                 result = train_pcbm(scores, labels, kind, train_negatives=train_neg, seed=13)
-                assert len(result.report.draws) > 1
+                assert len(result.report.models) > 1
                 by_level = {}
                 for lbl in labels:
                     by_level.setdefault(lbl.level, []).append(lbl.clip_id)

@@ -610,8 +610,9 @@ class TestMalformedInputs:
         argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "dt", "--cavs", str(cavs_path)]
         self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
 
-    def _pcbm_inputs(self, tmp_path):
-        """A 100-clip, 4-d linear task as pcbm's embeddings and labels."""
+    def _pcbm_inputs(self, tmp_path, drop=()):
+        """A 100-clip, 4-d linear task as pcbm's embeddings and labels,
+        without the labels of the levels named in ``drop``."""
         labels, emb = make_linear_task(0, n=100, dim=4)
         emb_path = tmp_path / "emb.bin"
         emb_path.write_bytes(dump_embeddings(EmbeddingTable(emb), "binary"))
@@ -627,9 +628,26 @@ class TestMalformedInputs:
                 )
                 + "\n"
                 for l in labels
+                if l.level.name not in drop
             )
         )
         return [str(emb_path), str(labels_path)]
+
+    def test_train_negatives_without_clips(self, tmp_path, capsys):
+        # No HN clip: the HN train row has no negatives to draw from.
+        inputs = self._pcbm_inputs(tmp_path, drop=("HN",))
+        cavs = [
+            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            for c in CONCEPTS
+        ]
+        path = tmp_path / "cavs.json"
+        path.write_text(json.dumps({"cavs": cavs}))
+        for argv in (
+            ["eval", *inputs, "--model", "mlp", "--epochs", "1"],
+            ["pcbm", *inputs, "--kind", "lr", "--train-neg", "HN", "--cavs", str(path)],
+        ):
+            err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 4)
+            assert err == "error: no training data for classes S/HN\n"
 
     @pytest.mark.parametrize("fmt", ["gazelab-model/2", None])
     def test_cavs_file_format_is_checked(self, tmp_path, capsys, fmt):
@@ -764,6 +782,20 @@ class TestMalformedInputs:
         assert err == "error: line 3: second record of clip 'c1'\n"
         assert not out.exists()
 
+    def test_merged_label_invariant_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "merged.jsonl"
+        path.write_text(
+            '{"clip": "c1", "level": "S", "concepts": ["Body"]}\n'
+            '{"clip": "c2", "level": "EN", "concepts": ["Body"]}\n'
+        )
+        err = self._exits(["stats", str(path), "--out", str(tmp_path / "o")], capsys, 3)
+        assert err == "error: line 2: no concept can be attached to an EN rating\n"
+
+    def test_projection_level_names_its_line(self, tmp_path, capsys):
+        rows = [("a", "c1", "EN"), ("b", "c1", "QQ")]
+        err = self._exits(self._gamma(tmp_path, rows), capsys, 3)
+        assert err == "error: line 2: unknown level 'QQ'\n"
+
     # c1..c6 are EN, S, HN, EN, S, HN; the valid rows miss only on c3.
     GOOD_ROWS = ["c1,0", "c2,1", "c3,1", "c4,0", "c5,1", "c6,0"]
 
@@ -798,3 +830,9 @@ class TestMalformedInputs:
         assert main(argv) == 0
         self._error_inputs(tmp_path, rows)
         self._exits_2(argv, capsys)
+
+    @pytest.mark.parametrize("rows", [[], ["# no rows"]])
+    def test_error_without_predictions(self, tmp_path, capsys, rows):
+        argv = ["error", *self._error_inputs(tmp_path, rows), "--out", str(tmp_path / "o")]
+        err = self._exits(argv, capsys, 4)
+        assert err == "error: there are no predictions to attribute\n"

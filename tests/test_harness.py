@@ -99,12 +99,33 @@ class TestBalancedTrainSets:
 
     def test_no_train_data(self):
         plan = make_folds_from_ids({"pos": [f"p{i}" for i in range(10)]}, seed=0)
-        with pytest.raises((NoTrainData, KeyError)):
+        with pytest.raises(NoTrainData, match="classes 'pos'/'neg'"):
             balanced_train_sets(plan, "pos", "neg")
+        plan = make_folds_from_ids(ids_by_level(labels_of(10, 10)), seed=0)
+        with pytest.raises(NoTrainData, match="classes S/HN$"):
+            balanced_train_sets(plan, ObjLevel.S, ObjLevel.HN)
 
 
 EN_ONLY = frozenset({ObjLevel.EN})
 EN_HN = frozenset({ObjLevel.EN, ObjLevel.HN})
+
+
+def held_out(labels, feats, seed, negatives):
+    """Features and truths of run_task's test fold, rebuilt from its fold plan."""
+    plan = make_folds_from_ids(ids_by_level(labels), seed)
+    pos = plan.ids(ObjLevel.S, [plan.test_fold])
+    neg = [cid for lv in sorted(negatives) for cid in plan.ids(lv, [plan.test_fold])]
+    X = np.stack([feats[cid] for cid in (*pos, *neg)])
+    return X, np.array([1] * len(pos) + [0] * len(neg))
+
+
+def assert_each_draw_scored_on_held_out(report, labels, feats):
+    """Every draw's F1 is its model's F1 on the one rebuilt test fold."""
+    X, y = held_out(labels, feats, report.config.seed, report.test_negatives)
+    assert report.test_positive_fraction == np.count_nonzero(y) / len(y)
+    assert len(report.models) == len(report.per_draw_f1) >= 2
+    for model, reported in zip(report.models, report.per_draw_f1):
+        assert f1(model.predict(X), y).f1 == reported
 
 
 class TestRunTask:
@@ -126,10 +147,10 @@ class TestRunTask:
         labels, feats = make_linear_task(4, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=8)
         narrow, wide = run_task(cfg, labels, feats, [EN_ONLY, EN_HN])
-        assert len(narrow.draws) == len(wide.draws) >= 2
-        for a, b in zip(narrow.draws, wide.draws):
-            assert a.model is b.model
-        assert len(wide.draws[0].predictions) > len(narrow.draws[0].predictions)
+        assert len(narrow.models) == len(wide.models) >= 2
+        for a, b in zip(narrow.models, wide.models):
+            assert a is b
+        assert wide.test_positive_fraction < narrow.test_positive_fraction
         assert narrow.to_json()["config"]["test_negatives"] == ["EN"]
         assert wide.to_json()["config"]["test_negatives"] == ["EN", "HN"]
         (alone,) = run_task(cfg, labels, feats, [EN_HN])
@@ -139,18 +160,13 @@ class TestRunTask:
         labels, feats = make_linear_task(1, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=5)
         (report,) = run_task(cfg, labels, feats, [EN_ONLY])
-        assert len(report.per_draw_f1) >= 2
-        test_ids = [tuple(cid for cid, _, _ in d.predictions) for d in report.draws]
-        assert all(ids == test_ids[0] for ids in test_ids)
+        assert_each_draw_scored_on_held_out(report, labels, feats)
 
     def test_per_draw_f1_recomputable_from_predictions(self):
         labels, feats = make_linear_task(2, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_DT, seed=6)
         (report,) = run_task(cfg, labels, feats, [EN_HN])
-        for outcome, reported in zip(report.draws, report.per_draw_f1):
-            preds = [p for _, p, _ in outcome.predictions]
-            truths = [t for _, _, t in outcome.predictions]
-            assert f1(preds, truths).f1 == reported
+        assert_each_draw_scored_on_held_out(report, labels, feats)
 
     def test_trivial_models_reproduce_baselines(self):
         # 2600 clips put ~260 in the test fold, within the 0.02 band.
@@ -168,14 +184,14 @@ class TestRunTask:
                 feats[cid] = rng.normal(0, 1, 4)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=17)
         (rep,) = run_task(cfg, labels, feats, [EN_HN])
-        truths = [t for _, _, t in rep.draws[0].predictions]
+        _, truths = held_out(labels, feats, 17, EN_HN)
         always = f1(np.ones(len(truths), dtype=np.int64), truths).f1
         assert always == pytest.approx(
             trivial_baseline_f1(rep.test_positive_fraction, 1.0), abs=1e-12
         )
         coins = [
-            np.random.default_rng(derive_seed(17, 1, d.draw_index)).integers(0, 2, len(truths))
-            for d in rep.draws
+            np.random.default_rng(derive_seed(17, 1, i)).integers(0, 2, len(truths))
+            for i in range(len(rep.models))
         ]
         coin = np.mean([f1(flips, truths).f1 for flips in coins])
         assert coin == pytest.approx(
