@@ -25,16 +25,18 @@ from .core import (
     ClipLabel,
     Concept,
     ObjLevel,
-    is_string_list,
+    csv_rows,
+    field,
+    json_object,
+    jsonl_rows,
     load_embeddings,
     parse_annotations,
     parse_clip_index,
-    read_jsonl,
+    read_rows,
 )
 from .errors import (
     ClipSetMismatch,
     InvariantError,
-    InvariantViolation,
     MalformedRecord,
     NumericError,
     ParseError,
@@ -47,6 +49,7 @@ from .harness import (
     TaskConfig,
     check_test_sets,
     error_factor_analysis,
+    plan_task,
     run_task,
 )
 from .models import model_to_json
@@ -122,39 +125,21 @@ def _label_to_obj(film: str, label: ClipLabel) -> dict:
     }
 
 
-def _fields(lineno: int, obj: dict, *keys: str) -> list[str]:
-    """The values of ``keys`` in a JSONL record, each required to be a string."""
-    for key in keys:
-        if key not in obj:
-            raise MalformedRecord(lineno, f"missing field {key!r}")
-        if not isinstance(obj[key], str):
-            raise MalformedRecord(lineno, f"field {key!r} must be a string")
-    return [obj[key] for key in keys]
-
-
 def _read_merged_labels(text: str) -> list[ClipLabel]:
     """Merged-label JSONL, each clip once (clip ids key everything downstream)."""
-    out: list[ClipLabel] = []
     seen: set[str] = set()
-    for lineno, obj in read_jsonl(text):
-        clip_id, level = _fields(lineno, obj, "clip", "level")
+
+    def label(line: str) -> ClipLabel:
+        obj = json_object(line)
+        clip_id, level = field(obj, "clip", str), field(obj, "level", str)
         if clip_id in seen:
-            raise MalformedRecord(lineno, f"second record of clip {clip_id!r}")
+            raise MalformedRecord(f"second record of clip {clip_id!r}")
         seen.add(clip_id)
-        concepts, annotators = obj.get("concepts", []), obj.get("annotators", [])
-        if not is_string_list(concepts) or not is_string_list(annotators):
-            raise MalformedRecord(lineno, "concepts and annotators must be arrays of strings")
-        try:
-            label = ClipLabel(
-                clip_id=clip_id,
-                level=ObjLevel.from_name(level),
-                concepts=frozenset(Concept.from_label(c) for c in concepts),
-                annotators=frozenset(annotators),
-            )
-        except InvariantViolation as e:
-            raise InvariantViolation(e.reason, line=lineno) from None
-        out.append(label)
-    return out
+        concepts, annotators = field(obj, "concepts", list, []), field(obj, "annotators", list, [])
+        concepts = frozenset(Concept.from_label(c) for c in concepts)
+        return ClipLabel(clip_id, ObjLevel.from_name(level), concepts, frozenset(annotators))
+
+    return read_rows(jsonl_rows(text), label)
 
 
 # --- fuse -------------------------------------------------------------------
@@ -234,17 +219,19 @@ def _aligned_sequences(
 def cmd_gamma(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     films: dict[str, dict[str, dict[str, ObjLevel]]] = {}
-    for lineno, obj in read_jsonl(_read_path(args.projections)):
-        film, annotator, clip, level = _fields(lineno, obj, "film", "annotator", "clip", "level")
+
+    def rating(line: str) -> None:
+        obj = json_object(line)
+        keys = ("film", "annotator", "clip", "level")
+        film, annotator, clip, level = (field(obj, key, str) for key in keys)
         ratings = films.setdefault(film, {}).setdefault(annotator, {})
         if clip in ratings:
             raise MalformedRecord(
-                lineno, f"second rating of clip {clip!r} by {annotator!r} in film {film!r}"
+                f"second rating of clip {clip!r} by {annotator!r} in film {film!r}"
             )
-        try:
-            ratings[clip] = ObjLevel.from_name(level)
-        except InvariantViolation as e:
-            raise InvariantViolation(e.reason, line=lineno) from None
+        ratings[clip] = ObjLevel.from_name(level)
+
+    read_rows(jsonl_rows(_read_path(args.projections)), rating)
 
     excluded = _parse_levels(args.exclude) if args.exclude else frozenset()
     cfg = GammaConfig(n_null=args.n_null, seed=seed, excluded_levels=excluded)
@@ -342,13 +329,13 @@ def cmd_pcbm(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     emb, labels = _load_task_inputs(args)
     kind = ModelKind.PCBM_DT if args.kind == "dt" else ModelKind.PCBM_LR
-    # Check the grid cell before fitting any concept axis.
+    # Check the grid cell and its folds before fitting any concept axis.
     train_neg = ObjLevel.from_name(args.train_neg)
-    TaskConfig(train_neg, kind, seed)  # raises unless train_neg is EN or HN
+    cfg = TaskConfig(train_neg, kind, seed)
     (test_neg,) = check_test_sets([_parse_levels(args.test_neg)])
-    if args.cavs:
-        cavs = _read_cavs(args.cavs)
-    else:
+    cavs = _read_cavs(args.cavs) if args.cavs else None
+    plan_task(cfg, labels)
+    if cavs is None:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
     scores = cbm_mod.score_table(emb, cavs)
     result = cbm_mod.train_pcbm(
@@ -380,7 +367,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     emb, labels = _load_task_inputs(args)
     model = ModelKind(args.model)
     # Rows are the train negatives, columns the test negative sets; both
-    # rows' settings are checked before any concept axis is fitted.
+    # rows' settings and folds are checked before any concept axis is fitted.
     configs = [
         TaskConfig(
             train_negatives=train_neg,
@@ -393,6 +380,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for train_neg in (ObjLevel.EN, ObjLevel.HN)
     ]
     if model in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
+        for cfg in configs:
+            plan_task(cfg, labels)
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
         features = cbm_mod.score_table(emb, cavs)
     else:
@@ -434,24 +423,26 @@ def cmd_error(args: argparse.Namespace) -> int:
 
     preds: dict[str, int] = {}
     truths: dict[str, int] = {}
-    for lineno, raw in enumerate(_read_path(args.predictions).splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) not in (2, 3):
-            raise MalformedRecord(lineno, "expected clip_id,prediction[,truth]")
-        clip_id, *values = parts
+
+    def prediction(row: list[str]) -> None:
+        if row[0].startswith("#"):
+            return
+        clip_id, *values = (cell.strip() for cell in row)
+        if len(values) not in (1, 2):
+            raise MalformedRecord("expected clip_id,prediction[,truth]")
         if any(v not in ("0", "1") for v in values):
-            raise MalformedRecord(lineno, "prediction/truth must be 0 or 1")
+            raise MalformedRecord("prediction/truth must be 0 or 1")
         if clip_id in preds:
-            raise MalformedRecord(lineno, f"second prediction for clip {clip_id!r}")
+            raise MalformedRecord(f"second prediction for clip {clip_id!r}")
         if preds and (len(values) == 2) != bool(truths):
-            raise MalformedRecord(lineno, "a truth must be given on every row or on none")
+            raise MalformedRecord("a truth must be given on every row or on none")
         if clip_id not in by_clip:
             raise PreconditionError(f"prediction for unknown clip {clip_id!r}")
         preds[clip_id] = int(values[0])
         if len(values) == 2:
             truths[clip_id] = int(values[1])
+
+    read_rows(csv_rows(_read_path(args.predictions)), prediction)
 
     ordered = [by_clip[cid] for cid in preds]
     pred_list = [preds[lbl.clip_id] for lbl in ordered]

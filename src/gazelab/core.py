@@ -32,9 +32,10 @@ import io
 import json
 import math
 import struct
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
 from enum import IntEnum
+from typing import Any
 
 import numpy as np
 
@@ -176,7 +177,7 @@ class ClipLabel:
     clip_id: str
     level: ObjLevel
     concepts: frozenset[Concept]
-    annotators: frozenset[str] = field(default_factory=frozenset)
+    annotators: frozenset[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "concepts", frozenset(self.concepts))
@@ -249,49 +250,80 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
         return all(np.array_equal(self[k], other[k]) for k in self._index)
 
 
-# --- JSONL records ------------------------------------------------------
+# --- text records --------------------------------------------------------
 
 
-def read_jsonl(text: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, object)`` for every non-blank JSONL line.
+def jsonl_rows(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` of every non-blank line of JSONL text.
 
-    Raises MalformedRecord for a line that is not valid JSON or whose
-    value is not a JSON object.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, so a character such as
+    U+2028 or U+0085 stays inside the JSON string that holds it.
     """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip())
+
+
+def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, cells)`` of every non-blank CSV row, numbered by
+    the line the row ends on (a quoted cell may span lines)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    return ((reader.line_num, row) for row in reader if len(row) > 1 or (row and row[0].strip()))
+
+
+def read_rows(rows: Iterable[tuple[int, Any]], parse: Callable[[Any], Any]) -> list:
+    """``parse(row)`` of every ``(line number, row)``, in order, leaving out None.
+
+    The one place an input's line numbers are added: a MalformedRecord or
+    InvariantViolation from ``parse`` is raised again with the row's line.
+    """
+    records = []
+    for lineno, row in rows:
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise MalformedRecord(lineno, f"invalid JSON ({e.msg})") from None
-        except RecursionError:
-            raise MalformedRecord(lineno, "invalid JSON (nested too deeply)") from None
-        if not isinstance(obj, dict):
-            raise MalformedRecord(lineno, "record is not a JSON object")
-        yield lineno, obj
+            record = parse(row)
+        except (MalformedRecord, InvariantViolation) as e:
+            raise type(e)(e.reason, line=lineno) from None
+        if record is not None:
+            records.append(record)
+    return records
 
 
-def _as_float(value) -> float | None:
-    """A JSON number as a float, or None for anything else.
-
-    JSON true/false decode to bool, which Python counts as an int, and
-    integers beyond the float range cannot be converted; both are None.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
+def json_object(line: str) -> dict:
+    """The JSON object on one JSONL line; MalformedRecord for anything else."""
     try:
-        return float(value)
-    except OverflowError:
-        return None
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise MalformedRecord(f"invalid JSON ({e.msg})") from None
+    except RecursionError:
+        raise MalformedRecord("invalid JSON (nested too deeply)") from None
+    if not isinstance(obj, dict):
+        raise MalformedRecord("record is not a JSON object")
+    return obj
 
 
-def is_string_list(value) -> bool:
-    """Whether a decoded JSON value is an array of strings."""
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+_KIND_NAMES = {str: "a string", float: "a number", list: "an array of strings"}
 
 
-_ANNOTATION_KEYS = {"film", "annotator", "start", "end", "level", "concepts"}
+def field(obj: dict, key: str, kind: type, default: Any = None) -> Any:
+    """``obj[key]`` checked to be of ``kind``; ``default``, if given, for a missing key.
+
+    ``str`` is a string, ``list`` an array of strings, and ``float`` a
+    JSON number returned as a float: not true or false (which Python
+    counts as ints), nor an integer beyond the float range. A wrong kind,
+    or a missing key without a default, is a MalformedRecord.
+    """
+    if key not in obj:
+        if default is None:
+            raise MalformedRecord(f"missing field {key!r}")
+        return default
+    value = obj[key]
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif isinstance(value, kind) and (kind is str or all(isinstance(v, str) for v in value)):
+        return value
+    raise MalformedRecord(f"field {key!r} must be {_KIND_NAMES[kind]}")
 
 
 def parse_annotations(text: str) -> list[SpanAnnotation]:
@@ -301,31 +333,16 @@ def parse_annotations(text: str) -> list[SpanAnnotation]:
     and InvariantViolation (tagged with the line number) for records
     that break the domain rules.
     """
-    spans: list[SpanAnnotation] = []
-    for lineno, obj in read_jsonl(text):
-        missing = _ANNOTATION_KEYS - obj.keys()
-        if missing:
-            raise MalformedRecord(lineno, f"missing fields {sorted(missing)}")
-        if not isinstance(obj["film"], str) or not isinstance(obj["annotator"], str):
-            raise MalformedRecord(lineno, "film and annotator must be strings")
-        start, end = _as_float(obj["start"]), _as_float(obj["end"])
-        if start is None or end is None:
-            raise MalformedRecord(lineno, "start and end must be numbers")
-        if not isinstance(obj["level"], str) or not is_string_list(obj["concepts"]):
-            raise MalformedRecord(lineno, "level must be a string, concepts an array of strings")
-        try:
-            span = SpanAnnotation(
-                film_id=obj["film"],
-                annotator_id=obj["annotator"],
-                start=start,
-                end=end,
-                level=ObjLevel.from_name(obj["level"]),
-                concepts=frozenset(Concept.from_label(c) for c in obj["concepts"]),
-            )
-        except InvariantViolation as e:
-            raise InvariantViolation(e.reason, line=lineno) from None
-        spans.append(span)
-    return spans
+
+    def span(line: str) -> SpanAnnotation:
+        obj = json_object(line)
+        film, annotator = field(obj, "film", str), field(obj, "annotator", str)
+        start, end = field(obj, "start", float), field(obj, "end", float)
+        level, concepts = field(obj, "level", str), field(obj, "concepts", list)
+        concepts = frozenset(Concept.from_label(c) for c in concepts)
+        return SpanAnnotation(film, annotator, start, end, ObjLevel.from_name(level), concepts)
+
+    return read_rows(jsonl_rows(text), span)
 
 
 # --- clip index CSV ------------------------------------------------------
@@ -339,26 +356,22 @@ def parse_clip_index(text: str) -> list[ClipDelimitation]:
     labels and folds are keyed by it alone, so a repeated id is
     rejected, in any film; overlapping clips within a film are too.
     """
-    clips: list[ClipDelimitation] = []
     seen: set[str] = set()
-    reader = csv.reader(io.StringIO(text))
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+
+    def delimitation(row: list[str]) -> ClipDelimitation:
         if len(row) != 4:
-            raise MalformedRecord(lineno, f"expected 4 columns, got {len(row)}")
+            raise MalformedRecord(f"expected 4 columns, got {len(row)}")
         clip_id, film_id, start_s, end_s = (c.strip() for c in row)
         try:
             start, end = float(start_s), float(end_s)
         except ValueError:
-            raise MalformedRecord(lineno, "start and end must be numbers") from None
+            raise MalformedRecord("start and end must be numbers") from None
         if clip_id in seen:
-            raise InvariantViolation(f"duplicate clip id {clip_id!r}", line=lineno)
+            raise InvariantViolation(f"duplicate clip id {clip_id!r}")
         seen.add(clip_id)
-        try:
-            clips.append(ClipDelimitation(clip_id, film_id, start, end))
-        except InvariantViolation as e:
-            raise InvariantViolation(e.reason, line=lineno) from None
+        return ClipDelimitation(clip_id, film_id, start, end)
+
+    clips = read_rows(csv_rows(text), delimitation)
 
     by_film: dict[str, list[ClipDelimitation]] = {}
     for clip in clips:
@@ -393,29 +406,29 @@ def load_embeddings(data: bytes) -> EmbeddingTable:
 
 def _load_embeddings_binary(data: bytes) -> EmbeddingTable:
     if len(data) < 12:
-        raise MalformedRecord(0, "binary payload truncated before header")
+        raise MalformedRecord("binary payload truncated before header", 0)
     (dim,) = struct.unpack_from("<I", data, 8)
     if dim == 0:
-        raise MalformedRecord(0, "dimension must be positive")
+        raise MalformedRecord("dimension must be positive", 0)
     offset = 12
     rows: list[tuple[str, np.ndarray]] = []
     record = 0
     while offset < len(data):
         record += 1
         if offset + 2 > len(data):
-            raise MalformedRecord(record, "truncated id length")
+            raise MalformedRecord("truncated id length", record)
         (id_len,) = struct.unpack_from("<H", data, offset)
         offset += 2
         if offset + id_len > len(data):
-            raise MalformedRecord(record, "truncated clip id")
+            raise MalformedRecord("truncated clip id", record)
         try:
             clip_id = data[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError:
-            raise MalformedRecord(record, "clip id is not valid UTF-8") from None
+            raise MalformedRecord("clip id is not valid UTF-8", record) from None
         offset += id_len
         vec_bytes = 4 * dim
         if offset + vec_bytes > len(data):
-            raise MalformedRecord(record, "truncated vector")
+            raise MalformedRecord("truncated vector", record)
         vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
         offset += vec_bytes
         rows.append((clip_id, vec))
@@ -423,18 +436,15 @@ def _load_embeddings_binary(data: bytes) -> EmbeddingTable:
 
 
 def _load_embeddings_csv(text: str) -> EmbeddingTable:
-    rows: list[tuple[str, list[float]]] = []
-    reader = csv.reader(io.StringIO(text))
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    def vector(row: list[str]) -> tuple[str, list[float]]:
         if len(row) < 2:
-            raise MalformedRecord(lineno, "expected clip_id followed by components")
+            raise MalformedRecord("expected clip_id followed by components")
         try:
-            rows.append((row[0], [float(v) for v in row[1:]]))
+            return row[0], [float(v) for v in row[1:]]
         except ValueError:
-            raise MalformedRecord(lineno, "non-numeric component") from None
-    return EmbeddingTable(rows)
+            raise MalformedRecord("non-numeric component") from None
+
+    return EmbeddingTable(read_rows(csv_rows(text), vector))
 
 
 def dump_embeddings(table: EmbeddingTable, encoding: str = "binary") -> bytes:

@@ -32,10 +32,11 @@ class NumericError(GazeLabError):
 
 
 class MalformedRecord(ParseError):
-    def __init__(self, line: int, detail: str):
-        super().__init__(f"line {line}: {detail}")
+    def __init__(self, reason: str, line: int | None = None):
+        loc = f"line {line}: " if line is not None else ""
+        super().__init__(f"{loc}{reason}")
+        self.reason = reason
         self.line = line
-        self.detail = detail
 
 
 class BadMagic(ParseError):

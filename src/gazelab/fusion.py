@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import ClipDelimitation, ClipLabel, ObjLevel, SpanAnnotation
 from .errors import (
@@ -62,32 +62,24 @@ def project(
     spans: Sequence[SpanAnnotation],
     clips: Sequence[ClipDelimitation],
     cfg: ProjectionConfig = ProjectionConfig(),
-    annotator_id: str | None = None,
 ) -> list[ClipLabel]:
     """Project one annotator's spans onto a film's clips.
 
     Every clip gets a label: the highest level among spans whose overlap
     fraction meets the threshold (concepts unioned across the spans at
-    that level), or EN when nothing qualifies. An empty span list is the
-    implicit all-EN timeline of an annotator who selected nothing; pass
-    ``annotator_id`` to attribute it.
+    that level), or EN when nothing qualifies. The provenance of every
+    label is the spans' annotator; an empty span list gives an all-EN
+    timeline with no provenance.
     """
+    provenance = frozenset(s.annotator_id for s in spans)
     if spans:
         films = {s.film_id for s in spans} | {c.film_id for c in clips}
         if len(films) > 1:
             raise FilmMismatch(f"spans and clips cover several films: {sorted(films)}")
-        annotators = {s.annotator_id for s in spans}
-        if len(annotators) > 1:
+        if len(provenance) > 1:
             raise InvariantViolation(
-                f"project expects a single annotator, got {sorted(annotators)}"
+                f"project expects a single annotator, got {sorted(provenance)}"
             )
-        inferred = next(iter(annotators))
-        if annotator_id is not None and annotator_id != inferred:
-            raise InvariantViolation(
-                f"annotator_id {annotator_id!r} does not match spans ({inferred!r})"
-            )
-        annotator_id = inferred
-    provenance = frozenset() if annotator_id is None else frozenset({annotator_id})
 
     labels: list[ClipLabel] = []
     for clip, overlaps in zip(clips, _clip_overlaps(spans, clips, cfg.overlap_basis)):
@@ -181,29 +173,24 @@ def fuse(
     spans: Sequence[SpanAnnotation],
     clips: Sequence[ClipDelimitation],
     cfg: ProjectionConfig = ProjectionConfig(),
-    annotators: Iterable[str] | None = None,
 ) -> tuple[dict[str, dict[str, list[ClipLabel]]], dict[str, list[ClipLabel]]]:
     """Project and merge a whole annotation export.
 
     Returns ``(projections, merged)`` where ``projections[film][annotator]``
     is that annotator's clip timeline and ``merged[film]`` the fused one.
-    Annotators with no spans on a film are projected as implicit all-EN
-    timelines when an explicit ``annotators`` roster is given; otherwise
-    each film is merged over the annotators that touched it. Films whose
+    Each film is merged over the annotators with spans on it. Films whose
     clip index has no annotator at all are fused as all-EN with empty
     provenance. Spans on a film missing from ``clips`` raise
     ``FilmMismatch``.
     """
     projections: dict[str, dict[str, list[ClipLabel]]] = {}
     merged: dict[str, list[ClipLabel]] = {}
-    roster = set(annotators or ())
     for film_id, (film_clips, film_spans) in _by_film(spans, clips).items():
-        by_annotator: dict[str, list[SpanAnnotation]] = {aid: [] for aid in roster}
+        by_annotator: dict[str, list[SpanAnnotation]] = {}
         for s in film_spans:
             by_annotator.setdefault(s.annotator_id, []).append(s)
         film_proj = {
-            aid: project(by_annotator[aid], film_clips, cfg, annotator_id=aid)
-            for aid in sorted(by_annotator)
+            aid: project(by_annotator[aid], film_clips, cfg) for aid in sorted(by_annotator)
         }
         projections[film_id] = film_proj
         if film_proj:

@@ -81,7 +81,7 @@ def make_folds_from_ids(
     for cls_index, cls in enumerate(sorted(ids_by_class, key=str)):
         ids = list(ids_by_class[cls])
         if len(ids) < FOLDS:
-            raise ClassTooSmall(str(cls), len(ids), FOLDS)
+            raise ClassTooSmall(cls.name if isinstance(cls, Enum) else str(cls), len(ids), FOLDS)
         rng = np.random.default_rng(derive_seed(seed, 2, cls_index))
         order = rng.permutation(len(ids))
         assigned: list[list[str]] = [[] for _ in range(FOLDS)]
@@ -227,6 +227,18 @@ def _train_for_draw(
     raise InvariantViolation(f"unknown model kind {cfg.model}")
 
 
+def plan_task(cfg: TaskConfig, labels: Sequence[ClipLabel]) -> tuple[FoldPlan, list]:
+    """The fold plan and balanced training sets of one train row, from the
+    labels alone: a row they cannot support fails before anything is fitted."""
+    by_level: dict[ObjLevel, list[str]] = {}
+    for lbl in labels:
+        if lbl.level is ObjLevel.NS:
+            raise PreconditionError("NS clips must be dropped before evaluation")
+        by_level.setdefault(lbl.level, []).append(lbl.clip_id)
+    plan = make_folds_from_ids(by_level, seed=cfg.seed)
+    return plan, balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
+
+
 def run_task(
     cfg: TaskConfig,
     labels: Sequence[ClipLabel],
@@ -245,13 +257,7 @@ def run_task(
     composition.
     """
     test_sets = check_test_sets(test_sets)
-    by_level: dict[ObjLevel, list[str]] = {}
-    for lbl in labels:
-        if lbl.level is ObjLevel.NS:
-            raise PreconditionError("NS clips must be dropped before evaluation")
-        by_level.setdefault(lbl.level, []).append(lbl.clip_id)
-    plan = make_folds_from_ids(by_level, seed=cfg.seed)
-    train_sets = balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
+    plan, train_sets = plan_task(cfg, labels)
 
     def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
         return [cid for lv in levels for cid in plan.ids(lv, [fold])]

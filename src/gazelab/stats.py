@@ -100,11 +100,8 @@ def task_class_fractions(
     kept = [lbl for lbl in labels if lbl.level not in dropped]
     if not kept:
         raise AllDropped(f"dropping {sorted(lv.name for lv in dropped)} removed every clip")
-    n = len(kept)
-    counts: dict[ObjLevel, int] = {}
-    for lbl in kept:
-        counts[lbl.level] = counts.get(lbl.level, 0) + 1
-    return {level: counts[level] / n for level in ObjLevel if level in counts}
+    counts = summarize(kept).level_counts
+    return {level: counts[level] / len(kept) for level in ObjLevel if counts[level]}
 
 
 def summary_rows(summary: DatasetSummary) -> list[tuple[str, str, int, float]]:

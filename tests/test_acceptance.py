@@ -233,7 +233,7 @@ def test_criterion3_fusion_oracle(tmp_path):
             from gazelab import ProjectionConfig
 
             per = [
-                (aid, project(sp, clips, ProjectionConfig(overlap_threshold=threshold), annotator_id=aid))
+                (aid, project(sp, clips, ProjectionConfig(overlap_threshold=threshold)))
                 for aid, sp in spans_by.items()
             ]
             merged_levels[threshold] = {l.clip_id: l.level for l in merge(per)}

@@ -497,6 +497,61 @@ class TestMalformedInputs:
         self._exits_2(["stats", str(path), "--out", str(tmp_path / "s")], capsys)
         self._exits_2(["gamma", str(path), "--seed", "1", "--out", str(tmp_path / "g")], capsys)
 
+    SPAN = '{"film": "juno", "annotator": "a1", "start": %s, "level": %s, "end": 9, "concepts": %s}'
+    LABEL = '{"clip": "c%d", "level": %s, "concepts": %s}'
+    RATING = '{"film": "f", "annotator": "%s", "clip": %s, "level": %s}'
+
+    @pytest.mark.parametrize(
+        "argv, first, second, code, message",
+        [
+            # annotation JSONL
+            (["fuse", "{input}", "{clips}"], SPAN % (0, '"S"', '["Body"]'),
+             SPAN % ('"0"', '"S"', '["Body"]'), 2, "field 'start' must be a number"),
+            (["fuse", "{input}", "{clips}"], SPAN % (0, '"S"', '["Body"]'),
+             SPAN % (0, '"EN"', '["Body"]'), 3, "no concept can be attached to an EN rating"),
+            # clip index CSV
+            (["fuse", "{annotations}", "{input}"], "c1,juno,0,60", "c2,juno,sixty,120", 2,
+             "start and end must be numbers"),
+            (["fuse", "{annotations}", "{input}"], "c1,juno,0,60", "c2,juno,120,60", 3,
+             "clip 'c2': empty, inverted or non-finite range [120.0, 60.0)"),
+            # merged-label JSONL
+            (["stats", "{input}"], LABEL % (1, '"EN"', "[]"), LABEL % (2, '"S"', '"Body"'), 2,
+             "field 'concepts' must be an array of strings"),
+            (["stats", "{input}"], LABEL % (1, '"EN"', "[]"), LABEL % (2, '"S"', "[]"), 3,
+             "S rating requires at least one concept"),
+            # projection JSONL
+            (["gamma", "{input}", "--seed", "1"], RATING % ("a", '"c1"', '"EN"'),
+             RATING % ("b", '["c1"]', '"EN"'), 2, "field 'clip' must be a string"),
+            (["gamma", "{input}", "--seed", "1"], RATING % ("a", '"c1"', '"EN"'),
+             RATING % ("b", '"c1"', '"QQ"'), 3, "unknown level 'QQ'"),
+            # embedding CSV and predictions CSV: no rule of theirs is a
+            # domain rule of one row (the table's checks name the clip)
+            (["cav", "{input}", "{labels}", "--seed", "1"], "c1,0.5", "c2,half", 2,
+             "non-numeric component"),
+            (["error", "{labels}", "{input}"], "c1,0", "c2,yes", 2,
+             "prediction/truth must be 0 or 1"),
+        ],
+        ids=[f"{reader}-{case}" for reader in ("annotations", "clips", "labels", "projections")
+             for case in ("field", "domain")] + ["embeddings-field", "predictions-field"],
+    )
+    def test_every_reader_names_the_line(
+        self, fusion_inputs, tmp_path, capsys, argv, first, second, code, message
+    ):
+        ann, clips = fusion_inputs
+        path = tmp_path / "input"
+        path.write_text(f"{first}\n{second}\n")
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(
+            "".join(
+                json.dumps({"clip": f"c{i}", "level": lv, "concepts": [] if lv == "EN" else ["Body"]})
+                + "\n"
+                for i, lv in enumerate(["EN", "S", "HN"] * 2, start=1)
+            )
+        )
+        files = {"input": path, "clips": clips, "annotations": ann, "labels": labels}
+        argv = [arg.format(**files) for arg in argv] + ["--out", str(tmp_path / "o")]
+        assert self._exits(argv, capsys, code) == f"error: line 2: {message}\n"
+
     def test_non_utf8_file(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"
         path.write_bytes(b'{"clip": "\xff"}\n')
@@ -648,6 +703,31 @@ class TestMalformedInputs:
         ):
             err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 4)
             assert err == "error: no training data for classes S/HN\n"
+
+    @pytest.mark.parametrize(
+        "argv, hn_kept, message",
+        [
+            (["pcbm", "--kind", "lr", "--train-neg", "HN"], 0, "no training data for classes S/HN"),
+            (["eval", "--model", "pcbm-lr"], 0, "no training data for classes S/HN"),
+            (["pcbm", "--kind", "dt"], 5, "class 'HN' has 5 samples, fewer than 10 folds"),
+        ],
+        ids=["pcbm-without-HN", "eval-without-HN", "pcbm-5-HN"],
+    )
+    def test_folds_are_checked_before_fitting(
+        self, tmp_path, capsys, monkeypatch, argv, hn_kept, message
+    ):
+        # A train row the labels cannot fold exits 4 before any concept
+        # axis is fitted.
+        calls = []
+        fit = cbm.fit_all_cavs
+        monkeypatch.setattr(cbm, "fit_all_cavs", lambda *a, **k: calls.append(a) or fit(*a, **k))
+        emb, labels = self._pcbm_inputs(tmp_path)
+        lines = Path(labels).read_text().splitlines(keepends=True)
+        hn = [line for line in lines if '"level": "HN"' in line]
+        Path(labels).write_text("".join(line for line in lines if line not in hn[hn_kept:]))
+        argv = [argv[0], emb, labels, *argv[1:], "--seed", "1", "--out", str(tmp_path / "o")]
+        assert self._exits(argv, capsys, 4) == f"error: {message}\n"
+        assert calls == []
 
     @pytest.mark.parametrize("fmt", ["gazelab-model/2", None])
     def test_cavs_file_format_is_checked(self, tmp_path, capsys, fmt):

@@ -83,8 +83,8 @@ class TestProject:
             )
 
     def test_empty_spans_give_all_en_timeline(self):
-        labels = project([], [CLIP], annotator_id="a9")
-        assert labels == [ClipLabel("c1", ObjLevel.EN, frozenset(), frozenset({"a9"}))]
+        labels = project([], [CLIP])
+        assert labels == [ClipLabel("c1", ObjLevel.EN, frozenset(), frozenset())]
 
     def test_every_clip_labeled(self):
         rng = np.random.default_rng(11)
@@ -160,8 +160,8 @@ class TestMerge:
         rng = np.random.default_rng(9)
         for _ in range(20):
             clips, spans_by = random_fusion_fixture(rng)
-            timelines = [(aid, project(sp, clips, annotator_id=aid)) for aid, sp in spans_by.items()]
-            extra = project([], clips, annotator_id="a3")
+            timelines = [(aid, project(sp, clips)) for aid, sp in spans_by.items()]
+            extra = project([], clips)
             timelines.append(("a3", extra))
 
             def as_dict(labels):
@@ -218,14 +218,6 @@ class TestFuse:
         with pytest.raises(FilmMismatch, match="'ghost'"):
             sweep_thresholds([ghost], [CLIP], [0.2])
 
-    def test_roster_adds_implicit_en_timeline(self):
-        spans = [span(0.0, 9.0, ObjLevel.S)]
-        projections, merged = fuse(spans, [CLIP], annotators={"a1", "a2"})
-        assert set(projections["f"]) == {"a1", "a2"}
-        assert projections["f"]["a2"][0].level is ObjLevel.EN
-        assert merged["f"][0].level is ObjLevel.S
-        assert merged["f"][0].annotators == frozenset({"a1"})
-
     def test_film_without_annotators_warns_and_fuses_all_en(self):
         from gazelab.errors import UnannotatedFilmWarning
 
@@ -236,15 +228,13 @@ class TestFuse:
         assert merged["f"][0].annotators == frozenset()
 
 
-def all_pairs_project(spans, clips, cfg=ProjectionConfig(), annotator_id=None):
+def all_pairs_project(spans, clips, cfg=ProjectionConfig()):
     """The projection ``project`` replaced: every span tested on every clip.
 
     Kept as the reference for the sorted sweep. Takes one film and one
     annotator, as ``project`` does, without its input checks.
     """
-    if spans:
-        annotator_id = spans[0].annotator_id
-    provenance = frozenset() if annotator_id is None else frozenset({annotator_id})
+    provenance = frozenset(s.annotator_id for s in spans[:1])
     labels = []
     for clip in clips:
         qualifying = [
@@ -271,7 +261,7 @@ def all_pairs_sweep(spans_by_annotator, clips, thresholds, basis):
         for film in films:
             film_clips = [c for c in clips if c.film_id == film]
             timelines = [
-                (aid, all_pairs_project([s for s in sp if s.film_id == film], film_clips, cfg, aid))
+                (aid, all_pairs_project([s for s in sp if s.film_id == film], film_clips, cfg))
                 for aid, sp in sorted(spans_by_annotator.items())
             ]
             for lbl in merge(timelines):
@@ -366,9 +356,8 @@ class TestAllPairsReference:
             for basis in OverlapBasis:
                 for t in reference_thresholds(rng):
                     cfg = ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
-                    for aid, spans in spans_by.items():
-                        expected = all_pairs_project(spans, clips, cfg, aid)
-                        assert project(spans, clips, cfg, annotator_id=aid) == expected
+                    for spans in spans_by.values():
+                        assert project(spans, clips, cfg) == all_pairs_project(spans, clips, cfg)
         assert touching > REFERENCE_FIXTURES
 
     def test_sweep_matches(self):

@@ -11,9 +11,13 @@ codes: 0 on success, 2 to 5 on rejected input. An exception escaping
 ``main`` fails the test. When ``fuse`` succeeds, every span and clip
 bound it read must be finite; when ``gamma`` succeeds, every pair it
 reports compared at least one clip, and the same records in another
-order give a byte-identical result.
+order give a byte-identical result. Clip ids and film names of any
+text, CSV-quoted in the clip index and the predictions and written raw
+into the JSONL files, pass unchanged from ``fuse`` to ``error``.
 """
 
+import csv
+import io
 import json
 import math
 import struct
@@ -21,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gazelab.cli import main
 from gazelab.core import EMBEDDING_MAGIC, load_embeddings, parse_annotations, parse_clip_index
@@ -348,3 +352,48 @@ def test_cav_binary_embeddings(data):
 @given(csv_tables)
 def test_cav_csv_embeddings(data):
     run_cav(data)
+
+
+# Names as the readers keep them: cells are stripped, a prediction row
+# whose first cell starts with '#' is a comment, and input files are read
+# with universal newlines, so a carriage return reads back as a line feed.
+names = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\r"), min_size=1, max_size=5
+).filter(lambda name: name == name.strip() and not name.startswith("#"))
+
+
+def _csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def fuse_then_error(root: Path, ids: list[str], film: str) -> list[str]:
+    """``fuse`` on the fusion fixture with its clip ids and film renamed,
+    then ``error`` on the merged labels (written raw) with a prediction of
+    1 per clip; the factor rows of ``error``."""
+    spans = [json.loads(line) for line in FUSION_FIXTURE_ANNOTATIONS_JSONL.splitlines()]
+    lines = [json.dumps({**span, "film": film}, ensure_ascii=False) for span in spans]
+    (root / "ann.jsonl").write_text("\n".join(lines), encoding="utf-8")
+    bounds = [row.split(",")[2:] for row in FUSION_FIXTURE_CLIPS_CSV.splitlines()]
+    clips = [[cid, film, *b] for cid, b in zip(ids, bounds)]
+    (root / "clips.csv").write_text(_csv_text(clips), encoding="utf-8")
+    assert main(["fuse", f"{root}/ann.jsonl", f"{root}/clips.csv", "--out", f"{root}/o"]) == 0
+    merged = [json.loads(line) for line in (root / "o/merged.jsonl").read_text().splitlines()]
+    assert [(m["clip"], m["level"]) for m in merged] == list(zip(ids, "EN S S S EN".split()))
+    lines = [json.dumps(m, ensure_ascii=False) for m in merged]
+    (root / "labels.jsonl").write_text("\n".join(lines), encoding="utf-8")
+    (root / "preds.csv").write_text(_csv_text([[cid, 1] for cid in ids]), encoding="utf-8")
+    assert main(["error", f"{root}/labels.jsonl", f"{root}/preds.csv", "--out", f"{root}/e"]) == 0
+    return (root / "e/error_factors.csv").read_text().splitlines()[1:]
+
+
+@FUZZ
+@given(st.lists(names, min_size=5, max_size=5, unique=True), names)
+@example(["c,1", "c 2", '"c3"', 'c"4', "c\n5"], "juno")  # CSV-quoted ids
+@example(["c1", "c\u20282", "c\x853", "c4", "c5"], "ju\u2028n\x85o")  # raw in JSON strings
+def test_names_pass_from_fuse_to_error(ids, film):
+    # Renamed, the fixture merges as before and gives the same factors.
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as ref:
+        expected = fuse_then_error(Path(ref), ["c1", "c2", "c3", "c4", "c5"], "juno")
+        assert fuse_then_error(Path(tmp), ids, film) == expected
