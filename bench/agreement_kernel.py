@@ -1,18 +1,20 @@
-"""Time the agreement score and its resampled null on two film shapes.
+"""Time the agreement score and its null on two film shapes.
 
     python3 bench/agreement_kernel.py [--src DIR] [--repeats N]
 
 Imports gazelab from ``DIR`` (default: this checkout's ``src/``) and
 builds two seeded films: 5 annotators x 400 clips (the shape of the
-benchmark's timelines films, 10 pairs, 62 null trials) and 2 annotators
-x 5,000 clips with 1,000 null trials. Each annotator copies a shared
-level sequence (40% EN, 20% HN, 10% NS, 30% S) on 70% of the clips and
-draws afresh from the same mix on the rest. For each film, with nothing
-and with NS excluded, it prints one JSON line with the seconds of
-``gamma_per_film_and_average`` (median of N runs), the peak of memory
-allocated during one more call under ``tracemalloc``, and two digests
-of the per-pair results: ``digest_csv`` at the 6 decimals that
-``gamma.csv`` writes, and ``digest_exact`` over the full float values.
+benchmark's timelines films, 10 pairs) and 2 annotators x 5,000 clips.
+It sets only the excluded levels, so a checkout with the exact null and
+one with a sampled null (at its default trial count) both run it. Each
+annotator copies a shared level sequence (40% EN, 20% HN, 10% NS, 30%
+S) on 70% of the clips and draws afresh from the same mix on the rest.
+For each film, with nothing and with NS excluded, it prints one JSON
+line with the seconds of ``gamma_per_film_and_average`` (median of N
+runs), the peak of memory allocated during one more call under
+``tracemalloc``, and two digests of the per-pair results:
+``digest_csv`` at the 6 decimals that ``gamma.csv`` writes, and
+``digest_exact`` over the full float values.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from pathlib import Path
 
 from timing import median_s
 
-#: (annotators, clips, null trials) of each film.
-SHAPES = ((5, 400, 62), (2, 5000, 1000))
+#: (annotators, clips) of each film.
+SHAPES = ((5, 400), (2, 5000))
 LEVEL_MIX = (0.4, 0.2, 0.1, 0.3)
 
 
@@ -42,16 +44,14 @@ def main() -> None:
     from gazelab import GammaConfig, ObjLevel, gamma_per_film_and_average
 
     rng = np.random.default_rng(8)
-    for annotators, clips, n_null in SHAPES:
+    for annotators, clips in SHAPES:
         shared = rng.choice(4, size=clips, p=LEVEL_MIX)
         film = {}
         for a in range(annotators):
             own = np.where(rng.random(clips) < 0.7, shared, rng.choice(4, size=clips, p=LEVEL_MIX))
             film[f"a{a}"] = [ObjLevel(int(v)) for v in own]
         for excluded in ((), ("NS",)):
-            cfg = GammaConfig(
-                n_null=n_null, seed=1, excluded_levels={ObjLevel.from_name(e) for e in excluded}
-            )
+            cfg = GammaConfig(excluded_levels={ObjLevel.from_name(e) for e in excluded})
             seconds, summary = median_s(
                 lambda: gamma_per_film_and_average({"film": film}, cfg), args.repeats
             )
@@ -66,7 +66,6 @@ def main() -> None:
                     {
                         "annotators": annotators,
                         "clips": clips,
-                        "n_null": n_null,
                         "exclude": list(excluded),
                         "repeats": args.repeats,
                         "seconds": round(seconds, 4),

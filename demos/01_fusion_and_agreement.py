@@ -68,7 +68,7 @@ def main():
         aid: [label.level for label in labels]
         for aid, labels in projections["juno"].items()
     }
-    summary = gamma_per_film_and_average({"juno": sequences}, GammaConfig(seed=0))
+    summary = gamma_per_film_and_average({"juno": sequences}, GammaConfig())
     row = summary.per_pair[0]
     print(
         f"  {row.annotator_a} vs {row.annotator_b}: "

@@ -3,19 +3,19 @@
 Once spans are projected onto a shared clip grid, alignment is trivial
 and agreement reduces to the categorical side: a fixed dissimilarity
 between level pairs, averaged over every (annotator pair, clip)
-comparison, gives the observed disorder. The expected disorder under
-chance is estimated by resampling each annotator's sequence i.i.d. from
-their own empirical level distribution and averaging the disorder of
-the resampled sets over a fixed number of trials. The agreement score
-is one minus the ratio of observed to expected disorder: 1 means
-perfect agreement, 0 or below means chance level or worse.
+comparison, gives the observed disorder. The expected disorder is its
+exact mean under chance, each annotator rating i.i.d. from their own
+level marginal: a weighted Cohen's kappa's expected disagreement, with
+no trials and no seed. The agreement score is one minus the ratio of
+observed to expected disorder: 1 means perfect agreement, 0 or below
+means chance level or worse.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .errors import (
     DegenerateNull,
     EmptyInput,
     FewerThanTwoAnnotators,
-    InvariantViolation,
     LengthMismatch,
+    PreconditionError,
 )
 
 #: Dissimilarity between level pairs, indexed [level_a, level_b].
@@ -48,21 +48,17 @@ def level_distance(u: ObjLevel, v: ObjLevel) -> float:
 
 @dataclass(frozen=True)
 class GammaConfig:
-    """Agreement parameters.
+    """Agreement parameters: the levels left out of every comparison.
 
-    Projected timelines are already aligned, so only the categorical
-    dissimilarity counts. ``n_null`` is the number of resampled null
-    trials.
+    Timelines are aligned, so only the categorical dissimilarity counts.
+    The null is exact, so ``n_null`` (the benchmark counts it) is 0.
     """
 
-    n_null: int = 62
-    seed: int = 0
+    n_null: ClassVar[int] = 0
     excluded_levels: frozenset[ObjLevel] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "excluded_levels", frozenset(self.excluded_levels))
-        if self.n_null < 1:
-            raise InvariantViolation(f"n_null must be >= 1, got {self.n_null}")
 
 
 @dataclass(frozen=True)
@@ -71,11 +67,6 @@ class GammaResult:
     observed_disorder: float
     expected_disorder: float
     n_pairs: int
-
-
-#: Null trials are drawn in blocks of at most this many uniforms (one
-#: trial if larger), so memory does not grow with ``n_null``.
-NULL_BLOCK_UNIFORMS = 1 << 18
 
 
 def _as_index_rows(sequences: Mapping[str, Sequence[ObjLevel]]) -> np.ndarray:
@@ -91,22 +82,20 @@ def _as_index_rows(sequences: Mapping[str, Sequence[ObjLevel]]) -> np.ndarray:
 
 
 def _disorder_terms(rows: np.ndarray, excluded: frozenset[ObjLevel]):
-    """Sums and counts of dissimilarities over all pairwise comparisons.
+    """Sum and count of dissimilarities over all pairwise comparisons.
 
-    ``rows`` holds level indices shaped (..., annotators, clips); both
-    results have the leading shape. A clip is skipped for a given
-    annotator pair when either member rated it with an excluded level;
-    other pairs still compare it.
+    ``rows`` holds level indices shaped (annotators, clips). A clip is
+    skipped for a given annotator pair when either member rated it with
+    an excluded level; other pairs still compare it.
     """
-    kept = np.ones(4, dtype=bool)
-    kept[[int(lv) for lv in excluded]] = False
+    kept = np.isin(np.arange(4), [int(lv) for lv in excluded], invert=True)
     kept_pair = np.outer(kept, kept).ravel()
     distance = np.where(kept_pair, LEVEL_DISTANCE_MATRIX.ravel(), 0.0)
     total, count = 0.0, 0
-    for i, j in itertools.combinations(range(rows.shape[-2]), 2):
-        pair = 4 * rows[..., i, :] + rows[..., j, :]
-        total = total + distance[pair].sum(axis=-1)
-        count = count + np.count_nonzero(kept_pair[pair], axis=-1)
+    for row_a, row_b in itertools.combinations(rows, 2):
+        pair = 4 * row_a + row_b
+        total += distance[pair].sum()
+        count += np.count_nonzero(kept_pair[pair])
     return total, count
 
 
@@ -126,33 +115,29 @@ def expected_disorder(
     sequences: Mapping[str, Sequence[ObjLevel]],
     cfg: GammaConfig = GammaConfig(),
 ) -> float:
-    """Mean disorder of null sets resampled from per-annotator marginals.
+    """Exact mean disorder of the chance null, each annotator rating every
+    clip independently from their own level marginal ``p``.
 
-    Trial ``t`` draws one (annotators, clips) array of uniforms from
-    its own generator, seeded by (seed, t), and maps row ``i`` through
-    annotator ``i``'s empirical CDF: exactly the draws of
-    ``Generator.choice(4, size=clips, p=marginal_i)`` called annotator
-    by annotator. The trial disorder uses the observed exclusion rule
-    (a trial with nothing to compare counts as 0). Trials are scored in
-    blocks of ``NULL_BLOCK_UNIFORMS``. Deterministic given (sequences,
-    seed, n_null).
+    A pair scores ``p_aᵀ D p_b`` (D is ``LEVEL_DISTANCE_MATRIX``), averaged
+    over the pairs. With exclusions, over n clips a pair scores
+    ``(1 − (1 − m_a·m_b)^n) · p̃_aᵀ D p̃_b``: ``m`` is a marginal's kept
+    mass, ``p̃`` the marginal renormalized over the kept levels, and a
+    null set with nothing kept counts 0. Pairs that share an annotator
+    have dependent kept counts, so exclusions need exactly two annotators.
     """
     rows = _as_index_rows(sequences)
-    cdf = np.cumsum([np.bincount(row, minlength=4) / row.size for row in rows], axis=1)
-    cdf /= cdf[:, -1:]
-    # Trial generators derive from (seed, trial) so trials are
-    # schedule-independent and individually reproducible.
-    seed = cfg.seed & 0xFFFFFFFFFFFFFFFF
-    trial_means = np.zeros(cfg.n_null)
-    per_block = max(1, NULL_BLOCK_UNIFORMS // rows.size)
-    for start in range(0, cfg.n_null, per_block):
-        stop = min(start + per_block, cfg.n_null)
-        rngs = [np.random.default_rng((seed, t)) for t in range(start, stop)]
-        u = np.stack([rng.random(rows.shape) for rng in rngs])
-        null = np.stack([c.searchsorted(u[:, i], side="right") for i, c in enumerate(cdf)], axis=1)
-        total, count = _disorder_terms(null, cfg.excluded_levels)
-        np.divide(total, count, out=trial_means[start:stop], where=count > 0)
-    return float(trial_means.mean())
+    if len(rows) > 2 and cfg.excluded_levels:
+        raise PreconditionError(f"excluded levels need one annotator pair, got {len(rows)}")
+    # Integer kept counts: a pair with every clip kept has m_a·m_b exactly 1.
+    counts = np.stack([np.bincount(row, minlength=4) for row in rows])
+    counts[:, [int(lv) for lv in cfg.excluded_levels]] = 0
+    a, b = np.triu_indices(len(rows), 1)
+    kept_pairs = counts.sum(axis=1)[a] * counts.sum(axis=1)[b]
+    clips = rows.shape[1]
+    any_kept = 1.0 - (1.0 - kept_pairs / clips**2) ** clips
+    weighted = np.einsum("pu,uv,pv->p", counts[a], LEVEL_DISTANCE_MATRIX, counts[b])
+    nulls = np.divide(any_kept * weighted, kept_pairs, out=np.zeros(len(a)), where=kept_pairs > 0)
+    return float(nulls.mean())
 
 
 def gamma(

@@ -3,11 +3,11 @@
 Subcommands: ``fuse``, ``gamma``, ``stats``, ``cav``, ``pcbm``,
 ``eval``, ``error``. Exit codes: 2 for parse errors (including missing
 files), 3 for invariant violations, 4 for precondition failures, 5 for
-numerical divergence. Stochastic subcommands require a seed, either
-via ``--seed`` or the ``OBY_SEED`` environment variable; every run is
-fully reproducible. Every CSV and JSON report records the run's resolved
-configuration (``_resolved``), never a timestamp: in a ``# config:``
-line, a ``config`` object or ``merged.config.json``.
+numerical divergence. ``cav``, ``pcbm`` and ``eval`` require a seed,
+either via ``--seed`` or the ``OBY_SEED`` environment variable; every
+run is fully reproducible. Every CSV and JSON report records the run's
+resolved configuration (``_resolved``), never a timestamp: in a
+``# config:`` line, a ``config`` object or ``merged.config.json``.
 """
 
 from __future__ import annotations
@@ -91,10 +91,11 @@ def _read_path(path: str, binary: bool = False):
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such file: {path}")
+    data = p.read_bytes()
     if binary:
-        return p.read_bytes()
-    try:
-        return p.read_text(encoding="utf-8")
+        return data
+    try:  # no newline translation: the readers split lines themselves
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
 
@@ -217,7 +218,6 @@ def _aligned_sequences(
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     films: dict[str, dict[str, dict[str, ObjLevel]]] = {}
 
     def rating(line: str) -> None:
@@ -234,11 +234,12 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     read_rows(jsonl_rows(_read_path(args.projections)), rating)
 
     excluded = _parse_levels(args.exclude) if args.exclude else frozenset()
-    cfg = GammaConfig(n_null=args.n_null, seed=seed, excluded_levels=excluded)
+    cfg = GammaConfig(excluded_levels=excluded)
     sequences = {film: _aligned_sequences(film, ratings) for film, ratings in films.items()}
     summary = gamma_per_film_and_average(sequences, cfg)
 
-    resolved = _resolved(args, seed=seed, exclude=sorted(lv.name for lv in excluded))
+    resolved = _resolved(args, exclude=sorted(lv.name for lv in excluded))
+    del resolved["seed"]  # accepted, but the exact null draws nothing
     lines = [_config_line(resolved), "film,pair,gamma,delta_a,delta_c,n_pairs"]
     for row in summary.per_pair:
         r = row.result
@@ -485,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="inter-annotator agreement on projections")
     p.add_argument("projections", help="projection JSONL from fuse")
-    p.add_argument("--n-null", type=int, default=62, dest="n_null")
     p.add_argument("--exclude", default=None, help="levels to exclude, e.g. NS")
-    add_common(p, needs_seed=True)
+    p.add_argument("--seed", type=int, help="ignored: the exact null needs no seed")
+    add_common(p, needs_seed=False)
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("stats", help="dataset statistics of merged labels")

@@ -265,9 +265,15 @@ def jsonl_rows(text: str) -> Iterator[tuple[int, str]]:
 
 def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(line number, cells)`` of every non-blank CSV row, numbered by
-    the line the row ends on (a quoted cell may span lines)."""
+    the line the row ends on (a quoted cell may span lines). A row the
+    csv module cannot read is a MalformedRecord at its line."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    return ((reader.line_num, row) for row in reader if len(row) > 1 or (row and row[0].strip()))
+    try:
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):
+                yield reader.line_num, row
+    except csv.Error as e:  # a cell over the field size limit, say
+        raise MalformedRecord(f"unreadable CSV ({e})", line=reader.line_num) from None
 
 
 def read_rows(rows: Iterable[tuple[int, Any]], parse: Callable[[Any], Any]) -> list:

@@ -1,4 +1,4 @@
-"""Categorical disorder, null resampling, and the agreement score."""
+"""Categorical disorder, the exact chance null, and the agreement score."""
 
 import itertools
 
@@ -20,8 +20,8 @@ from gazelab.errors import (
     DegenerateNull,
     EmptyInput,
     FewerThanTwoAnnotators,
-    InvariantViolation,
     LengthMismatch,
+    PreconditionError,
 )
 
 EN, HN, NS, S = ObjLevel.EN, ObjLevel.HN, ObjLevel.NS, ObjLevel.S
@@ -74,25 +74,8 @@ class TestObservedDisorder:
         assert observed_disorder({"A": [EN, NS], "B": [EN, S]}, cfg) == 0.0
 
 
-class TestExpectedDisorder:
-    def test_constant_single_level_null_is_zero(self):
-        assert expected_disorder({"A": [EN, EN, EN], "B": [EN, EN, EN]}) == 0.0
-
-    def test_half_half_closed_form(self):
-        # Both marginals are exactly 50% EN / 50% S, so a resampled pair
-        # mismatches with probability 1/2 at distance d(EN,S) = 1. With
-        # 400 clips and 62 trials the Monte Carlo sigma is
-        # sqrt(0.25 / (400 * 62)) ~ 0.0032; assert within 3 sigma.
-        seq = [EN, S] * 200
-        value = expected_disorder({"A": seq, "B": list(reversed(seq))}, GammaConfig(seed=5))
-        assert value == pytest.approx(0.5, abs=0.01)
-
-    def test_deterministic_given_seed(self):
-        seqs = {"A": [EN, S, HN, S, NS, EN], "B": [S, S, HN, EN, NS, EN]}
-        a = expected_disorder(seqs, GammaConfig(seed=99))
-        b = expected_disorder(seqs, GammaConfig(seed=99))
-        assert a == b
-        assert expected_disorder(seqs, GammaConfig(seed=100)) != a
+def _rows(sequences):
+    return np.array([[int(lv) for lv in sequences[a]] for a in sorted(sequences)], dtype=np.intp)
 
 
 def _reference_terms(rows, excluded):
@@ -108,51 +91,140 @@ def _reference_terms(rows, excluded):
     return total, count
 
 
-def _reference_null_levels(rows, seed, trial):
-    """One null trial: each annotator redrawn i.i.d. from their own
-    marginal by ``Generator.choice``, annotators in sorted-name order."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-    out = np.empty_like(rows)
-    for i, row in enumerate(rows):
-        counts = np.bincount(row, minlength=4)
-        out[i] = rng.choice(4, size=row.size, p=counts / counts.sum())
-    return out
+def _reference_mean(rows, excluded):
+    """Mean disorder of one level array; 0 when nothing is compared."""
+    total, count = _reference_terms(rows, excluded)
+    return total / count if count else 0.0
 
 
-def _reference_expected(rows, cfg):
-    means = []
-    for t in range(cfg.n_null):
-        null = _reference_null_levels(rows, cfg.seed, t)
-        total, count = _reference_terms(null, cfg.excluded_levels)
-        means.append(total / count if count else 0.0)
-    return float(np.mean(means))
+def _marginals(rows):
+    return [np.bincount(row, minlength=4) / row.size for row in rows]
 
 
-def _rows(sequences):
-    return np.array([[int(lv) for lv in sequences[a]] for a in sorted(sequences)], dtype=np.intp)
+def _enumerated_null(rows, excluded):
+    """The null by enumeration: the mean disorder of every possible
+    (annotators, clips) level array, weighted by its probability when
+    each annotator rates every clip i.i.d. from their own marginal."""
+    marginals = _marginals(rows)
+    expected = 0.0
+    for flat in itertools.product(range(4), repeat=rows.size):
+        null = np.array(flat).reshape(rows.shape)
+        weight = np.prod([p[row] for p, row in zip(marginals, null)])
+        if weight:
+            expected += weight * _reference_mean(null, excluded)
+    return expected
+
+
+REFERENCE_TRIALS = 20_000
+
+
+def _reference_null(rows, excluded, seed):
+    """Trial means of a Monte-Carlo null of ``REFERENCE_TRIALS`` trials,
+    each redrawing every annotator's clips i.i.d. from their own
+    marginal. A trial's disorder depends on its draw only through how
+    many clips got each joint level tuple, so a trial draws those counts
+    from the multinomial they follow; 2 x 140,000 clips stay cheap."""
+    annotators, clips = rows.shape
+    marginals = _marginals(rows)
+    tuples = np.array(list(itertools.product(range(4), repeat=annotators)))
+    p = np.prod([marginals[i][tuples[:, i]] for i in range(annotators)], axis=0)
+    total, count = np.array([_reference_terms(t[:, None], excluded) for t in tuples]).T
+    draws = np.random.default_rng(seed).multinomial(clips, p / p.sum(), size=REFERENCE_TRIALS)
+    totals, counts = draws @ total, draws @ count
+    return np.divide(totals, counts, out=np.zeros(REFERENCE_TRIALS), where=counts > 0)
+
+
+def _assert_within_monte_carlo_error(value, trial_means):
+    """Within 4 standard errors of the reference's mean (exact when the
+    trials do not vary)."""
+    sigma = trial_means.std(ddof=1) / np.sqrt(trial_means.size)
+    assert abs(value - trial_means.mean()) <= 4 * sigma + 1e-12
+
+
+TINY_SETS = [
+    {"a": [EN], "b": [S]},
+    {"a": [NS], "b": [HN]},
+    {"a": [NS, EN], "b": [S, NS]},
+    {"a": [EN, HN, S], "b": [HN, NS, S]},
+    {"a": [S, S, NS], "b": [EN, NS, NS]},
+    {"a": [NS, NS, NS], "b": [EN, HN, S]},
+    {"a": [EN, S], "b": [HN, S], "c": [NS, EN]},
+]
+# Each set with nothing and with NS excluded, but exclusions only on pairs.
+TINY_CASES = [
+    pytest.param(s, excluded, id=f"{i}-{'NS' if excluded else 'none'}")
+    for i, s in enumerate(TINY_SETS)
+    for excluded in (frozenset(), frozenset({NS}))
+    if len(s) == 2 or not excluded
+]
+
+
+class TestExpectedDisorder:
+    def test_constant_single_level_null_is_zero(self):
+        assert expected_disorder({"A": [EN, EN, EN], "B": [EN, EN, EN]}) == 0.0
+
+    def test_half_half_closed_form(self):
+        # Both marginals are exactly 50% EN / 50% S, so a null pair
+        # mismatches with probability 1/2 at distance d(EN,S) = 1.
+        seq = [EN, S] * 200
+        value = expected_disorder({"A": seq, "B": list(reversed(seq))}, GammaConfig())
+        assert value == pytest.approx(0.5, abs=0.01)
+
+    def test_deterministic_without_seed(self):
+        # Equal marginals p, so the null is p^T D p, the same on every call.
+        seqs = {"A": [EN, S, HN, S, NS, EN], "B": [S, S, HN, EN, NS, EN]}
+        p = np.array([2, 1, 1, 2]) / 6
+        assert expected_disorder(seqs) == expected_disorder(seqs)
+        assert expected_disorder(seqs) == pytest.approx(p @ LEVEL_DISTANCE_MATRIX @ p, abs=1e-15)
+
+    @pytest.mark.parametrize("sequences, excluded", TINY_CASES)
+    def test_equals_exhaustive_enumeration(self, sequences, excluded):
+        exact = expected_disorder(sequences, GammaConfig(excluded_levels=excluded))
+        assert exact == pytest.approx(_enumerated_null(_rows(sequences), excluded), abs=1e-12)
+
+    @pytest.mark.parametrize("excluded", [frozenset(), frozenset({NS})], ids=["none", "NS"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pairs_within_monte_carlo_error(self, seed, excluded):
+        rng = np.random.default_rng(seed + 40)
+        clips = int(rng.integers(6, 2001))
+        sequences = {
+            a: [ObjLevel(int(v)) for v in rng.choice(4, size=clips, p=rng.dirichlet(np.ones(4)))]
+            for a in ("a", "b")
+        }
+        exact = expected_disorder(sequences, GammaConfig(excluded_levels=excluded))
+        _assert_within_monte_carlo_error(exact, _reference_null(_rows(sequences), excluded, seed))
+
+    def test_three_annotators_with_exclusions_rejected(self):
+        seqs = {"A": [EN, NS], "B": [S, NS], "C": [HN, EN]}
+        cfg = GammaConfig(excluded_levels={NS})
+        with pytest.raises(PreconditionError, match="one annotator pair, got 3"):
+            expected_disorder(seqs, cfg)
+        with pytest.raises(PreconditionError):
+            gamma(seqs, cfg)
+        # Without exclusions the pairs are averaged.
+        pairs = [expected_disorder({a: seqs[a], b: seqs[b]}) for a, b in ("AB", "AC", "BC")]
+        assert expected_disorder(seqs) == pytest.approx(np.mean(pairs), abs=1e-15)
 
 
 def _random_sets():
-    """Level sequences with 2-4 annotators, from 1 clip up to a null of
-    600,000 uniforms, including single-level rows (zero steps in the CDF)
-    and rows made only of NS. With 2^18 uniforms per null block, 2 x
-    3,000 clips over 100 trials span three blocks, and one trial of
-    2 x 140,000 clips is larger than a block."""
+    """Level sequences with 2-4 annotators and 1 to 140,000 clips,
+    including single-level rows and rows made only of NS, each with the
+    seed of its reference null."""
     rng = np.random.default_rng(77)
     cases = []
-    for annotators, clips, n_null in [
+    for annotators, clips, seed in [
         (2, 1, 5), (3, 1, 7), (4, 1, 3), (2, 7, 40), (3, 50, 62), (4, 120, 30),
         (2, 3000, 100), (3, 2000, 70), (2, 140_000, 3),
     ]:
         p = rng.dirichlet(np.ones(4))
         seqs = {f"a{i}": rng.choice(4, size=clips, p=p) for i in range(annotators)}
-        cases.append((seqs, n_null))
+        cases.append((seqs, seed))
     cases.append(({"a": np.full(30, 3), "b": np.full(30, 0), "c": rng.integers(0, 4, 30)}, 20))
     cases.append(({"a": np.full(9, 2), "b": np.full(9, 2)}, 11))
     cases.append(({"a": np.full(9, 2), "b": rng.integers(0, 4, 9)}, 11))
     return [
-        ({a: [ObjLevel(int(v)) for v in seq] for a, seq in seqs.items()}, n_null)
-        for seqs, n_null in cases
+        ({a: [ObjLevel(int(v)) for v in seq] for a, seq in seqs.items()}, seed)
+        for seqs, seed in cases
     ]
 
 
@@ -161,56 +233,51 @@ SET_IDS = [f"{len(s)}x{len(next(iter(s.values())))}-{n}" for s, n in RANDOM_SETS
 
 
 class TestAgainstPerTrialReference:
-    """The library's null and disorders against the per-trial reference
-    above. With nothing excluded they are bit-identical; with exclusions
-    the masked sums may group the additions differently, so they agree
-    within 1e-12 relative."""
+    """The library's disorders against the plain per-pair definition and
+    a per-trial reference null. Observed disorders are bit-identical with
+    nothing excluded; with exclusions the masked sums may group the
+    additions differently, so they agree within 1e-12 relative. The exact
+    null lies within the reference's Monte-Carlo error. The last number
+    of a case id seeds its reference null."""
 
-    @pytest.mark.parametrize("sequences, n_null", RANDOM_SETS, ids=SET_IDS)
-    def test_null_levels_identical(self, monkeypatch, sequences, n_null):
-        rows = _rows(sequences)
-        seen = []
-        kernel = agreement_mod._disorder_terms
+    @pytest.mark.parametrize("sequences, seed", RANDOM_SETS, ids=SET_IDS)
+    def test_null_levels_identical(self, sequences, seed):
+        # The null sees each annotator's levels only through their
+        # marginal: shuffling every annotator on its own changes nothing.
+        rng = np.random.default_rng(seed)
+        shuffled = {a: [seq[i] for i in rng.permutation(len(seq))] for a, seq in sequences.items()}
+        assert expected_disorder(shuffled) == expected_disorder(sequences)
 
-        def spy(levels, excluded):
-            seen.append(np.array(levels).reshape(-1, *rows.shape))
-            return kernel(levels, excluded)
-
-        monkeypatch.setattr(agreement_mod, "_disorder_terms", spy)
-        expected_disorder(sequences, GammaConfig(n_null=n_null, seed=3))
-        drawn = np.concatenate(seen)
-        assert drawn.shape == (n_null, *rows.shape)
-        for t in range(n_null):
-            assert np.array_equal(drawn[t], _reference_null_levels(rows, 3, t))
-
-    @pytest.mark.parametrize("sequences, n_null", RANDOM_SETS, ids=SET_IDS)
+    @pytest.mark.parametrize("sequences, seed", RANDOM_SETS, ids=SET_IDS)
     @pytest.mark.parametrize("excluded", [frozenset(), frozenset({NS})], ids=["none", "NS"])
-    def test_disorders_match(self, sequences, n_null, excluded):
+    def test_disorders_match(self, sequences, seed, excluded):
         rows = _rows(sequences)
-        cfg = GammaConfig(n_null=n_null, seed=3, excluded_levels=excluded)
-        total, count = _reference_terms(rows, excluded)
-        ref_observed = total / count if count else 0.0
-        ref_expected = _reference_expected(rows, cfg)
+        cfg = GammaConfig(excluded_levels=excluded)
+        ref_observed = _reference_mean(rows, excluded)
         if excluded:
             assert observed_disorder(sequences, cfg) == pytest.approx(ref_observed, rel=1e-12)
-            assert expected_disorder(sequences, cfg) == pytest.approx(ref_expected, rel=1e-12)
         else:
             assert observed_disorder(sequences, cfg) == ref_observed
-            assert expected_disorder(sequences, cfg) == ref_expected
+        if excluded and len(sequences) > 2:
+            with pytest.raises(PreconditionError):
+                expected_disorder(sequences, cfg)
+        else:
+            trial_means = _reference_null(rows, excluded, seed)
+            _assert_within_monte_carlo_error(expected_disorder(sequences, cfg), trial_means)
 
     def test_every_clip_excluded(self):
-        # Every trial leaves nothing to compare, so every trial mean is 0.
+        # Every null set leaves nothing to compare, so the null is 0.
         sequences = {"a": [NS, EN, S], "b": [S, NS, EN]}
-        cfg = GammaConfig(n_null=9, seed=3, excluded_levels={EN, HN, NS, S})
+        cfg = GammaConfig(excluded_levels={EN, HN, NS, S})
         assert observed_disorder(sequences, cfg) == 0.0
-        reference = _reference_expected(_rows(sequences), cfg)
-        assert expected_disorder(sequences, cfg) == reference == 0.0
+        reference = _reference_null(_rows(sequences), cfg.excluded_levels, 3)
+        assert expected_disorder(sequences, cfg) == reference.mean() == 0.0
 
 
 class TestGamma:
     def test_identical_nonconstant_sequences_give_exactly_one(self):
         seqs = {"A": [EN, S, HN, NS], "B": [EN, S, HN, NS]}
-        result = gamma(seqs, GammaConfig(seed=1))
+        result = gamma(seqs, GammaConfig())
         assert result.gamma == 1.0
         assert result.observed_disorder == 0.0
         assert result.n_pairs == 4
@@ -222,18 +289,18 @@ class TestGamma:
             seqs = {
                 a: [ObjLevel(int(v)) for v in rng.integers(0, 4, 500)] for a in ("A", "B")
             }
-            values.append(gamma(seqs, GammaConfig(seed=seed)).gamma)
+            values.append(gamma(seqs, GammaConfig()).gamma)
         assert abs(float(np.mean(values))) <= 0.05
 
     def test_invariant_to_renaming_and_common_permutation(self):
         rng = np.random.default_rng(21)
         seqs = {a: [ObjLevel(int(v)) for v in rng.integers(0, 4, 60)] for a in ("A", "B")}
-        base = gamma(seqs, GammaConfig(seed=3))
-        renamed = gamma({"X": seqs["A"], "Y": seqs["B"]}, GammaConfig(seed=3))
+        base = gamma(seqs, GammaConfig())
+        renamed = gamma({"X": seqs["A"], "Y": seqs["B"]}, GammaConfig())
         assert renamed.gamma == pytest.approx(base.gamma, abs=1e-12)
         perm = rng.permutation(60)
         permuted = {a: [seq[i] for i in perm] for a, seq in seqs.items()}
-        shuffled = gamma(permuted, GammaConfig(seed=3))
+        shuffled = gamma(permuted, GammaConfig())
         # observed disorder is a mean over clips, exactly permutation-invariant
         assert shuffled.observed_disorder == pytest.approx(base.observed_disorder, abs=1e-12)
         # null marginals are unchanged too
@@ -244,15 +311,15 @@ class TestGamma:
         seqs = {
             a: [ObjLevel(int(v)) for v in rng.choice([0, 1, 3], size=80)] for a in ("A", "B")
         }
-        plain = gamma(seqs, GammaConfig(seed=4))
-        excl = gamma(seqs, GammaConfig(seed=4, excluded_levels={NS}))
+        plain = gamma(seqs, GammaConfig())
+        excl = gamma(seqs, GammaConfig(excluded_levels={NS}))
         assert plain == excl
 
     def test_exclusion_never_grows_comparisons(self):
         rng = np.random.default_rng(12)
-        seqs = {a: [ObjLevel(int(v)) for v in rng.integers(0, 4, 80)] for a in ("A", "B", "C")}
-        plain = gamma(seqs, GammaConfig(seed=4))
-        excl = gamma(seqs, GammaConfig(seed=4, excluded_levels={NS}))
+        seqs = {a: [ObjLevel(int(v)) for v in rng.integers(0, 4, 80)] for a in ("A", "B")}
+        plain = gamma(seqs, GammaConfig())
+        excl = gamma(seqs, GammaConfig(excluded_levels={NS}))
         assert excl.n_pairs <= plain.n_pairs
 
     def test_degenerate_null_reported(self, monkeypatch):
@@ -260,27 +327,34 @@ class TestGamma:
         # that actually disagree, so force the branch directly.
         monkeypatch.setattr(agreement_mod, "expected_disorder", lambda s, cfg: 0.0)
         with pytest.raises(DegenerateNull):
-            agreement_mod.gamma({"A": [EN, S], "B": [S, EN]}, GammaConfig(seed=1))
+            agreement_mod.gamma({"A": [EN, S], "B": [S, EN]}, GammaConfig())
 
     def test_nothing_left_to_compare_rejected(self):
         # A pair whose every clip holds an excluded level has no
         # agreement to report, not perfect agreement.
-        cfg = GammaConfig(seed=1, excluded_levels={NS})
+        cfg = GammaConfig(excluded_levels={NS})
         with pytest.raises(EmptyInput, match=r"pair A\|B"):
             gamma({"A": [NS, NS], "B": [EN, S]}, cfg)
         with pytest.raises(EmptyInput, match=r"film 'f', pair A\|B"):
             gamma_per_film_and_average({"f": {"A": [NS, NS], "B": [EN, S], "C": [EN, S]}}, cfg)
 
     def test_config_validation(self):
-        with pytest.raises(InvariantViolation):
-            GammaConfig(n_null=0)
+        # The excluded levels are the one setting; the exact null has no
+        # trial count or seed to set.
+        assert GammaConfig(excluded_levels=[NS, NS]).excluded_levels == frozenset({NS})
+        assert GammaConfig().n_null == 0
+        for setting in ({"n_null": 62}, {"seed": 1}):
+            with pytest.raises(TypeError):
+                GammaConfig(**setting)
+        with pytest.raises(AttributeError):
+            GammaConfig().n_null = 62
 
 
 class TestPerFilmAverage:
     def test_single_film_average_equals_film_gamma(self):
         rng = np.random.default_rng(31)
         seqs = {a: [ObjLevel(int(v)) for v in rng.integers(0, 4, 50)] for a in ("A", "B")}
-        summary = gamma_per_film_and_average({"juno": seqs}, GammaConfig(seed=2))
+        summary = gamma_per_film_and_average({"juno": seqs}, GammaConfig())
         assert len(summary.per_pair) == 1
         assert summary.average == summary.per_pair[0].result.gamma
 
@@ -290,7 +364,7 @@ class TestPerFilmAverage:
         film1 = {"A": identical, "B": list(identical)}  # gamma exactly 1
         film2 = {"A": [ObjLevel(int(v)) for v in rng.integers(0, 4, 50)],
                  "B": [ObjLevel(int(v)) for v in rng.integers(0, 4, 50)]}
-        summary = gamma_per_film_and_average({"f1": film1, "f2": film2}, GammaConfig(seed=2))
+        summary = gamma_per_film_and_average({"f1": film1, "f2": film2}, GammaConfig())
         g2 = summary.per_pair[1].result.gamma
         assert summary.per_pair[0].result.gamma == 1.0
         assert summary.average == pytest.approx((1.0 + g2) / 2.0, abs=1e-12)
@@ -298,12 +372,12 @@ class TestPerFilmAverage:
     def test_four_annotators_make_six_pairs(self):
         rng = np.random.default_rng(33)
         seqs = {a: [ObjLevel(int(v)) for v in rng.integers(0, 4, 40)] for a in "ABCD"}
-        summary = gamma_per_film_and_average({"f": seqs}, GammaConfig(seed=2))
+        summary = gamma_per_film_and_average({"f": seqs}, GammaConfig())
         assert len(summary.per_pair) == 6
 
     def test_film_with_one_annotator_rejected(self):
         with pytest.raises(FewerThanTwoAnnotators):
-            gamma_per_film_and_average({"f": {"A": [EN]}}, GammaConfig(seed=2))
+            gamma_per_film_and_average({"f": {"A": [EN]}}, GammaConfig())
 
     def test_three_film_spreadsheet_fixture(self):
         # Hand-computed observed disorders:
@@ -315,7 +389,7 @@ class TestPerFilmAverage:
             "f2": {"A": [S, S], "B": [S, S]},
             "f3": {"A": [EN, HN, NS, S], "B": [HN, HN, S, S]},
         }
-        cfg = GammaConfig(seed=7, n_null=4000)
+        cfg = GammaConfig()
         summary = gamma_per_film_and_average(films, cfg)
         by_film = {row.film_id: row.result for row in summary.per_pair}
         assert by_film["f1"].observed_disorder == pytest.approx(0.7 / 3, abs=1e-12)
@@ -329,7 +403,7 @@ class TestPerFilmAverage:
         expected_f1 = (1 / 3) * (2 / 3) * 1.0 + (1 / 3) * (1 / 3) * 1.0 + (1 / 3) * (
             (1 / 3) * 0.3 + (2 / 3) * 0.7
         )
-        assert by_film["f1"].expected_disorder == pytest.approx(expected_f1, abs=0.02)
+        assert by_film["f1"].expected_disorder == pytest.approx(expected_f1, abs=1e-12)
         assert summary.average == pytest.approx(
             float(np.mean([r.result.gamma for r in summary.per_pair])), abs=1e-12
         )

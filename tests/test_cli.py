@@ -71,6 +71,20 @@ class TestFuse:
         assert [r["level"] for r in rows] == ["EN", "HN", "S", "S", "EN"]
         assert rows[1]["concepts"] == ["Posture"]
 
+    def test_carriage_return_in_quoted_clip_id_is_kept(self, tmp_path):
+        # Text inputs are read without newline translation, so a quoted
+        # "\r" inside a clip id is not turned into "\n".
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text(
+            '{"film":"f","annotator":"a1","start":0,"end":30,"level":"S","concepts":["Body"]}\n'
+        )
+        clips = tmp_path / "clips.csv"
+        clips.write_bytes(b'"c\r5",f,0,30\r\nc6,f,30,60\r\n')
+        out = tmp_path / "out"
+        assert main(["fuse", str(ann), str(clips), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in read(out / "merged.jsonl").splitlines()]
+        assert [r["clip"] for r in rows] == ["c\r5", "c6"]
+
     def test_missing_clip_file_exits_2(self, fusion_inputs, tmp_path):
         ann, _ = fusion_inputs
         code = main(["fuse", str(ann), str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
@@ -167,17 +181,27 @@ class TestGamma:
         proj.write_text("\n")
         assert main(["gamma", str(proj), "--seed", "3", "--out", str(tmp_path / "o")]) == 4
 
-    def test_seed_required(self, tmp_path, monkeypatch):
+    def test_output_independent_of_seed(self, tmp_path, monkeypatch):
+        # The null is exact: --seed is accepted, says so in --help, and
+        # changes no byte; OBY_SEED is not read.
         monkeypatch.delenv("OBY_SEED", raising=False)
         proj = self._projections(tmp_path)
-        assert main(["gamma", str(proj), "--out", str(tmp_path / "o")]) == 4
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        proj = self._projections(tmp_path)
+        def run(name, *seed):
+            out = tmp_path / name
+            assert main(["gamma", str(proj), *seed, "--exclude", "NS", "--out", str(out)]) == 0
+            return (out / "gamma.csv").read_bytes()
+
+        outputs = {run("s1", "--seed", "1"), run("s2", "--seed", "2"), run("none")}
         monkeypatch.setenv("OBY_SEED", "11")
-        out = tmp_path / "envout"
-        assert main(["gamma", str(proj), "--out", str(out)]) == 0
-        assert '"seed": 11' in read(out / "gamma.csv").splitlines()[0]
+        outputs.add(run("env"))
+        assert len(outputs) == 1
+        header = json.loads(outputs.pop().decode().splitlines()[0].removeprefix("# config: "))
+        assert "seed" not in header and "n_null" not in header
+        gamma_parser = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices["gamma"]
+        assert "ignored" in gamma_parser.format_help()
 
 
 class TestStats:
@@ -328,8 +352,8 @@ HEADER_CASES = {
         {"merged.config.json": {}, "sweep.csv": {"sweep": [0.4, 0.1]}},
     ),
     "gamma": (
-        ["{proj}", "--n-null", "7", "--exclude", "NS,HN"],
-        {"projections": "{proj}", "n_null": 7, "exclude": ["HN", "NS"]},
+        ["{proj}", "--exclude", "NS,HN"],
+        {"projections": "{proj}", "exclude": ["HN", "NS"]},
         {"gamma.csv": {}},
     ),
     "stats": (["{labels}"], {"labels": "{labels}"}, {"stats.csv": {}, "summary.json": {}}),
@@ -446,13 +470,16 @@ def test_header_records_every_argument_but_out(tmp_path, monkeypatch, command, s
     ).choices[command]
     options = {a.dest: a for a in subparser._actions if a.dest not in ("help", "out")}
     # OBY_SEED is set either way: --seed overrides it, and a command
-    # without a seed records none.
+    # without a seed records none. gamma accepts an inert --seed and
+    # records none either.
     monkeypatch.setenv("OBY_SEED", "13")
     if "seed" in options:
-        expected["seed"] = 13
         if seed_from == "flag":
             argv += ["--seed", "11"]
-            expected["seed"] = 11
+        if command == "gamma":
+            del options["seed"]
+        else:
+            expected["seed"] = 11 if seed_from == "flag" else 13
 
     # The case covers every argument the command accepts, each option
     # set away from its default.
@@ -498,6 +525,8 @@ class TestMalformedInputs:
         self._exits_2(["gamma", str(path), "--seed", "1", "--out", str(tmp_path / "g")], capsys)
 
     SPAN = '{"film": "juno", "annotator": "a1", "start": %s, "level": %s, "end": 9, "concepts": %s}'
+    BIG_CELL = '"' + "x" * 140_000 + '"'
+    OVERSIZED = "unreadable CSV (field larger than field limit (131072))"
     LABEL = '{"clip": "c%d", "level": %s, "concepts": %s}'
     RATING = '{"film": "f", "annotator": "%s", "clip": %s, "level": %s}'
 
@@ -530,9 +559,16 @@ class TestMalformedInputs:
              "non-numeric component"),
             (["error", "{labels}", "{input}"], "c1,0", "c2,yes", 2,
              "prediction/truth must be 0 or 1"),
+            # a cell over the csv module's field limit, in each CSV input
+            (["fuse", "{annotations}", "{input}"], "c1,juno,0,60", 'c2,juno,"60,120' + BIG_CELL,
+             2, OVERSIZED),
+            (["cav", "{input}", "{labels}", "--seed", "1"], "c1,0.5", "c2," + BIG_CELL, 2,
+             OVERSIZED),
+            (["error", "{labels}", "{input}"], "c1,0", "c2," + BIG_CELL, 2, OVERSIZED),
         ],
         ids=[f"{reader}-{case}" for reader in ("annotations", "clips", "labels", "projections")
-             for case in ("field", "domain")] + ["embeddings-field", "predictions-field"],
+             for case in ("field", "domain")] + ["embeddings-field", "predictions-field"]
+        + [f"{reader}-oversized" for reader in ("clips", "embeddings", "predictions")],
     )
     def test_every_reader_names_the_line(
         self, fusion_inputs, tmp_path, capsys, argv, first, second, code, message

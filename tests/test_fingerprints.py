@@ -64,10 +64,10 @@ EXPECTED = {
         "sweep.csv": "b4ba702aac240be3edd8d5cfc8a5313a7e41e39a8ecb16f80d4a1a4e1ee1e24e",
     },
     "gamma": {
-        "gamma.csv": "03d79dfe85a82ab18a1586424bc71898bfbf4cf884e2378b4ce20579a1e054e1",
+        "gamma.csv": "a5718c1ce46d54079014ad2bbc997655dafea61fe15e6f586a57dd272b041285",
     },
     "gamma-exclude-NS": {
-        "gamma.csv": "54b2a69af000c4ff8e47f01fec90b45cfb6371b5f504ad0203660bed1b0d1270",
+        "gamma.csv": "f46908cbbce083eb1c62bec4e18f2aee45d1599df85ff7d4a204af0feb3dc0cc",
     },
     "stats": {
         "stats.csv": "1846a18281929802e1a1d79ed26dd6fea2a699c7f6c062b73558238f72c3b539",

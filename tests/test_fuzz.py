@@ -354,12 +354,11 @@ def test_cav_csv_embeddings(data):
     run_cav(data)
 
 
-# Names as the readers keep them: cells are stripped, a prediction row
-# whose first cell starts with '#' is a comment, and input files are read
-# with universal newlines, so a carriage return reads back as a line feed.
-names = st.text(
-    st.characters(exclude_categories=("Cs",), exclude_characters="\r"), min_size=1, max_size=5
-).filter(lambda name: name == name.strip() and not name.startswith("#"))
+# Names as the readers keep them: cells are stripped, and a prediction
+# row whose first cell starts with '#' is a comment.
+names = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=5).filter(
+    lambda name: name == name.strip() and not name.startswith("#")
+)
 
 
 def _csv_text(rows) -> str:
