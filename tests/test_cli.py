@@ -181,27 +181,36 @@ class TestGamma:
         proj.write_text("\n")
         assert main(["gamma", str(proj), "--seed", "3", "--out", str(tmp_path / "o")]) == 4
 
-    def test_output_independent_of_seed(self, tmp_path, monkeypatch):
-        # The null is exact: --seed is accepted, says so in --help, and
-        # changes no byte; OBY_SEED is not read.
+    def _gamma_csv(self, tmp_path, proj, name, *seed):
+        out = tmp_path / name
+        assert main(["gamma", str(proj), *seed, "--exclude", "NS", "--out", str(out)]) == 0
+        return (out / "gamma.csv").read_bytes()
+
+    def test_seed_required(self, tmp_path, monkeypatch):
+        # The null is exact, so gamma needs no seed: without one it exits
+        # 0, and --seed is accepted, says so in --help, and changes no byte.
         monkeypatch.delenv("OBY_SEED", raising=False)
         proj = self._projections(tmp_path)
-
-        def run(name, *seed):
-            out = tmp_path / name
-            assert main(["gamma", str(proj), *seed, "--exclude", "NS", "--out", str(out)]) == 0
-            return (out / "gamma.csv").read_bytes()
-
-        outputs = {run("s1", "--seed", "1"), run("s2", "--seed", "2"), run("none")}
-        monkeypatch.setenv("OBY_SEED", "11")
-        outputs.add(run("env"))
+        outputs = {
+            self._gamma_csv(tmp_path, proj, "none"),
+            self._gamma_csv(tmp_path, proj, "s1", "--seed", "1"),
+            self._gamma_csv(tmp_path, proj, "s2", "--seed", "2"),
+        }
         assert len(outputs) == 1
-        header = json.loads(outputs.pop().decode().splitlines()[0].removeprefix("# config: "))
-        assert "seed" not in header and "n_null" not in header
         gamma_parser = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         ).choices["gamma"]
         assert "ignored" in gamma_parser.format_help()
+
+    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+        # gamma does not read OBY_SEED and records no seed in its header.
+        monkeypatch.delenv("OBY_SEED", raising=False)
+        proj = self._projections(tmp_path)
+        unset = self._gamma_csv(tmp_path, proj, "unset")
+        monkeypatch.setenv("OBY_SEED", "11")
+        assert self._gamma_csv(tmp_path, proj, "env") == unset
+        header = json.loads(unset.decode().splitlines()[0].removeprefix("# config: "))
+        assert "seed" not in header and "n_null" not in header
 
 
 class TestStats:
