@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import ObjLevel
 from .errors import (
-    DegenerateNull,
     EmptyInput,
     FewerThanTwoAnnotators,
     LengthMismatch,
@@ -152,15 +151,10 @@ def gamma(
         raise EmptyInput(f"pair {pair}: the excluded levels leave no clip to compare")
     observed = float(total / count)
     expected = expected_disorder(sequences, cfg)
-    if observed == 0.0:
-        value = 1.0
-    elif expected == 0.0:
-        raise DegenerateNull(
-            "expected disorder is zero while annotators disagree; "
-            "the null model cannot normalize this film"
-        )
-    else:
-        value = 1.0 - observed / expected
+    # Disorder above 0 needs a kept clip whose two levels differ, and every
+    # off-diagonal level distance is positive, so the exact null is then
+    # above 0 as well.
+    value = 1.0 if observed == 0.0 else 1.0 - observed / expected
     return GammaResult(
         gamma=value,
         observed_disorder=observed,

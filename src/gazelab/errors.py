@@ -148,10 +148,6 @@ class DegenerateTarget(PreconditionError):
 # --- numerics ----------------------------------------------------------
 
 
-class DegenerateNull(NumericError):
-    """Null disorder is zero while disagreement is present."""
-
-
 class NonFiniteLoss(NumericError):
     """Training loss became NaN or infinite (typically the step is too large)."""
 

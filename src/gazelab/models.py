@@ -362,17 +362,9 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
-    def forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hidden pre-activations, hidden activations and class probabilities."""
-        z1 = np.asarray(X, dtype=np.float64) @ self.w1 + self.b1
-        hidden = np.maximum(z1, 0.0)
-        logits = hidden @ self.w2 + self.b2
-        logits = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return z1, hidden, e / e.sum(axis=1, keepdims=True)
-
     def probabilities(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(X)[2]
+        z1 = np.asarray(X, dtype=np.float64) @ self.w1 + self.b1
+        return _softmax_head(z1, self.w2, self.b2)[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.probabilities(X)[:, 1] > 0.5).astype(np.int64)
@@ -391,6 +383,35 @@ def init_mlp(dim: int, seed: int) -> MlpModel:
     )
 
 
+def _softmax_head(
+    z1: np.ndarray, w2: np.ndarray, b2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and class probabilities of hidden pre-activations ``z1``."""
+    hidden = np.maximum(z1, 0.0)
+    logits = hidden @ w2 + b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    return hidden, e / e.sum(axis=1, keepdims=True)
+
+
+def _head_gradient(
+    z1: np.ndarray, y: np.ndarray, w2: np.ndarray, b2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Gradients (fresh arrays) of a batch's mean cross-entropy with respect
+    to ``z1``, ``w2`` and ``b2``, then that loss."""
+    n = z1.shape[0]
+    hidden, probs = _softmax_head(z1, w2, b2)
+    loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
+    dlogits = probs
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    dw2 = hidden.T @ dlogits
+    db2 = dlogits.sum(axis=0)
+    dhidden = dlogits @ w2.T
+    dz1 = dhidden * (z1 > 0.0)
+    return dz1, dw2, db2, loss
+
+
 def mlp_gradient(
     model: MlpModel, X: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
@@ -399,19 +420,8 @@ def mlp_gradient(
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] != y.shape[0]:
         raise LengthMismatch(f"{X.shape[0]} samples vs {y.shape[0]} labels")
-    n = X.shape[0]
-    z1, hidden, probs = model.forward(X)
-    loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-    dlogits = probs
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    dw2 = hidden.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ model.w2.T
-    dz1 = dhidden * (z1 > 0.0)
-    dw1 = X.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return dw1, db1, dw2, db2, loss
+    dz1, dw2, db2, loss = _head_gradient(X @ model.w1 + model.b1, y, model.w2, model.b2)
+    return X.T @ dz1, dz1.sum(axis=0), dw2, db2, loss
 
 
 @dataclass
@@ -451,34 +461,67 @@ def train_mlp(
     epochs returns the initialization. ``NonFiniteLoss`` is raised after
     the first epoch with a non-finite mini-batch loss or validation
     probability (the latter catches the run's last update).
+
+    Every step adds ``X[idx].T @ dz1`` to ``w1``, so ``w1`` stays
+    ``w1_0 + X.T @ a`` for row coefficients ``a``. A step in ``a`` costs
+    ``batch * n * 128`` multiply-adds against ``2 * batch * dim * 128`` in
+    ``w1``, so a draw of fewer than ``2 * dim`` rows trains ``a`` through
+    the Gram matrix and builds ``w1`` once, from the kept ``a``. Its model
+    equals the ``w1`` form's up to rounding; other draws train ``w1``.
     """
     check_mlp_settings(epochs, batch, lr)
     X = np.asarray(X, dtype=np.float64)
+    X_val = np.asarray(X_val, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_binary_training_data(X, y)
-    n = X.shape[0]
+    n, dim = X.shape
     rng = np.random.default_rng(seed)
-    model = init_mlp(X.shape[1], seed)
+    model = init_mlp(dim, seed)
     result = MlpTrainResult(model=model)
+    by_rows = n < 2 * dim
+    if by_rows:  # model.w1 then keeps its initial value
+        gram, base = X @ X.T, X @ model.w1
+        gram_val, base_val = X_val @ X.T, X_val @ model.w1
+        a = np.zeros((n, MLP_HIDDEN))
+        stepped = (model.b1, model.w2, model.b2)  # a is stepped row by row
+        params = (a, *stepped)
+    else:
+        stepped = params = (model.w1, model.b1, model.w2, model.b2)
+    kept = None
     best_f1 = -1.0
     for epoch in range(epochs):
         perm = rng.permutation(n)
         total = 0.0
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
-            *grads, loss = mlp_gradient(model, X[idx], y[idx])
+            if by_rows:
+                z1 = base[idx] + gram[idx] @ a + model.b1
+                dz1, dw2, db2, loss = _head_gradient(z1, y[idx], model.w2, model.b2)
+                # The rows of a batch are distinct, being a slice of a
+                # permutation, so this fancy-index update is exact.
+                a[idx] -= lr * dz1
+                grads = (dz1.sum(axis=0), dw2, db2)
+            else:
+                *grads, loss = mlp_gradient(model, X[idx], y[idx])
             total += loss * len(idx)
-            for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
+            for param, grad in zip(stepped, grads):
                 np.multiply(grad, lr, out=grad)
                 np.subtract(param, grad, out=param)
-        probs = model.probabilities(X_val)
+        if by_rows:
+            probs = _softmax_head(base_val + gram_val @ a + model.b1, model.w2, model.b2)[1]
+        else:
+            probs = model.probabilities(X_val)
         if not (np.isfinite(total) and np.isfinite(probs).all()):
             raise NonFiniteLoss(f"training diverged in epoch {epoch + 1}; lower the learning rate")
         result.epoch_losses.append(total / n)
         score = f1((probs[:, 1] > 0.5).astype(np.int64), y_val).f1
         if score > best_f1 + 1e-12:
             best_f1 = score
-            result.model = model.copy()
+            kept = [p.copy() for p in params]
+    if kept is not None:
+        if by_rows:
+            kept[0] = model.w1 + X.T @ kept[0]
+        result.model = MlpModel(*kept)
     return result
 
 

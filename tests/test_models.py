@@ -19,6 +19,7 @@ from gazelab import (
     train_tree,
     trivial_baseline_f1,
 )
+from gazelab import models
 from gazelab.cbm import DEFAULT_C_GRID
 from gazelab.errors import (
     BothZero,
@@ -37,6 +38,34 @@ def blobs(seed, n_per=100, dim=4, center=3.0):
     X = np.vstack([rng.normal(center, 1, (n_per, dim)), rng.normal(-center, 1, (n_per, dim))])
     y = np.array([1] * n_per + [0] * n_per)
     return X, y
+
+
+def coefficient_draw(seed=4):
+    """44 rows at 64 dimensions: fewer rows than twice the dimension, so
+    ``train_mlp`` trains the first layer as row coefficients."""
+    return blobs(seed, n_per=22, dim=64, center=0.1)
+
+
+def replay_mlp(X, y, Xv, yv, epochs, lr, batch, seed):
+    """Replay ``train_mlp``'s loop by hand, stepping ``w1`` through
+    ``mlp_gradient``: per epoch, the parameters after it, its loss and
+    its validation F1."""
+    rng = np.random.default_rng(seed)
+    model = init_mlp(X.shape[1], seed)
+    after_epoch, losses, scores = [], [], []
+    for _ in range(epochs):
+        perm = rng.permutation(len(y))
+        total = 0.0
+        for start in range(0, len(y), batch):
+            idx = perm[start : start + batch]
+            *grads, loss = mlp_gradient(model, X[idx], y[idx])
+            total += loss * len(idx)
+            for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
+                param -= lr * grad
+        losses.append(total / len(y))
+        after_epoch.append(model.copy())
+        scores.append(f1(model.predict(Xv), yv).f1)
+    return after_epoch, losses, scores
 
 
 class TestSvm:
@@ -425,13 +454,13 @@ class TestMlp:
 
     def test_zero_epochs_returns_initialization(self):
         rng = np.random.default_rng(0)
-        X = rng.normal(0, 1, (10, 4))
-        y = np.array([0, 1] * 5)
-        result = train_mlp(X, y, X, y, epochs=0, lr=1e-3, batch=4, seed=9)
-        ref = init_mlp(4, 9)
-        assert np.array_equal(result.model.w1, ref.w1)
-        assert np.array_equal(result.model.b2, ref.b2)
-        assert result.epoch_losses == []
+        small = (rng.normal(0, 1, (10, 4)), np.array([0, 1] * 5))
+        for X, y in (small, coefficient_draw()):
+            result = train_mlp(X, y, X, y, epochs=0, lr=1e-3, batch=4, seed=9)
+            ref = init_mlp(X.shape[1], 9)
+            assert np.array_equal(result.model.w1, ref.w1)
+            assert np.array_equal(result.model.b2, ref.b2)
+            assert result.epoch_losses == []
 
     def test_blobs_within_fifty_epochs(self):
         X, y = blobs(0, dim=8)
@@ -466,27 +495,27 @@ class TestMlp:
         assert np.array_equal(db1, np.zeros_like(db1))
 
     def test_deterministic_bit_identical(self):
-        X, y = blobs(2, n_per=30)
-        a = train_mlp(X, y, X, y, epochs=5, lr=1e-3, batch=8, seed=11)
-        b = train_mlp(X, y, X, y, epochs=5, lr=1e-3, batch=8, seed=11)
-        assert np.array_equal(a.model.w1, b.model.w1)
-        assert np.array_equal(a.model.w2, b.model.w2)
-        assert a.epoch_losses == b.epoch_losses
+        for X, y in (blobs(2, n_per=30), coefficient_draw(2)):
+            a = train_mlp(X, y, X, y, epochs=5, lr=1e-3, batch=8, seed=11)
+            b = train_mlp(X, y, X, y, epochs=5, lr=1e-3, batch=8, seed=11)
+            assert np.array_equal(a.model.w1, b.model.w1)
+            assert np.array_equal(a.model.w2, b.model.w2)
+            assert a.epoch_losses == b.epoch_losses
 
     def test_divergence_raises(self):
         # The overflow on the way raises no numpy warning.
-        X, y = blobs(3, n_per=20)
-        with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
-            warnings.simplefilter("error")
-            train_mlp(X * 1e6, y, X, y, epochs=50, lr=1e3, batch=8, seed=0)
+        for X, y in (blobs(3, n_per=20), coefficient_draw(3)):
+            with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
+                warnings.simplefilter("error")
+                train_mlp(X * 1e6, y, X, y, epochs=50, lr=1e3, batch=8, seed=0)
 
     def test_divergence_in_the_last_update_raises(self):
         # One epoch of one batch: its loss is taken before the update that
         # diverges, so only the check on the validation output can see it.
-        X, y = blobs(3, n_per=20)
-        with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
-            warnings.simplefilter("error")
-            train_mlp(X, y, X, y, epochs=1, lr=1e308, batch=len(y))
+        for X, y in (blobs(3, n_per=20), coefficient_draw(3)):
+            with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
+                warnings.simplefilter("error")
+                train_mlp(X, y, X, y, epochs=1, lr=1e308, batch=len(y))
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -513,27 +542,55 @@ class TestMlp:
         Xv, yv = blobs(8, n_per=20, center=0.6)
         epochs, lr, batch, seed = 12, 5e-3, 8, 0
         result = train_mlp(X, y, Xv, yv, epochs=epochs, lr=lr, batch=batch, seed=seed)
-        rng = np.random.default_rng(seed)
-        model = init_mlp(X.shape[1], seed)
-        after_epoch, scores = [], []
-        for epoch in range(epochs):
-            perm = rng.permutation(len(y))
-            total = 0.0
-            for start in range(0, len(y), batch):
-                idx = perm[start : start + batch]
-                *grads, loss = mlp_gradient(model, X[idx], y[idx])
-                total += loss * len(idx)
-                for param, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
-                    param -= lr * grad
-            assert total / len(y) == result.epoch_losses[epoch]
-            after_epoch.append(model.copy())
-            scores.append(f1(model.predict(Xv), yv).f1)
+        after_epoch, losses, scores = replay_mlp(X, y, Xv, yv, epochs, lr, batch, seed)
+        assert losses == result.epoch_losses
         best = scores.index(max(scores))
         assert best < epochs - 1 and len(set(scores)) > 1
         stopped = train_mlp(X, y, Xv, yv, epochs=best + 1, lr=lr, batch=batch, seed=seed).model
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(result.model, name), getattr(after_epoch[best], name))
             assert np.array_equal(getattr(result.model, name), getattr(stopped, name))
+
+    def test_coefficient_form_returns_first_best_validation_epoch(self):
+        # The same oracle on a draw whose first layer trains as row
+        # coefficients, with a partial last batch (44 rows, batch 8). The
+        # replay steps w1 itself, so the two agree up to rounding.
+        X, y = coefficient_draw(4)
+        Xv, yv = coefficient_draw(6)
+        epochs, lr, batch, seed = 12, 5e-3, 8, 0
+        result = train_mlp(X, y, Xv, yv, epochs=epochs, lr=lr, batch=batch, seed=seed)
+        after_epoch, losses, scores = replay_mlp(X, y, Xv, yv, epochs, lr, batch, seed)
+        np.testing.assert_allclose(result.epoch_losses, losses, rtol=1e-10)
+        best = scores.index(max(scores))
+        assert best < epochs - 1 and len(set(scores)) > 1
+        stopped = train_mlp(X, y, Xv, yv, epochs=best + 1, lr=lr, batch=batch, seed=seed).model
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_allclose(
+                getattr(result.model, name), getattr(after_epoch[best], name), rtol=1e-10
+            )
+            assert np.array_equal(getattr(result.model, name), getattr(stopped, name))
+
+    @pytest.mark.parametrize("rows, by_rows", [(127, True), (128, False)])
+    def test_first_layer_form_switches_at_twice_the_dimension(self, rows, by_rows, monkeypatch):
+        # Only the weight form calls mlp_gradient; both match the replay.
+        X, y = blobs(5, n_per=64, dim=64, center=0.1)
+        X, y = X[:rows], y[:rows]
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return mlp_gradient(*args)
+
+        monkeypatch.setattr(models, "mlp_gradient", counted)
+        result = train_mlp(X, y, X, y, epochs=3, lr=5e-3, batch=16, seed=2)
+        assert bool(calls) is not by_rows
+        after_epoch, losses, scores = replay_mlp(X, y, X, y, 3, 5e-3, 16, 2)
+        kept = after_epoch[scores.index(max(scores))]
+        for name in ("w1", "b1", "w2", "b2"):
+            if by_rows:
+                np.testing.assert_allclose(getattr(result.model, name), getattr(kept, name), rtol=1e-10)
+            else:
+                assert np.array_equal(getattr(result.model, name), getattr(kept, name))
 
 
 class TestMetrics:
