@@ -20,12 +20,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from .core import ObjLevel
-from .errors import (
-    EmptyInput,
-    FewerThanTwoAnnotators,
-    LengthMismatch,
-    PreconditionError,
-)
+from .errors import PreconditionError
 
 #: Dissimilarity between level pairs, indexed [level_a, level_b].
 #: Symmetric, zero diagonal, and metric (triangle inequality holds).
@@ -70,13 +65,11 @@ class GammaResult:
 
 def _as_index_rows(sequences: Mapping[str, Sequence[ObjLevel]]) -> np.ndarray:
     if len(sequences) < 2:
-        raise FewerThanTwoAnnotators(
-            f"need at least 2 annotators, got {len(sequences)}"
-        )
+        raise PreconditionError(f"need at least 2 annotators, got {len(sequences)}")
     names = sorted(sequences)
     lengths = {len(sequences[a]) for a in names}
     if len(lengths) != 1:
-        raise LengthMismatch(f"sequence lengths differ: {sorted(lengths)}")
+        raise PreconditionError(f"sequence lengths differ: {sorted(lengths)}")
     return np.array([[int(level) for level in sequences[a]] for a in names], dtype=np.intp)
 
 
@@ -144,11 +137,11 @@ def gamma(
     cfg: GammaConfig = GammaConfig(),
 ) -> GammaResult:
     """Chance-corrected agreement of aligned level sequences; raises
-    ``EmptyInput`` when the excluded levels leave nothing to compare."""
+    ``PreconditionError`` when the excluded levels leave nothing to compare."""
     total, count = _disorder_terms(_as_index_rows(sequences), cfg.excluded_levels)
     if not count:
         pair = "|".join(sorted(sequences))
-        raise EmptyInput(f"pair {pair}: the excluded levels leave no clip to compare")
+        raise PreconditionError(f"pair {pair}: the excluded levels leave no clip to compare")
     observed = float(total / count)
     expected = expected_disorder(sequences, cfg)
     # Disorder above 0 needs a kept clip whose two levels differ, and every
@@ -187,20 +180,18 @@ def gamma_per_film_and_average(
     as weighting each film by its number of pairs.
     """
     if not films:
-        raise EmptyInput("no films to score")
+        raise PreconditionError("no films to score")
     rows: list[FilmPairGamma] = []
     for film_id in sorted(films):
         sequences = films[film_id]
         names = sorted(sequences)
         if len(names) < 2:
-            raise FewerThanTwoAnnotators(
-                f"film {film_id!r} has {len(names)} annotator(s)"
-            )
+            raise PreconditionError(f"film {film_id!r} has {len(names)} annotator(s)")
         for a, b in itertools.combinations(names, 2):
             try:
                 result = gamma({a: sequences[a], b: sequences[b]}, cfg)
-            except EmptyInput as e:
-                raise EmptyInput(f"film {film_id!r}, {e}") from None
+            except PreconditionError as e:
+                raise PreconditionError(f"film {film_id!r}, {e}") from None
             rows.append(FilmPairGamma(film_id, a, b, result))
     average = float(np.mean([r.result.gamma for r in rows]))
     return GammaSummary(per_pair=tuple(rows), average=average)

@@ -22,12 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import CONCEPTS, ClipLabel, Concept, EmbeddingTable, ObjLevel
-from .errors import (
-    DimensionMismatch,
-    EmptyClass,
-    InvariantViolation,
-    PreconditionError,
-)
+from .errors import InvariantViolation, PreconditionError
 from .harness import (
     FOLDS,
     EvalReport,
@@ -100,9 +95,14 @@ class ConceptVector:
             raise ValueError(f"unsupported model format {doc.get('format')!r}")
         if doc.get("kind") != "cav":
             raise ValueError(f"not a concept-vector document: {doc.get('kind')!r}")
+        normal = doc["unit_normal"]
+        if not isinstance(normal, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in normal
+        ):
+            raise ValueError("unit_normal must be a flat list of numbers")
         return cls(
             concept=Concept.from_label(doc["concept"]),
-            unit_normal=np.array(doc["unit_normal"], dtype=np.float64),
+            unit_normal=np.array(normal, dtype=np.float64),
             bias=float(doc["bias"]),
             negative_mode=NegativeMode(doc["negative_mode"]),
             cv_f1=float(doc["cv_f1"]),
@@ -132,9 +132,9 @@ def build_concept_sets(
         elif mode is NegativeMode.EN_PLUS_WITHOUT:
             neg.append(lbl.clip_id)
     if not pos:
-        raise EmptyClass(concept.label, "positive")
+        raise PreconditionError(f"no positive samples for concept {concept.label!r}")
     if not neg:
-        raise EmptyClass(concept.label, "negative")
+        raise PreconditionError(f"no negative samples for concept {concept.label!r}")
     return tuple(pos), tuple(neg)
 
 
@@ -227,7 +227,8 @@ def _fit_cavs(
     finals, scored = [], []
     for concept, pos, neg, seed in axes:
         if not pos or not neg:
-            raise EmptyClass(concept.label, "positive" if not pos else "negative")
+            side = "positive" if not pos else "negative"
+            raise PreconditionError(f"no {side} samples for concept {concept.label!r}")
         if len(pos) < CavCvConfig.k or len(neg) < CavCvConfig.k:
             finals.append((pos, neg, (DEFAULT_C_GRID[len(DEFAULT_C_GRID) // 2],)))
             scored.append((pos, neg))
@@ -277,12 +278,13 @@ def score_table(emb: EmbeddingTable, cavs: Sequence[ConceptVector]) -> dict[str,
     if len(cavs) != len(CONCEPTS) or any(
         cav.concept is not concept for cav, concept in zip(cavs, CONCEPTS)
     ):
-        raise InvariantViolation(
-            "need one concept vector per concept, in canonical order"
-        )
+        raise InvariantViolation("need one concept vector per concept, in canonical order")
     for cav in cavs:
         if cav.unit_normal.size != emb.dim:
-            raise DimensionMismatch(emb.clip_ids()[0], cav.unit_normal.size, emb.dim)
+            raise InvariantViolation(
+                f"concept axis {cav.concept.label!r} has {cav.unit_normal.size} components,"
+                f" the embeddings have {emb.dim}"
+            )
     basis = np.stack([cav.unit_normal for cav in cavs])
     return {cid: emb[cid].astype(np.float64) @ basis.T for cid in emb.clip_ids()}
 
@@ -338,7 +340,9 @@ def export_tree_report(tree: DecisionTree) -> str:
     """
     names = [c.label for c in CONCEPTS]
     if tree.n_features != len(names):
-        raise DimensionMismatch("<tree>", len(names), tree.n_features)
+        raise InvariantViolation(
+            f"tree has {tree.n_features} features, expected the {len(names)} concept coordinates"
+        )
     class_names = {0: "negative", 1: "positive"}
 
     lines: list[str] = []

@@ -34,14 +34,7 @@ from .core import (
     parse_clip_index,
     read_rows,
 )
-from .errors import (
-    ClipSetMismatch,
-    InvariantError,
-    MalformedRecord,
-    NumericError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import InvariantError, MalformedRecord, NumericError, ParseError, PreconditionError
 from .harness import (
     FACTOR_NAMES,
     TEST_NEGATIVE_SETS,
@@ -211,7 +204,7 @@ def _aligned_sequences(
     first, *others = ratings
     for other in others:
         if ratings[other].keys() != ratings[first].keys():
-            raise ClipSetMismatch(
+            raise PreconditionError(
                 f"film {film!r}: annotators {first!r} and {other!r} rate different clips"
             )
     return {a: [levels[clip] for clip in ratings[first]] for a, levels in ratings.items()}

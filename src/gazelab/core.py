@@ -39,15 +39,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    InvariantViolation,
-    MalformedRecord,
-    MissingEmbedding,
-    NonFiniteValue,
-    OverlappingClips,
-)
+from .errors import InvariantViolation, MalformedRecord, ParseError, PreconditionError
 
 EMBEDDING_MAGIC = b"OBYEMB01"
 
@@ -206,10 +198,14 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
                 if arr.size == 0:
                     raise InvariantViolation(f"clip {clip_id!r}: empty vector")
             elif arr.size != vectors[0].size:
-                raise DimensionMismatch(clip_id, vectors[0].size, arr.size)
+                raise InvariantViolation(
+                    f"clip {clip_id!r}: expected {vectors[0].size} components, got {arr.size}"
+                )
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
-                raise NonFiniteValue(clip_id, int(bad[0]))
+                raise InvariantViolation(
+                    f"clip {clip_id!r}: non-finite component at index {bad[0]}"
+                )
             index[clip_id] = len(vectors)
             vectors.append(arr)
         if not vectors:
@@ -230,7 +226,7 @@ class EmbeddingTable(Mapping[str, np.ndarray]):
         try:
             rows = [self._index[cid] for cid in clip_ids]
         except KeyError as e:
-            raise MissingEmbedding(e.args[0]) from None
+            raise PreconditionError(f"no embedding for clip {e.args[0]!r}") from None
         return self._matrix[rows]
 
     def __len__(self) -> int:
@@ -387,7 +383,9 @@ def parse_clip_index(text: str) -> list[ClipDelimitation]:
         film_clips = sorted(by_film[film_id], key=lambda c: (c.start, c.clip_id))
         for prev, cur in zip(film_clips, film_clips[1:]):
             if cur.start < prev.end:
-                raise OverlappingClips(film_id, prev.clip_id, cur.clip_id)
+                raise InvariantViolation(
+                    f"clips {prev.clip_id!r} and {cur.clip_id!r} overlap in film {film_id!r}"
+                )
         ordered.extend(film_clips)
     return ordered
 
@@ -406,35 +404,35 @@ def load_embeddings(data: bytes) -> EmbeddingTable:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
-        raise BadMagic("payload is neither magic-prefixed binary nor UTF-8 CSV") from None
+        raise ParseError("payload is neither magic-prefixed binary nor UTF-8 CSV") from None
     return _load_embeddings_csv(text)
 
 
 def _load_embeddings_binary(data: bytes) -> EmbeddingTable:
     if len(data) < 12:
-        raise MalformedRecord("binary payload truncated before header", 0)
+        raise MalformedRecord("header: binary payload truncated")
     (dim,) = struct.unpack_from("<I", data, 8)
     if dim == 0:
-        raise MalformedRecord("dimension must be positive", 0)
+        raise MalformedRecord("header: dimension must be positive")
     offset = 12
     rows: list[tuple[str, np.ndarray]] = []
     record = 0
     while offset < len(data):
         record += 1
         if offset + 2 > len(data):
-            raise MalformedRecord("truncated id length", record)
+            raise MalformedRecord(f"record {record}: truncated id length")
         (id_len,) = struct.unpack_from("<H", data, offset)
         offset += 2
         if offset + id_len > len(data):
-            raise MalformedRecord("truncated clip id", record)
+            raise MalformedRecord(f"record {record}: truncated clip id")
         try:
             clip_id = data[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError:
-            raise MalformedRecord("clip id is not valid UTF-8", record) from None
+            raise MalformedRecord(f"record {record}: clip id is not valid UTF-8") from None
         offset += id_len
         vec_bytes = 4 * dim
         if offset + vec_bytes > len(data):
-            raise MalformedRecord("truncated vector", record)
+            raise MalformedRecord(f"record {record}: truncated vector")
         vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
         offset += vec_bytes
         rows.append((clip_id, vec))

@@ -19,13 +19,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .core import ClipDelimitation, ClipLabel, ObjLevel, SpanAnnotation
-from .errors import (
-    ClipSetMismatch,
-    EmptyInput,
-    FilmMismatch,
-    InvariantViolation,
-    UnannotatedFilmWarning,
-)
+from .errors import InvariantViolation, PreconditionError, UnannotatedFilmWarning
 
 
 class OverlapBasis(Enum):
@@ -75,7 +69,7 @@ def project(
     if spans:
         films = {s.film_id for s in spans} | {c.film_id for c in clips}
         if len(films) > 1:
-            raise FilmMismatch(f"spans and clips cover several films: {sorted(films)}")
+            raise PreconditionError(f"spans and clips cover several films: {sorted(films)}")
         if len(provenance) > 1:
             raise InvariantViolation(
                 f"project expects a single annotator, got {sorted(provenance)}"
@@ -128,15 +122,13 @@ def merge(per_annotator: Sequence[tuple[str, Sequence[ClipLabel]]]) -> list[Clip
     maximum; those annotators form the provenance set.
     """
     if not per_annotator:
-        raise EmptyInput("merge needs at least one annotator timeline")
+        raise PreconditionError("merge needs at least one annotator timeline")
     first_ids = [lbl.clip_id for lbl in per_annotator[0][1]]
     by_annotator: dict[str, dict[str, ClipLabel]] = {}
     for annotator_id, labels in per_annotator:
         table = {lbl.clip_id: lbl for lbl in labels}
         if set(table) != set(first_ids) or len(table) != len(labels):
-            raise ClipSetMismatch(
-                f"annotator {annotator_id!r} labels a different clip set"
-            )
+            raise PreconditionError(f"annotator {annotator_id!r} labels a different clip set")
         by_annotator[annotator_id] = table
 
     merged: list[ClipLabel] = []
@@ -155,15 +147,15 @@ def _by_film(
 ) -> dict[str, tuple[list[ClipDelimitation], list[SpanAnnotation]]]:
     """``film -> (clips, spans)`` for every film of ``clips``, films sorted.
 
-    Spans on a film missing from ``clips`` raise ``FilmMismatch`` rather
-    than being dropped.
+    Spans on a film missing from ``clips`` raise ``PreconditionError``
+    rather than being dropped.
     """
     films: dict[str, tuple[list[ClipDelimitation], list[SpanAnnotation]]] = {}
     for c in clips:
         films.setdefault(c.film_id, ([], []))[0].append(c)
     unknown = sorted({s.film_id for s in spans} - set(films))
     if unknown:
-        raise FilmMismatch(f"spans on films missing from the clip index: {unknown}")
+        raise PreconditionError(f"spans on films missing from the clip index: {unknown}")
     for s in spans:
         films[s.film_id][1].append(s)
     return dict(sorted(films.items()))
@@ -181,7 +173,7 @@ def fuse(
     Each film is merged over the annotators with spans on it. Films whose
     clip index has no annotator at all are fused as all-EN with empty
     provenance. Spans on a film missing from ``clips`` raise
-    ``FilmMismatch``.
+    ``PreconditionError``.
     """
     projections: dict[str, dict[str, list[ClipLabel]]] = {}
     merged: dict[str, list[ClipLabel]] = {}
@@ -230,7 +222,7 @@ def sweep_thresholds(
     the first threshold in the list.
     """
     if not thresholds:
-        raise EmptyInput("no thresholds to sweep")
+        raise PreconditionError("no thresholds to sweep")
     for t in thresholds:
         ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
     pooled = [

@@ -20,16 +20,7 @@ from typing import Any, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import CONCEPTS, ClipLabel, ObjLevel
-from .errors import (
-    ClassTooSmall,
-    DegenerateTarget,
-    EmptyInput,
-    InvariantViolation,
-    LengthMismatch,
-    MissingEmbedding,
-    NoTrainData,
-    PreconditionError,
-)
+from .errors import InvariantViolation, PreconditionError
 from .models import (
     check_mlp_settings,
     f1,
@@ -81,7 +72,10 @@ def make_folds_from_ids(
     for cls_index, cls in enumerate(sorted(ids_by_class, key=str)):
         ids = list(ids_by_class[cls])
         if len(ids) < FOLDS:
-            raise ClassTooSmall(cls.name if isinstance(cls, Enum) else str(cls), len(ids), FOLDS)
+            name = cls.name if isinstance(cls, Enum) else str(cls)
+            raise PreconditionError(
+                f"class {name!r} has {len(ids)} samples, fewer than {FOLDS} folds"
+            )
         rng = np.random.default_rng(derive_seed(seed, 2, cls_index))
         order = rng.permutation(len(ids))
         assigned: list[list[str]] = [[] for _ in range(FOLDS)]
@@ -118,7 +112,7 @@ def balanced_train_sets(
     neg = plan.train_ids(negative)
     if not pos or not neg:
         names = "/".join(c.name if isinstance(c, Enum) else repr(c) for c in (positive, negative))
-        raise NoTrainData(f"no training data for classes {names}")
+        raise PreconditionError(f"no training data for classes {names}")
     return balanced_draws(pos, neg, np.random.default_rng(derive_seed(plan.seed, 0x0B)))
 
 
@@ -267,7 +261,7 @@ def run_task(
         try:
             X = np.stack([np.asarray(features[cid], dtype=np.float64) for cid in [*pos, *neg]])
         except KeyError as e:
-            raise MissingEmbedding(e.args[0]) from None
+            raise PreconditionError(f"no embedding for clip {e.args[0]!r}") from None
         return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
 
     test_pos = fold_of([ObjLevel.S], plan.test_fold)
@@ -353,16 +347,16 @@ def error_factor_analysis(
     preds = np.asarray(predictions, dtype=np.int64)
     t = np.asarray(truths, dtype=np.int64)
     if len(labels) != preds.size or preds.size != t.size:
-        raise LengthMismatch(
+        raise PreconditionError(
             f"{len(labels)} labels vs {preds.size} predictions vs {t.size} truths"
         )
     if preds.size == 0:
-        raise EmptyInput("there are no predictions to attribute")
+        raise PreconditionError("there are no predictions to attribute")
     success = (preds == t).astype(np.int64)
     if success.all():
-        raise DegenerateTarget("every prediction is correct; nothing to attribute")
+        raise PreconditionError("every prediction is correct; nothing to attribute")
     if not success.any():
-        raise DegenerateTarget("every prediction is wrong; nothing to attribute")
+        raise PreconditionError("every prediction is wrong; nothing to attribute")
     X = np.stack([clip_descriptor(lbl) for lbl in labels])
     model = train_logreg(X, success, l2=l2)
     weights = {name: float(w) for name, w in zip(FACTOR_NAMES, model.weights)}

@@ -18,15 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BothZero,
-    InvariantViolation,
-    LengthMismatch,
-    NonFiniteInput,
-    NonFiniteLoss,
-    PreconditionError,
-    SingleClass,
-)
+from .errors import InvariantViolation, NumericError, PreconditionError
 
 MODEL_FORMAT = "gazelab-model/1"
 MLP_HIDDEN = 128
@@ -39,10 +31,10 @@ LOGREG_TOL = 1e-6
 
 def _check_binary_training_data(X: np.ndarray, y: np.ndarray) -> None:
     if not np.isfinite(X).all():
-        raise NonFiniteInput("training matrix contains non-finite entries")
+        raise InvariantViolation("training matrix contains non-finite entries")
     classes = np.unique(y)
     if classes.size < 2:
-        raise SingleClass(f"need both classes, got only {classes.tolist()}")
+        raise PreconditionError(f"need both classes, got only {classes.tolist()}")
     if not np.isin(classes, (0, 1)).all():
         raise InvariantViolation(f"labels must be 0/1, got {classes.tolist()}")
 
@@ -320,7 +312,7 @@ def train_tree(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if not np.isfinite(X).all():
-        raise NonFiniteInput("training matrix contains non-finite entries")
+        raise InvariantViolation("training matrix contains non-finite entries")
     if y.size < 2:
         raise PreconditionError(f"need at least 2 samples, got {y.size}")
 
@@ -419,7 +411,7 @@ def mlp_gradient(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] != y.shape[0]:
-        raise LengthMismatch(f"{X.shape[0]} samples vs {y.shape[0]} labels")
+        raise PreconditionError(f"{X.shape[0]} samples vs {y.shape[0]} labels")
     dz1, dw2, db2, loss = _head_gradient(X @ model.w1 + model.b1, y, model.w2, model.b2)
     return X.T @ dz1, dz1.sum(axis=0), dw2, db2, loss
 
@@ -442,7 +434,7 @@ def check_mlp_settings(epochs: int, batch: int, lr: float) -> None:
         raise InvariantViolation(f"MLP learning rate must be finite and > 0, got {lr}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence raises NonFiniteLoss alone
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises NumericError alone
 def train_mlp(
     X: np.ndarray,
     y: np.ndarray,
@@ -458,7 +450,7 @@ def train_mlp(
     Shuffling and initialization are driven by ``seed``; the result is
     bit-identical across runs. The returned model is the parameters
     after the first epoch with the best F1 on ``(X_val, y_val)``; zero
-    epochs returns the initialization. ``NonFiniteLoss`` is raised after
+    epochs returns the initialization. ``NumericError`` is raised after
     the first epoch with a non-finite mini-batch loss or validation
     probability (the latter catches the run's last update).
 
@@ -512,7 +504,7 @@ def train_mlp(
         else:
             probs = model.probabilities(X_val)
         if not (np.isfinite(total) and np.isfinite(probs).all()):
-            raise NonFiniteLoss(f"training diverged in epoch {epoch + 1}; lower the learning rate")
+            raise NumericError(f"training diverged in epoch {epoch + 1}; lower the learning rate")
         result.epoch_losses.append(total / n)
         score = f1((probs[:, 1] > 0.5).astype(np.int64), y_val).f1
         if score > best_f1 + 1e-12:
@@ -552,7 +544,7 @@ def f1(preds: Sequence[int], labels: Sequence[int]) -> Metrics:
     p = np.asarray(preds, dtype=np.int64)
     t = np.asarray(labels, dtype=np.int64)
     if p.shape != t.shape:
-        raise LengthMismatch(f"{p.shape[0]} predictions vs {t.shape[0]} labels")
+        raise PreconditionError(f"{p.shape[0]} predictions vs {t.shape[0]} labels")
     tp = int(((p == 1) & (t == 1)).sum())
     fp = int(((p == 1) & (t == 0)).sum())
     fn = int(((p == 0) & (t == 1)).sum())
@@ -571,9 +563,9 @@ def trivial_baseline_f1(f_data: float, f_classifier: float) -> float:
     it predicts positive (its recall).
     """
     if not (0.0 <= f_data <= 1.0 and 0.0 <= f_classifier <= 1.0):
-        raise BothZero(f"fractions must be in [0, 1], got {(f_data, f_classifier)}")
+        raise PreconditionError(f"fractions must be in [0, 1], got {(f_data, f_classifier)}")
     if f_data == 0.0 and f_classifier == 0.0:
-        raise BothZero("both fractions are zero; F1 is undefined")
+        raise PreconditionError("both fractions are zero; F1 is undefined")
     return 2.0 * f_data * f_classifier / (f_data + f_classifier)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import CONCEPTS, ClipLabel, ObjLevel
-from .errors import AllDropped, EmptyInput
+from .errors import PreconditionError
 
 #: Levels whose clips must carry at least one concept.
 POSITIVE_LEVELS = (ObjLevel.HN, ObjLevel.NS, ObjLevel.S)
@@ -44,7 +44,7 @@ def summarize(labels: Sequence[ClipLabel]) -> DatasetSummary:
     Per-annotator means come from ``per_annotator_trend``.
     """
     if not labels:
-        raise EmptyInput("cannot summarize an empty label set")
+        raise PreconditionError("cannot summarize an empty label set")
     n = len(labels)
     level_counts = {level: 0 for level in ObjLevel}
     concept_counts = np.zeros((len(CONCEPTS), len(ObjLevel)), dtype=np.int64)
@@ -77,12 +77,12 @@ def per_annotator_trend(
     HN <= NS <= S order, over the levels that annotator used.
     """
     if not per_annotator:
-        raise EmptyInput("no annotators given")
+        raise PreconditionError("no annotators given")
     out: dict[str, AnnotatorTrend] = {}
     for annotator_id in sorted(per_annotator):
         labels = per_annotator[annotator_id]
         if not labels:
-            raise EmptyInput(f"annotator {annotator_id!r} has no labels")
+            raise PreconditionError(f"annotator {annotator_id!r} has no labels")
         means = summarize(labels).mean_concepts_per_level
         ordered = list(means.values())
         non_decreasing = all(a <= b for a, b in zip(ordered, ordered[1:]))
@@ -95,11 +95,11 @@ def task_class_fractions(
 ) -> dict[ObjLevel, float]:
     """Level fractions after dropping the given levels and renormalizing."""
     if not labels:
-        raise EmptyInput("cannot compute fractions of an empty label set")
+        raise PreconditionError("cannot compute fractions of an empty label set")
     dropped = frozenset(drop)
     kept = [lbl for lbl in labels if lbl.level not in dropped]
     if not kept:
-        raise AllDropped(f"dropping {sorted(lv.name for lv in dropped)} removed every clip")
+        raise PreconditionError(f"dropping {sorted(lv.name for lv in dropped)} removed every clip")
     counts = summarize(kept).level_counts
     return {level: counts[level] / len(kept) for level in ObjLevel if counts[level]}
 

@@ -15,12 +15,7 @@ from gazelab import (
     observed_disorder,
 )
 from gazelab.agreement import LEVEL_DISTANCE_MATRIX
-from gazelab.errors import (
-    EmptyInput,
-    FewerThanTwoAnnotators,
-    LengthMismatch,
-    PreconditionError,
-)
+from gazelab.errors import PreconditionError
 
 EN, HN, NS, S = ObjLevel.EN, ObjLevel.HN, ObjLevel.NS, ObjLevel.S
 
@@ -59,11 +54,11 @@ class TestObservedDisorder:
         assert value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(PreconditionError, match=r"sequence lengths differ: \[1, 2\]"):
             observed_disorder({"A": [EN], "B": [EN, S]})
 
     def test_needs_two_annotators(self):
-        with pytest.raises(FewerThanTwoAnnotators):
+        with pytest.raises(PreconditionError, match="need at least 2 annotators, got 1"):
             observed_disorder({"A": [EN, S]})
 
     def test_exclusion_drops_pairwise_comparisons(self):
@@ -324,9 +319,9 @@ class TestGamma:
         # A pair whose every clip holds an excluded level has no
         # agreement to report, not perfect agreement.
         cfg = GammaConfig(excluded_levels={NS})
-        with pytest.raises(EmptyInput, match=r"pair A\|B"):
+        with pytest.raises(PreconditionError, match=r"^pair A\|B: the excluded levels"):
             gamma({"A": [NS, NS], "B": [EN, S]}, cfg)
-        with pytest.raises(EmptyInput, match=r"film 'f', pair A\|B"):
+        with pytest.raises(PreconditionError, match=r"^film 'f', pair A\|B: the excluded levels"):
             gamma_per_film_and_average({"f": {"A": [NS, NS], "B": [EN, S], "C": [EN, S]}}, cfg)
 
     def test_config_validation(self):
@@ -367,7 +362,7 @@ class TestPerFilmAverage:
         assert len(summary.per_pair) == 6
 
     def test_film_with_one_annotator_rejected(self):
-        with pytest.raises(FewerThanTwoAnnotators):
+        with pytest.raises(PreconditionError, match="film 'f' has 1 annotator"):
             gamma_per_film_and_average({"f": {"A": [EN]}}, GammaConfig())
 
     def test_three_film_spreadsheet_fixture(self):

@@ -710,6 +710,22 @@ class TestMalformedInputs:
         argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "dt", "--cavs", str(cavs_path)]
         self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
 
+    @pytest.mark.parametrize("normal", [1.0, [[1.0, 0.0, 0.0, 0.0]]], ids=["scalar", "nested"])
+    def test_cavs_normal_must_be_a_flat_list(self, tmp_path, capsys, normal):
+        cavs = [
+            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            for c in CONCEPTS
+        ]
+        cavs[0]["unit_normal"] = normal
+        path = tmp_path / "cavs.json"
+        path.write_text(json.dumps({"cavs": cavs}))
+        argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "dt", "--cavs", str(path)]
+        err = self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
+        assert err == (
+            f"error: {path}: not a concept-vector file"
+            " (unit_normal must be a flat list of numbers)\n"
+        )
+
     def _pcbm_inputs(self, tmp_path, drop=()):
         """A 100-clip, 4-d linear task as pcbm's embeddings and labels,
         without the labels of the levels named in ``drop``."""
@@ -801,7 +817,7 @@ class TestMalformedInputs:
         path.write_text(json.dumps({"cavs": cavs}))
         argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "lr", "--cavs", str(path)]
         err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 3)
-        assert "expected 3 components, got 4" in err
+        assert "concept axis 'TypeOfShot' has 3 components, the embeddings have 4" in err
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -18,7 +18,7 @@ from gazelab import (
     project,
     sweep_thresholds,
 )
-from gazelab.errors import ClipSetMismatch, EmptyInput, FilmMismatch, InvariantViolation
+from gazelab.errors import InvariantViolation, PreconditionError
 from synthfix import labels_as_spans, random_fusion_fixture
 
 CLIP = ClipDelimitation("c1", "f", 0.0, 10.0)
@@ -72,7 +72,7 @@ class TestProject:
         assert project([s], [CLIP], cfg)[0].level is ObjLevel.S
 
     def test_film_mismatch(self):
-        with pytest.raises(FilmMismatch):
+        with pytest.raises(PreconditionError, match="spans and clips cover several films"):
             project([span(0.0, 5.0, ObjLevel.S)], [ClipDelimitation("c", "other", 0.0, 10.0)])
 
     def test_mixed_annotators_rejected(self):
@@ -144,7 +144,7 @@ class TestMerge:
         assert merge([("A", labels)]) == labels
 
     def test_clip_set_mismatch(self):
-        with pytest.raises(ClipSetMismatch):
+        with pytest.raises(PreconditionError, match="labels a different clip set"):
             merge(
                 [
                     ("A", [ClipLabel("c1", ObjLevel.EN, frozenset())]),
@@ -153,7 +153,7 @@ class TestMerge:
             )
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PreconditionError, match="merge needs at least one annotator timeline"):
             merge([])
 
     def test_commutative_and_associative(self):
@@ -206,16 +206,16 @@ class TestSweep:
                 assert after.counts[ObjLevel.EN] >= before.counts[ObjLevel.EN]
 
     def test_no_thresholds_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PreconditionError, match="no thresholds to sweep"):
             sweep_thresholds([], [CLIP], [])
 
 
 class TestFuse:
     def test_spans_on_a_film_without_clips_rejected(self):
         ghost = SpanAnnotation("ghost", "a1", 0.0, 5.0, ObjLevel.S, frozenset({Concept.BODY}))
-        with pytest.raises(FilmMismatch, match="'ghost'"):
+        with pytest.raises(PreconditionError, match=r"clip index: \['ghost'\]"):
             fuse([span(0.0, 9.0, ObjLevel.S), ghost], [CLIP])
-        with pytest.raises(FilmMismatch, match="'ghost'"):
+        with pytest.raises(PreconditionError, match=r"clip index: \['ghost'\]"):
             sweep_thresholds([ghost], [CLIP], [0.2])
 
     def test_film_without_annotators_warns_and_fuses_all_en(self):

@@ -21,15 +21,7 @@ from gazelab import (
 )
 from gazelab import models
 from gazelab.cbm import DEFAULT_C_GRID
-from gazelab.errors import (
-    BothZero,
-    InvariantViolation,
-    LengthMismatch,
-    NonFiniteInput,
-    NonFiniteLoss,
-    PreconditionError,
-    SingleClass,
-)
+from gazelab.errors import InvariantViolation, NumericError, PreconditionError
 from synthfix import mlp_gradcheck_worst_error, model_from_json
 
 
@@ -140,9 +132,9 @@ class TestSvm:
         assert base.bias == pytest.approx(dup.bias, abs=1e-9)
 
     def test_errors(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(PreconditionError, match=r"need both classes, got only \[1\]"):
             train_svm(np.zeros((3, 2)), np.array([1, 1, 1]), c=1.0)
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InvariantViolation, match="training matrix contains non-finite"):
             train_svm(np.array([[np.nan, 0.0], [1.0, 1.0]]), np.array([0, 1]), c=1.0)
 
 
@@ -225,6 +217,9 @@ ONE_PROBLEM_DIGESTS = (
 )
 
 
+# The 101-step stop rule also ends stages that diverge: without it the
+# small-n, C = 0.01 fits overflow on the way to their pinned results.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_problem_fits_are_pinned():
     digests = []
     for X, y, _ in svm_fixtures():
@@ -295,7 +290,7 @@ class TestSvmStack:
     def test_each_draw_is_validated(self):
         X, y = blobs(8, n_per=10)
         bad = np.stack([y, np.ones_like(y)])
-        with pytest.raises(SingleClass):
+        with pytest.raises(PreconditionError, match=r"need both classes, got only \[1\]"):
             train_svm_stack(np.stack([X, X]), bad, (1.0,))
 
 
@@ -326,7 +321,7 @@ class TestLogreg:
         assert m.weights[2] > 0
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(PreconditionError, match=r"need both classes, got only \[0\]"):
             train_logreg(np.zeros((3, 2)), np.array([0, 0, 0]))
 
 
@@ -505,7 +500,7 @@ class TestMlp:
     def test_divergence_raises(self):
         # The overflow on the way raises no numpy warning.
         for X, y in (blobs(3, n_per=20), coefficient_draw(3)):
-            with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
+            with warnings.catch_warnings(), pytest.raises(NumericError, match="diverged in epoch"):
                 warnings.simplefilter("error")
                 train_mlp(X * 1e6, y, X, y, epochs=50, lr=1e3, batch=8, seed=0)
 
@@ -513,7 +508,7 @@ class TestMlp:
         # One epoch of one batch: its loss is taken before the update that
         # diverges, so only the check on the validation output can see it.
         for X, y in (blobs(3, n_per=20), coefficient_draw(3)):
-            with warnings.catch_warnings(), pytest.raises(NonFiniteLoss):
+            with warnings.catch_warnings(), pytest.raises(NumericError, match="diverged in epoch"):
                 warnings.simplefilter("error")
                 train_mlp(X, y, X, y, epochs=1, lr=1e308, batch=len(y))
 
@@ -634,7 +629,7 @@ class TestMetrics:
         assert f1(preds[perm], labels[perm]) == base
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(PreconditionError, match="2 predictions vs 1 labels"):
             f1([1, 0], [1])
 
 
@@ -658,9 +653,9 @@ class TestTrivialBaseline:
         assert trivial_baseline_f1(0.19, 1.0) == pytest.approx(0.38 / 1.19, abs=1e-12)
 
     def test_both_zero(self):
-        with pytest.raises(BothZero):
+        with pytest.raises(PreconditionError, match="both fractions are zero"):
             trivial_baseline_f1(0.0, 0.0)
-        with pytest.raises(BothZero):
+        with pytest.raises(PreconditionError, match=r"fractions must be in \[0, 1\]"):
             trivial_baseline_f1(1.2, 0.5)
 
 

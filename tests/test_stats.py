@@ -11,7 +11,7 @@ from gazelab import (
     summarize,
     task_class_fractions,
 )
-from gazelab.errors import AllDropped, EmptyInput
+from gazelab.errors import PreconditionError
 from gazelab.stats import summary_rows
 
 
@@ -96,7 +96,7 @@ def test_summarize_permutation_invariant():
 
 
 def test_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(PreconditionError, match="cannot summarize an empty label set"):
         summarize([])
 
 
@@ -162,7 +162,7 @@ class TestTaskClassFractions:
         assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_dropped(self):
-        with pytest.raises(AllDropped):
+        with pytest.raises(PreconditionError, match=r"dropping \['NS'\] removed every clip"):
             task_class_fractions([lbl(1, ObjLevel.NS, Concept.BODY)], drop={ObjLevel.NS})
 
 
