@@ -9,9 +9,9 @@ dimension with the seconds of: one ``train_svm`` fit (C=1, median of N
 runs), the 40 (draw, C) fits of the default grid one by one (one run),
 and, where the checkout has ``train_svm_stack``, the same 40 fits as
 one stacked solve (median of N // 2 runs). For the stack it also prints
-how far each stacked problem is from its one-by-one fit: the largest
-absolute weight difference and the largest relative difference of the
-SVM objective, lam/2 * |w|^2 + mean hinge with lam = 1/(C * rows).
+the most steps any of its problems took and the largest relative
+duality gap any of them stopped at (null where the checkout's models do
+not carry them).
 A last line times ``cbm.fit_all_cavs`` (EN-only negatives, median of N
 runs) on the inputs of the concepts benchmark's seed 1, written by
 ``perfbench/workloads.generate_concepts`` into a temporary directory
@@ -41,12 +41,6 @@ DRAWS, ROWS, POSITIVES = 8, 144, 96
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def objective(model, X, y, c: float) -> float:
-    s = 2.0 * y - 1.0
-    hinge = (1.0 - s * (X @ model.weights + model.bias)).clip(min=0.0)
-    return 0.5 / (c * len(y)) * float(model.weights @ model.weights) + float(hinge.mean())
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -64,7 +58,7 @@ def main() -> None:
         y = np.zeros((DRAWS, ROWS), dtype=np.int64)
         y[:, :POSITIVES] = 1
         one_fit_s, _ = median_s(lambda: models.train_svm(X[0], y[0], c=1.0), args.repeats)
-        fit_by_fit_s, singles = median_s(
+        fit_by_fit_s, _ = median_s(
             lambda: [[models.train_svm(X[d], y[d], c=c) for c in GRID] for d in range(DRAWS)], 1
         )
         row = {
@@ -78,14 +72,10 @@ def main() -> None:
             row["grid_stacked_s"], stacked = median_s(
                 lambda: stack(X, y, GRID), max(1, args.repeats // 2)
             )
-            dw, dobj = [], []
-            for d in range(DRAWS):
-                for j, c in enumerate(GRID):
-                    a, b = stacked[d][j], singles[d][j]
-                    dw.append(float(abs(a.weights - b.weights).max()))
-                    ref = objective(b, X[d], y[d], c)
-                    dobj.append(abs(objective(a, X[d], y[d], c) - ref) / ref)
-            row["max_abs_dw"], row["max_rel_dobj"] = max(dw), max(dobj)
+            fits = [m for draw in stacked for m in draw]
+            for key, name in (("steps", "steps"), ("gap", "max_gap")):
+                values = [getattr(m, key, None) for m in fits]
+                row[name] = None if None in values else max(values)
         print(json.dumps(row), flush=True)
 
     sys.path.insert(0, str(PERFBENCH))

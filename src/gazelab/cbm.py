@@ -15,6 +15,7 @@ suggestive" and is the harder setting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -35,6 +36,7 @@ from .harness import (
 )
 from .models import (
     MODEL_FORMAT,
+    SVM_GAP_TOL,
     DecisionTree,
     LinearModel,
     Metrics,
@@ -62,16 +64,26 @@ class CavCvConfig:
 
 @dataclass(frozen=True)
 class ConceptVector:
-    """Unit normal and offset of one concept's separating hyperplane."""
+    """Unit normal and offset of one concept's separating hyperplane.
+
+    ``gap`` is the relative duality gap its SVM solve stopped at.
+    ``chosen_c`` and ``c_mean_f1`` (each C of ``DEFAULT_C_GRID`` with its
+    mean validation F1) record the cross-validated choice of the margin
+    tolerance; both are None for a concept too rare to fold.
+    """
 
     concept: Concept
     unit_normal: np.ndarray
     bias: float
     negative_mode: NegativeMode
     cv_f1: float
+    gap: float = 0.0
+    chosen_c: float | None = None
+    c_mean_f1: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        norm = float(np.linalg.norm(self.unit_normal))
+        with np.errstate(over="ignore"):  # an overflowing normal is reported below
+            norm = float(np.linalg.norm(self.unit_normal))
         if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
             raise InvariantViolation(f"normal must have unit norm, got {norm}")
 
@@ -87,6 +99,10 @@ class ConceptVector:
             "bias": self.bias,
             "negative_mode": self.negative_mode.value,
             "cv_f1": self.cv_f1,
+            "gap": self.gap,
+            "converged": self.gap <= SVM_GAP_TOL,
+            "chosen_c": self.chosen_c,
+            "c_mean_f1": None if self.c_mean_f1 is None else [list(p) for p in self.c_mean_f1],
         }
 
     @classmethod
@@ -100,13 +116,30 @@ class ConceptVector:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in normal
         ):
             raise ValueError("unit_normal must be a flat list of numbers")
+        curve, chosen = doc["c_mean_f1"], doc["chosen_c"]
+        if curve is not None:
+            curve = tuple((_finite(c, "C"), _finite(f, "F1")) for c, f in curve)
         return cls(
             concept=Concept.from_label(doc["concept"]),
             unit_normal=np.array(normal, dtype=np.float64),
-            bias=float(doc["bias"]),
+            bias=_finite(doc["bias"], "bias"),
             negative_mode=NegativeMode(doc["negative_mode"]),
-            cv_f1=float(doc["cv_f1"]),
+            cv_f1=_finite(doc["cv_f1"], "cv_f1"),
+            gap=_finite(doc["gap"], "gap"),
+            chosen_c=None if chosen is None else _finite(chosen, "chosen_c"),
+            c_mean_f1=curve,
         )
+
+
+def _finite(value: object, name: str) -> float:
+    """``value`` if it is a finite JSON number (not true or false), as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{name} must be a finite number")
 
 
 def build_concept_sets(
@@ -222,9 +255,10 @@ def _fit_cavs(
     def split(plan, folds: Sequence[int]) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return plan.ids("pos", folds), plan.ids("neg", folds)
 
-    # Per axis, its final problem and the ids its F1 is scored on: the
-    # test folds, or the training data of an axis too small to fold.
-    finals, scored = [], []
+    # Per axis, its final problem, the ids its F1 is scored on (the test
+    # folds, or the training data of an axis too small to fold) and its
+    # chosen C with the per-C mean validation F1 (None if it cannot fold).
+    finals, scored, choices = [], [], []
     for concept, pos, neg, seed in axes:
         if not pos or not neg:
             side = "positive" if not pos else "negative"
@@ -232,6 +266,7 @@ def _fit_cavs(
         if len(pos) < CavCvConfig.k or len(neg) < CavCvConfig.k:
             finals.append((pos, neg, (DEFAULT_C_GRID[len(DEFAULT_C_GRID) // 2],)))
             scored.append((pos, neg))
+            choices.append((None, None))
             continue
         plan = make_folds_from_ids({"pos": pos, "neg": neg}, seed=seed)
         # A stack steps every problem until its slowest stops, so the
@@ -249,13 +284,14 @@ def _fit_cavs(
         for i, ((rotation, *_), row) in enumerate(zip(sets, grid)):
             val_X, val_y = validation[rotation]
             scores[:, i] = [f1_score(model.predict(val_X), val_y).f1 for model in row]
-        c_means = [(c, float(np.mean(row))) for c, row in zip(DEFAULT_C_GRID, scores)]
+        c_means = tuple((c, float(np.mean(row))) for c, row in zip(DEFAULT_C_GRID, scores))
         best_c = max(c_means, key=lambda item: item[1])[0]
         finals.append((*split(plan, range(plan.test_fold)), (best_c,)))
         scored.append(split(plan, [plan.test_fold]))
+        choices.append((best_c, c_means))
 
     cavs = []
-    for (concept, *_), (model,), ids in zip(axes, solve(finals), scored):
+    for (concept, *_), (model,), ids, choice in zip(axes, solve(finals), scored, choices):
         norm = float(np.linalg.norm(model.weights))
         if norm == 0.0:
             raise InvariantViolation(
@@ -263,7 +299,11 @@ def _fit_cavs(
             )
         X, y = _labelled(emb, *ids)
         score = f1_score(model.predict(X), y).f1
-        cavs.append(ConceptVector(concept, model.weights / norm, model.bias / norm, mode, score))
+        cavs.append(
+            ConceptVector(
+                concept, model.weights / norm, model.bias / norm, mode, score, model.gap, *choice
+            )
+        )
     return cavs
 
 

@@ -315,7 +315,7 @@ def cmd_cav(args: argparse.Namespace) -> int:
 def _read_cavs(path: str) -> list[cbm_mod.ConceptVector]:
     try:
         return [cbm_mod.ConceptVector.from_json(d) for d in json.loads(_read_path(path))["cavs"]]
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ParseError(f"{path}: not a concept-vector file ({e})") from None
 
 

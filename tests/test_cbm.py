@@ -1,5 +1,7 @@
 """Concept vectors, the concept subspace, and the interpretable stack."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from gazelab import (
 from gazelab.cbm import DEFAULT_C_GRID, CavCvConfig
 from gazelab.errors import InvariantViolation, PreconditionError
 from gazelab.harness import FOLDS, balanced_draws, derive_seed
-from gazelab.models import DecisionTree, TreeNode, f1
+from gazelab.models import SVM_GAP_TOL, DecisionTree, TreeNode, f1
 from synthfix import make_compositional, make_entangled
 
 
@@ -148,6 +150,7 @@ class TestFitCav:
         norm = float(np.linalg.norm(model.weights))
 
         cav = fit_cav(emb, pos, neg, Concept.BODY, mode=NegativeMode.EN_PLUS_WITHOUT, seed=seed)
+        assert cav.chosen_c == best_c
         assert np.array_equal(cav.unit_normal, model.weights / norm)
         assert cav.bias == model.bias / norm
         assert cav.cv_f1 == f1(model.predict(test_X), test_y).f1
@@ -179,6 +182,19 @@ def two_folded_six_rare():
 
 
 class TestFitAllCavs:
+    def test_axes_record_their_gap_and_choice(self):
+        labels, emb = two_folded_six_rare()
+        for cav in fit_all_cavs(emb, labels, seed=5):
+            doc = json.loads(json.dumps(cav.to_json()))
+            assert doc["converged"] and 0.0 <= doc["gap"] <= SVM_GAP_TOL
+            if cav.concept in FOLDED:
+                assert [c for c, _ in doc["c_mean_f1"]] == list(DEFAULT_C_GRID)
+                # The first best mean, so ties go to the smaller C.
+                assert doc["chosen_c"] == max(doc["c_mean_f1"], key=lambda p: p[1])[0]
+            else:
+                assert doc["chosen_c"] is None and doc["c_mean_f1"] is None
+            assert ConceptVector.from_json(doc).to_json() == doc
+
     @pytest.mark.parametrize("mode", list(NegativeMode))
     def test_final_fits_share_stacks_and_match_fit_cav(self, monkeypatch, mode):
         labels, emb = two_folded_six_rare()

@@ -871,21 +871,64 @@ class TestMalformedInputs:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_divergence_prints_one_line(self, tmp_path):
-        # In a fresh interpreter numpy's overflow warnings would reach
-        # stderr: the diverging run must print only its error.
-        argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", "mlp", "--lr", "1e308"]
+    @staticmethod
+    def _fresh(argv, tmp_path):
+        """``gazelab argv --seed 1`` in a fresh interpreter, where numpy's
+        warnings would reach stderr."""
         paths = [str(Path(gazelab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "gazelab.cli", *argv, "--seed", "1", "--out", str(tmp_path / "o")],
             env=env,
             capture_output=True,
             text=True,
             timeout=120,
         )
+
+    def test_divergence_prints_one_line(self, tmp_path):
+        # The diverging run must print only its error.
+        argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", "mlp", "--lr", "1e308"]
+        proc = self._fresh(argv, tmp_path)
         assert proc.returncode == 5
         assert proc.stderr == "error: training diverged in epoch 1; lower the learning rate\n"
+
+    @staticmethod
+    def _cavs_file(tmp_path, **first):
+        """A cavs file of eight 4-d axes, the first with ``first`` written over it."""
+        cavs = [
+            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            for c in CONCEPTS
+        ]
+        cavs[0].update(first)
+        path = tmp_path / "cavs.json"
+        path.write_text(json.dumps({"cavs": cavs}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("bias", "nan", "bias must be a finite number"),
+            ("bias", 10**400, "bias must be a finite number"),
+            ("cv_f1", True, "cv_f1 must be a finite number"),
+            ("gap", float("nan"), "gap must be a finite number"),
+            ("chosen_c", "1.0", "chosen_c must be a finite number"),
+            ("c_mean_f1", [[1.0, "0.5"]], "F1 must be a finite number"),
+            ("unit_normal", [10**400, 0, 0, 0], "int too large to convert to float"),
+        ],
+        ids=["bias-string", "bias-huge", "cv_f1-bool", "gap-nan", "chosen_c-string",
+             "curve-string", "normal-huge"],
+    )
+    def test_cavs_numbers_must_be_finite(self, tmp_path, capsys, key, value, reason):
+        path = self._cavs_file(tmp_path, **{key: value})
+        argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "dt", "--cavs", path]
+        err = self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
+        assert err == f"error: {path}: not a concept-vector file ({reason})\n"
+
+    def test_overflowing_normal_prints_one_line(self, tmp_path):
+        path = self._cavs_file(tmp_path, unit_normal=[1e308, 1e308, 0.0, 0.0])
+        proc = self._fresh(["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "dt", "--cavs", path], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: normal must have unit norm, got inf\n"
 
     def test_eval_zero_epochs_is_valid(self, tmp_path):
         # Zero epochs keeps each draw's initialization, as documented.

@@ -73,17 +73,21 @@ EXPECTED = {
         "stats.csv": "1846a18281929802e1a1d79ed26dd6fea2a699c7f6c062b73558238f72c3b539",
         "summary.json": "fce823da825592e95a57b7a027420dd442a28bdcff4159fdfaeb1c85d69cd544",
     },
+    # The concept axes are the SVM optima certified by duality gap, and
+    # each records its gap, chosen C and per-C validation F1, so the
+    # axes, the pcbm tree's thresholds and the reports' bytes moved;
+    # every F1 in them kept its value.
     "cav": {
-        "cavs_en-only.json": "89e3aa362c73daaf017292e38cf09fd2229ba251f1765c032ddbd5d6956110cb",
-        "cavs_en-plus-without.json": "e9b083ecb6c179e2503afd48146f95f1d50b188d78d899e51a7dac88568cc4c5",
+        "cavs_en-only.json": "77ad9d8dfadc3d0e93db08de1d355f0ba3b99ae62e3b23d6d4d0c9a400fd4295",
+        "cavs_en-plus-without.json": "07cb88e76425e41fb9eece94d33b7955180c67574b6520546f01e4135f6ab7da",
         "concept_f1.csv": "d425f0728c86cef1bc44c0e89fd968a105dca8bfb92cbe03eeb17ad23dc2fd0c",
     },
     "pcbm-dt": {
-        "pcbm_report.json": "afa7a3a0520fe69fb935d91c2955f0e9ccfd9c28fd7eda6bd1e1a855b738cf25",
-        "tree.txt": "ee71c6a70fa1173688188625319083919e07ae01009b8cb130b8c71741e26552",
+        "pcbm_report.json": "73034301ac9045c6d098ef64e1dde8dd77df3f12efc78d6eeec8e949f7fdc077",
+        "tree.txt": "e94257495ba0cc05418514ee2ff4d44dc5d781553f3a59f05f2bc7384344b590",
     },
     "pcbm-lr": {
-        "pcbm_report.json": "eafda5fc7ad81152b7f10c86c949a2174a7ab28db9cc44c24b0d1cb3d60eec72",
+        "pcbm_report.json": "5f2923a8254ff6bc04daad7801b1f5eadd4faa6b625215b1fbffdc1783e6cf00",
     },
     "eval": {
         "eval_report.json": "c8213db59df29870f14cc55a74605a622f70fdf04ca707cf1e400181f63beb2c",
