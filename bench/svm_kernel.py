@@ -9,9 +9,9 @@ dimension with the seconds of: one ``train_svm`` fit (C=1, median of N
 runs), the 40 (draw, C) fits of the default grid one by one (one run),
 and, where the checkout has ``train_svm_stack``, the same 40 fits as
 one stacked solve (median of N // 2 runs). For the stack it also prints
-the most steps any of its problems took and the largest relative
-duality gap any of them stopped at (null where the checkout's models do
-not carry them).
+the steps it took (counted on one more run, as calls of the checkout's
+``models._project``) and the largest relative duality gap any of its
+problems stopped at (each null where the checkout has no such solve).
 A last line times ``cbm.fit_all_cavs`` (EN-only negatives, median of N
 runs) on the inputs of the concepts benchmark's seed 1, written by
 ``perfbench/workloads.generate_concepts`` into a temporary directory
@@ -72,10 +72,9 @@ def main() -> None:
             row["grid_stacked_s"], stacked = median_s(
                 lambda: stack(X, y, GRID), max(1, args.repeats // 2)
             )
-            fits = [m for draw in stacked for m in draw]
-            for key, name in (("steps", "steps"), ("gap", "max_gap")):
-                values = [getattr(m, key, None) for m in fits]
-                row[name] = None if None in values else max(values)
+            gaps = [getattr(m, "gap", None) for draw in stacked for m in draw]
+            row["steps"] = stack_steps(models, lambda: stack(X, y, GRID))
+            row["max_gap"] = None if None in gaps else max(gaps)
         print(json.dumps(row), flush=True)
 
     sys.path.insert(0, str(PERFBENCH))
@@ -94,6 +93,25 @@ def main() -> None:
         digest.update(cav.unit_normal.tobytes() + repr((cav.bias, cav.cv_f1)).encode())
     row = {"clips": shape["clips"], "dim": shape["dim"], "fit_all_cavs_s": all_s}
     print(json.dumps({**row, "sha256": digest.hexdigest()}), flush=True)
+
+
+def stack_steps(models, solve) -> int | None:
+    """Steps of one run of ``solve``: one projection of the unsolved problems each."""
+    project = getattr(models, "_project", None)
+    if project is None:
+        return None
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return project(*args)
+
+    models._project = counted
+    try:
+        solve()
+    finally:
+        models._project = project
+    return len(calls)
 
 
 if __name__ == "__main__":

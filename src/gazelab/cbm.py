@@ -66,9 +66,10 @@ class CavCvConfig:
 class ConceptVector:
     """Unit normal and offset of one concept's separating hyperplane.
 
-    ``gap`` is the relative duality gap its SVM solve stopped at.
-    ``chosen_c`` and ``c_mean_f1`` (each C of ``DEFAULT_C_GRID`` with its
-    mean validation F1) record the cross-validated choice of the margin
+    ``gap`` is the relative duality gap its SVM solve stopped at, None
+    for an axis read from a file that does not record it. ``chosen_c``
+    and ``c_mean_f1`` (each C of ``DEFAULT_C_GRID`` with its mean
+    validation F1) record the cross-validated choice of the margin
     tolerance; both are None for a concept too rare to fold.
     """
 
@@ -77,7 +78,7 @@ class ConceptVector:
     bias: float
     negative_mode: NegativeMode
     cv_f1: float
-    gap: float = 0.0
+    gap: float | None
     chosen_c: float | None = None
     c_mean_f1: tuple[tuple[float, float], ...] | None = None
 
@@ -100,7 +101,7 @@ class ConceptVector:
             "negative_mode": self.negative_mode.value,
             "cv_f1": self.cv_f1,
             "gap": self.gap,
-            "converged": self.gap <= SVM_GAP_TOL,
+            "converged": None if self.gap is None else self.gap <= SVM_GAP_TOL,
             "chosen_c": self.chosen_c,
             "c_mean_f1": None if self.c_mean_f1 is None else [list(p) for p in self.c_mean_f1],
         }
@@ -116,7 +117,9 @@ class ConceptVector:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in normal
         ):
             raise ValueError("unit_normal must be a flat list of numbers")
-        curve, chosen = doc["c_mean_f1"], doc["chosen_c"]
+        # gap, chosen_c and c_mean_f1 are informational; files written
+        # before they were recorded lack them.
+        gap, curve, chosen = doc.get("gap"), doc.get("c_mean_f1"), doc.get("chosen_c")
         if curve is not None:
             curve = tuple((_finite(c, "C"), _finite(f, "F1")) for c, f in curve)
         return cls(
@@ -125,7 +128,7 @@ class ConceptVector:
             bias=_finite(doc["bias"], "bias"),
             negative_mode=NegativeMode(doc["negative_mode"]),
             cv_f1=_finite(doc["cv_f1"], "cv_f1"),
-            gap=_finite(doc["gap"], "gap"),
+            gap=None if gap is None else _finite(gap, "gap"),
             chosen_c=None if chosen is None else _finite(chosen, "chosen_c"),
             c_mean_f1=curve,
         )

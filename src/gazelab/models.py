@@ -56,9 +56,8 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     kind: LinearKind
-    #: SVM only: the relative duality gap at return, and the steps taken.
+    #: SVM only: the relative duality gap at return.
     gap: float | None = None
-    steps: int | None = None
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.weights + self.bias
@@ -92,11 +91,8 @@ def train_svm_stack(X: np.ndarray, y: np.ndarray, cs: Sequence[float]) -> list[l
     it points against the last step. Every ``SVM_GAP_EVERY`` steps it
     takes ``w = [s*X]'a``, the bias that minimizes the hinge sum, and the
     relative duality gap; a problem below ``SVM_GAP_TOL`` leaves the
-    stack. A solved problem whose multipliers all sit below its C solves
-    every larger C of its draw too, so those take its solution when
-    their gap is below the tolerance. A problem still above it after
-    ``SVM_MAX_ITER`` steps returns as it is. Each model carries its
-    ``gap`` and ``steps``.
+    stack. A problem still above it after ``SVM_MAX_ITER`` steps returns
+    as it is. Each model carries its ``gap``.
 
     A step runs one product pair ``(a @ s*X) @ [s*X]'`` per draw over
     the draw's unsolved problems, so a draw's results are bit-identical
@@ -169,17 +165,9 @@ def train_svm_stack(X: np.ndarray, y: np.ndarray, cs: Sequence[float]) -> list[l
         finished = (gap <= SVM_GAP_TOL) | (k == SVM_MAX_ITER)
         for p in np.flatnonzero(finished):
             bias = b[p] - mean[draw[p]] @ w[p]  # for the uncentred rows
-            fits[draw[p], col[p]] = _svm_fit(w[p], bias, scale[p], gap[p], k)
-            if gap[p] > SVM_GAP_TOL:
-                continue
-            # a is feasible for every larger C of the draw, with the same
-            # dual value; when no multiplier is at its bound, it solves them.
-            larger = np.flatnonzero((draw == draw[p]) & (C[:, 0] > C[p, 0]) & ~finished)
-            gaps, scales = _certify(C[larger, 0], sq[p], hinge[p], least[p], dual[p])
-            for q, gap_q, scale_q in zip(larger, gaps, scales):
-                if gap_q <= SVM_GAP_TOL:
-                    fits[draw[q], col[q]] = _svm_fit(w[p], bias, scale_q, gap_q, k)
-                    finished[q] = True
+            fits[draw[p], col[p]] = LinearModel(
+                w[p] * scale[p], float(bias * scale[p]), LinearKind.SVM, gap=float(gap[p])
+            )
         if finished.all():
             break
         keep = ~finished
@@ -205,10 +193,6 @@ def _certify(
     primal = np.minimum(soft, hard)
     scale = np.where(hard < soft, 1.0 / np.where(least > 0.0, least, 1.0), 1.0)
     return (primal - dual) / primal, scale
-
-
-def _svm_fit(w: np.ndarray, b: float, scale: float, gap: float, steps: int) -> LinearModel:
-    return LinearModel(w * scale, float(b * scale), LinearKind.SVM, gap=float(gap), steps=steps)
 
 
 def _spans(draw: np.ndarray) -> list[tuple[int, int, int]]:

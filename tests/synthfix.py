@@ -230,6 +230,55 @@ def mlp_gradcheck_worst_error(n_instances: int, master_seed: int = 2024, h: floa
     return worst
 
 
+def margin_two_blobs(seed: int, n: int = 200, dim: int = 6, axis: int = 2):
+    """Two classes at 1..3 and -3..-1 along ``axis``, noise 0.05 elsewhere."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 0.05, (n, dim))
+    y = rng.integers(0, 2, n)
+    X[:, axis] = np.where(y == 1, rng.uniform(1, 3, n), rng.uniform(-3, -1, n))
+    return X, y
+
+
+def hard_margin_normal(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Normal of the hard-margin SVM of separable ``(X, y)``, found by Wolfe's algorithm.
+
+    With a free bias, the widest margin separates the nearest points
+    ``p`` and ``q`` of the two classes' convex hulls, and its weights
+    are ``2 x / |x|^2`` for ``x = p - q``: the least-norm point of the
+    hull of every positive row minus every negative row. Wolfe's
+    least-norm-point algorithm (Math. Programming 11, 1976) finds it
+    exactly in finitely many steps, keeping a corral of at most
+    ``dim + 1`` affinely independent points. A reference that shares
+    nothing with the dual solve in ``gazelab.models``; returns ``x``.
+    """
+    P = (X[y == 1][:, None, :] - X[y == 0][None, :, :]).reshape(-1, X.shape[1])
+    corral = [int(np.argmin((P * P).sum(axis=1)))]
+    lam = np.ones(1)
+    x = P[corral[0]]
+    for _ in range(1000):
+        j = int(np.argmin(P @ x))
+        if x @ x - P[j] @ x <= 1e-12 * (x @ x) or j in corral:
+            return x
+        corral.append(j)
+        lam = np.append(lam, 0.0)
+        while True:
+            # The least-norm point of the corral's affine hull, and a step
+            # towards it that stops where a weight of the corral reaches 0.
+            k = len(corral)
+            Y = P[corral]
+            kkt = np.block([[Y @ Y.T, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+            mu = np.linalg.solve(kkt, np.r_[np.zeros(k), 1.0])[:k]
+            if (mu > 0.0).all():
+                lam = mu
+                break
+            out = mu <= 0.0
+            lam = lam + np.min(lam[out] / (lam[out] - mu[out])) * (mu - lam)
+            corral = [c for c, weight in zip(corral, lam) if weight > 1e-15]
+            lam = lam[lam > 1e-15]
+        x = lam @ P[corral]
+    raise AssertionError("Wolfe's algorithm did not converge")
+
+
 def random_fusion_fixture(rng: np.random.Generator, film: str = "f"):
     """Random non-overlapping clips plus random spans for two annotators."""
     n_clips = int(rng.integers(3, 8))

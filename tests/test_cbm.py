@@ -195,6 +195,17 @@ class TestFitAllCavs:
                 assert doc["chosen_c"] is None and doc["c_mean_f1"] is None
             assert ConceptVector.from_json(doc).to_json() == doc
 
+    def test_axes_written_without_their_solve_record_read_as_unknown(self):
+        labels, emb = two_folded_six_rare()
+        for cav in fit_all_cavs(emb, labels, seed=5):
+            doc = cav.to_json()
+            for key in ("gap", "converged", "chosen_c", "c_mean_f1"):
+                del doc[key]
+            read = ConceptVector.from_json(doc)
+            assert (read.gap, read.chosen_c, read.c_mean_f1) == (None, None, None)
+            assert np.array_equal(read.unit_normal, cav.unit_normal) and read.bias == cav.bias
+            assert read.to_json()["gap"] is None and read.to_json()["converged"] is None
+
     @pytest.mark.parametrize("mode", list(NegativeMode))
     def test_final_fits_share_stacks_and_match_fit_cav(self, monkeypatch, mode):
         labels, emb = two_folded_six_rare()
@@ -266,6 +277,7 @@ class TestConceptScores:
                 bias=0.0,
                 negative_mode=NegativeMode.EN_ONLY,
                 cv_f1=1.0,
+                gap=None,
             )
             for c in CONCEPTS
         ]
@@ -374,6 +386,7 @@ class TestPresence:
             bias=0.0,
             negative_mode=NegativeMode.EN_ONLY,
             cv_f1=1.0,
+            gap=None,
         )
         metrics = concept_presence_f1(cav, emb, [], list(emb.clip_ids()))
         assert metrics.f1 == 0.0

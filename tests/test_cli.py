@@ -443,7 +443,7 @@ def header_inputs(tmp_path):
     )
     paths["emb"].write_bytes(dump_embeddings(EmbeddingTable(emb), "binary"))
     cavs = [
-        ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+        ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0, None).to_json()
         for c in CONCEPTS
     ]
     paths["cavs"].write_text(json.dumps({"cavs": cavs}))
@@ -713,7 +713,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("normal", [1.0, [[1.0, 0.0, 0.0, 0.0]]], ids=["scalar", "nested"])
     def test_cavs_normal_must_be_a_flat_list(self, tmp_path, capsys, normal):
         cavs = [
-            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0, None).to_json()
             for c in CONCEPTS
         ]
         cavs[0]["unit_normal"] = normal
@@ -753,7 +753,7 @@ class TestMalformedInputs:
         # No HN clip: the HN train row has no negatives to draw from.
         inputs = self._pcbm_inputs(tmp_path, drop=("HN",))
         cavs = [
-            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0, None).to_json()
             for c in CONCEPTS
         ]
         path = tmp_path / "cavs.json"
@@ -793,7 +793,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("fmt", ["gazelab-model/2", None])
     def test_cavs_file_format_is_checked(self, tmp_path, capsys, fmt):
         cavs = [
-            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0, None).to_json()
             for c in CONCEPTS
         ]
         path = tmp_path / "cavs.json"
@@ -810,7 +810,7 @@ class TestMalformedInputs:
 
     def test_cavs_of_another_dimension(self, tmp_path, capsys):
         cavs = [
-            ConceptVector(c, np.eye(3)[int(c) % 3], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            ConceptVector(c, np.eye(3)[int(c) % 3], 0.0, NegativeMode.EN_ONLY, 1.0, None).to_json()
             for c in CONCEPTS
         ]
         path = tmp_path / "cavs.json"
@@ -896,7 +896,7 @@ class TestMalformedInputs:
     def _cavs_file(tmp_path, **first):
         """A cavs file of eight 4-d axes, the first with ``first`` written over it."""
         cavs = [
-            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0).to_json()
+            ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0, None).to_json()
             for c in CONCEPTS
         ]
         cavs[0].update(first)
@@ -923,6 +923,25 @@ class TestMalformedInputs:
         argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "dt", "--cavs", path]
         err = self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
         assert err == f"error: {path}: not a concept-vector file ({reason})\n"
+
+    def test_cavs_without_the_solve_record_give_the_same_pcbm(self, tmp_path):
+        # Files written before each axis recorded its gap, chosen C and
+        # per-C F1 lack those keys; pcbm uses none of them.
+        path = self._cavs_file(tmp_path)
+        doc = json.loads(Path(path).read_text())
+        for cav in doc["cavs"]:
+            for key in ("gap", "converged", "chosen_c", "c_mean_f1"):
+                del cav[key]
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(doc))
+        argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "dt", "--seed", "1"]
+        reports = []
+        for cavs, out in ((path, "new"), (older, "old")):
+            assert main(argv + ["--cavs", str(cavs), "--out", str(tmp_path / out)]) == 0
+            reports.append(json.loads((tmp_path / out / "pcbm_report.json").read_text()))
+        for r in reports:
+            del r["config"]["cavs"]
+        assert reports[0] == reports[1]
 
     def test_overflowing_normal_prints_one_line(self, tmp_path):
         path = self._cavs_file(tmp_path, unit_normal=[1e308, 1e308, 0.0, 0.0])
