@@ -367,6 +367,11 @@ def train_pcbm(
     the tree is grown to ``TREE_MAX_DEPTH`` and the logistic head uses
     ``LOGREG_L2``. The returned model is the one fitted on the last
     balanced draw, the report aggregates all draws.
+
+    ``scores`` may come from any concept axes, but the axes must not
+    have seen the harness's test fold: axes fitted on the test clips
+    shape the very coordinates the head is scored on, and its F1 then
+    overstates what the concepts carry.
     """
     if kind not in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
         raise InvariantViolation(f"kind must be PCBM_DT or PCBM_LR, got {kind}")

@@ -180,6 +180,8 @@ class EvalReport:
     test_negatives: frozenset[ObjLevel]
     models: tuple[Any, ...]  # each balanced draw's fitted model; anything with predict(X)
     test_positive_fraction: float
+    #: MLP only: each draw's kept epoch (1-based, 0 for the initialization).
+    kept_epochs: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
         config = self.config.describe()
@@ -188,6 +190,7 @@ class EvalReport:
             "mean_f1": self.mean_f1,
             "std_f1": self.std_f1,
             "per_draw_f1": list(self.per_draw_f1),
+            **({} if self.kept_epochs is None else {"kept_epoch": list(self.kept_epochs)}),
             "baselines": dict(self.baselines),
             "test_positive_fraction": self.test_positive_fraction,
             "config": config,
@@ -201,10 +204,10 @@ def _train_for_draw(
     X_val: np.ndarray,
     y_val: np.ndarray,
     draw_seed: int,
-):
-    """Fit the configured model; MLP picks its best epoch on validation F1."""
+) -> tuple[Any, int | None]:
+    """Fit the configured model, and the MLP's epoch kept on validation F1."""
     if cfg.model is ModelKind.MLP:
-        return train_mlp(
+        fit = train_mlp(
             X_train,
             y_train,
             X_val,
@@ -213,11 +216,12 @@ def _train_for_draw(
             lr=cfg.mlp_lr,
             batch=cfg.mlp_batch,
             seed=draw_seed,
-        ).model
+        )
+        return fit.model, fit.kept_epoch
     if cfg.model is ModelKind.PCBM_DT:
-        return train_tree(X_train, y_train, max_depth=TREE_MAX_DEPTH)
+        return train_tree(X_train, y_train, max_depth=TREE_MAX_DEPTH), None
     if cfg.model is ModelKind.PCBM_LR:
-        return train_logreg(X_train, y_train, l2=LOGREG_L2)
+        return train_logreg(X_train, y_train, l2=LOGREG_L2), None
     raise InvariantViolation(f"unknown model kind {cfg.model}")
 
 
@@ -270,13 +274,14 @@ def run_task(
         fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold)
     )
 
-    models = []
+    models, kept_epochs = [], []
     draw_f1: list[list[float]] = [[] for _ in test_sets]
     for draw_index, (pos_ids, neg_ids) in enumerate(train_sets):
         draw_seed = derive_seed(cfg.seed, 1, draw_index)
         X_train, y_train = xy(pos_ids, neg_ids)
-        model = _train_for_draw(cfg, X_train, y_train, X_val, y_val, draw_seed)
+        model, kept_epoch = _train_for_draw(cfg, X_train, y_train, X_val, y_val, draw_seed)
         models.append(model)
+        kept_epochs.append(kept_epoch)
         for (X_test, y_test), row in zip(tests, draw_f1):
             row.append(f1(model.predict(X_test), y_test).f1)
 
@@ -296,6 +301,7 @@ def run_task(
                 test_negatives=test_negatives,
                 models=tuple(models),
                 test_positive_fraction=f_data,
+                kept_epochs=tuple(kept_epochs) if cfg.model is ModelKind.MLP else None,
             )
         )
     return tuple(reports)

@@ -2,11 +2,14 @@
 
 Everything downstream stages train lives here: a linear SVM solved in
 its dual to a certified duality gap, a logistic regression fitted by
-deterministic full-batch gradient descent, a CART decision tree, a
-two-layer MLP trained by seeded mini-batch gradient descent, binary
-F1, and the closed-form F1 of data-independent baselines. All trainers
-are pure functions of (inputs, hyperparameters, seed); two runs produce
-bit-identical models. Positive class is 1 everywhere.
+damped Newton (minimum-norm steps, Armijo backtracking) to a certified
+gradient norm, a CART decision tree, a two-layer MLP trained by seeded
+mini-batch gradient descent, binary F1, and the closed-form F1 of
+data-independent baselines. A logistic fit that reaches its step cap,
+or that separates the classes with no L2 penalty, raises
+``NumericError``. All trainers are pure functions of (inputs,
+hyperparameters, seed); two runs produce bit-identical models.
+Positive class is 1 everywhere.
 """
 
 from __future__ import annotations
@@ -31,9 +34,13 @@ SVM_MAX_ITER = 10000
 SVM_GAP_EVERY = 10
 #: Newton steps on the SVM projection's multiplier before the exact search.
 SVM_NEWTON_STEPS = 3
-#: Iteration cap and gradient infinity-norm stop of logistic regression.
-LOGREG_MAX_ITER = 10000
+#: Newton-step cap and gradient infinity-norm stop of logistic regression.
+LOGREG_MAX_ITER = 50
 LOGREG_TOL = 1e-6
+#: Armijo sufficient-decrease fraction of a logistic Newton step, and the
+#: halvings of the step it may take before the fit counts as stalled.
+LOGREG_ARMIJO = 1e-4
+LOGREG_HALVINGS = 50
 
 
 def _check_binary_training_data(X: np.ndarray, y: np.ndarray) -> None:
@@ -256,11 +263,22 @@ def _exact_multiplier(v: np.ndarray, S: np.ndarray, C: np.ndarray) -> np.ndarray
 
 
 def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
-    """L2-penalized logistic regression by plain gradient descent.
+    """L2-penalized logistic regression by damped Newton on (weights, bias).
 
-    The bias is unpenalized. Stops when the gradient infinity norm
-    drops below ``LOGREG_TOL`` or after ``LOGREG_MAX_ITER`` steps.
-    Deterministic from a zero start.
+    Minimizes ``mean(log(1 + exp(-s * (X w + b)))) + l2 / 2 * |w|^2``
+    with the bias unpenalized, from a zero start. Each step solves
+    ``H d = -g`` for its minimum-norm ``d``, with ``H = A' diag(p (1 - p))
+    A / n + diag(l2, ..., l2, 0)`` and ``A = [X 1]``, then halves it
+    until the objective falls by the Armijo fraction ``LOGREG_ARMIJO`` of
+    ``g' d``. At ``l2 = 0`` the Hessian is singular when columns of ``A``
+    are collinear (one-hot flags that sum to the bias); the minimum-norm
+    step keeps the iterates in the row space of ``A``, as gradient
+    descent from zero does. The fit stops at ``|g|_inf < LOGREG_TOL``.
+
+    ``NumericError`` is raised when that takes more than
+    ``LOGREG_MAX_ITER`` steps or a step finds no decrease, and, at
+    ``l2 = 0``, when the fit classifies every training row correctly: the
+    classes are then separable and the objective has no finite minimum.
     """
     if not (math.isfinite(l2) and l2 >= 0):
         raise InvariantViolation(f"L2 penalty must be finite and >= 0, got {l2}")
@@ -268,26 +286,44 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
     y = np.asarray(y, dtype=np.int64)
     _check_binary_training_data(X, y)
     n, dim = X.shape
-    s = np.where(y == 1, 1.0, -1.0)
+    sA = np.where(y == 1, 1.0, -1.0)[:, None] * np.hstack([X, np.ones((n, 1))])
+    penalty = np.append(np.full(dim, l2), 0.0)
 
-    # Hessian spectral norm of the (weights, bias) system is bounded by
-    # 0.25 * (||X||_F^2 + n) / n + l2; the +n term covers the bias column.
-    lipschitz = 0.25 * (float((X * X).sum()) + n) / n + l2 + 1e-12
-    step = 1.0 / lipschitz
+    def objective(theta: np.ndarray, z: np.ndarray) -> float:
+        return float(np.logaddexp(0.0, -z).mean() + 0.5 * penalty @ (theta * theta))
 
-    w = np.zeros(dim)
-    b = 0.0
-    for _ in range(LOGREG_MAX_ITER):
-        z = s * (X @ w + b)
-        # sigmoid(-z), stable on both tails
-        sig = np.exp(-np.logaddexp(0.0, z))
-        gw = -(X.T @ (s * sig)) / n + l2 * w
-        gb = -(s * sig).mean()
-        if max(np.abs(gw).max(), abs(gb)) < LOGREG_TOL:
+    theta = np.zeros(dim + 1)
+    z = np.zeros(n)  # the margins s * (X w + b)
+    f = objective(theta, z)
+    for step in range(LOGREG_MAX_ITER + 1):
+        p = np.exp(-np.logaddexp(0.0, z))  # sigmoid(-z), stable on both tails
+        g = penalty * theta - (sA.T @ p) / n
+        gmax = np.abs(g).max()
+        if gmax < LOGREG_TOL:
             break
-        w -= step * gw
-        b -= step * gb
-    return LinearModel(weights=w, bias=float(b), kind=LinearKind.LOGISTIC)
+        if step == LOGREG_MAX_ITER:
+            raise NumericError(
+                f"logistic regression stopped at its cap of {step} Newton steps "
+                f"with |gradient| {gmax:.3g} > {LOGREG_TOL:g}"
+            )
+        hessian = (sA.T * (p * (1.0 - p))) @ sA / n + np.diag(penalty)
+        d = np.linalg.lstsq(hessian, -g, rcond=None)[0]
+        for t in 0.5 ** np.arange(LOGREG_HALVINGS):
+            z_t = sA @ (theta + t * d)
+            f_t = objective(theta + t * d, z_t)
+            if f_t <= f + LOGREG_ARMIJO * t * (g @ d):
+                theta, z, f = theta + t * d, z_t, f_t
+                break
+        else:
+            raise NumericError(
+                f"logistic regression stalled after {step} Newton steps: no step "
+                f"lowers the objective (|gradient| {gmax:.3g} > {LOGREG_TOL:g})"
+            )
+    if l2 == 0 and (z > 0).all():
+        raise NumericError(
+            "the classes are separable: without an L2 penalty the logistic fit has no finite optimum"
+        )
+    return LinearModel(weights=theta[:dim], bias=float(theta[dim]), kind=LinearKind.LOGISTIC)
 
 
 # --- CART ----------------------------------------------------------------
@@ -496,9 +532,11 @@ def mlp_gradient(
 
 @dataclass
 class MlpTrainResult:
-    """The kept model and, per epoch, the batch-size-weighted mean of the
+    """The kept model, the 1-based epoch it was kept after (0 for the
+    initialization) and, per epoch, the batch-size-weighted mean of the
     mini-batch losses, each taken just before that batch's update."""
     model: MlpModel
+    kept_epoch: int = 0
     epoch_losses: list[float] = field(default_factory=list)
 
 
@@ -588,6 +626,7 @@ def train_mlp(
         if score > best_f1 + 1e-12:
             best_f1 = score
             kept = [p.copy() for p in params]
+            result.kept_epoch = epoch + 1
     if kept is not None:
         if by_rows:
             kept[0] = model.w1 + X.T @ kept[0]

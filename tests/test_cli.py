@@ -230,8 +230,10 @@ class TestStats:
 
 
 class TestError:
-    def test_hn_failure_fixture_writes_negative_weight(self, tmp_path):
-        labels, preds = make_error_fixture(0)
+    @staticmethod
+    def _fixture_paths(tmp_path, seed):
+        """``make_error_fixture(seed)`` as ``error``'s labels and predictions paths."""
+        labels, preds = make_error_fixture(seed)
         label_lines = [
             json.dumps(
                 {
@@ -250,8 +252,11 @@ class TestError:
         preds_path.write_text(
             "".join(f"{l.clip_id},{p}\n" for l, p in zip(labels, preds))
         )
+        return [str(labels_path), str(preds_path)]
+
+    def test_hn_failure_fixture_writes_negative_weight(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["error", str(labels_path), str(preds_path), "--out", str(out)]) == 0
+        assert main(["error", *self._fixture_paths(tmp_path, 0), "--out", str(out)]) == 0
         rows = dict(
             line.split(",")
             for line in read(out / "error_factors.csv").splitlines()
@@ -259,6 +264,18 @@ class TestError:
         )
         assert float(rows["HN"]) < 0
         assert float(rows["EN"]) > 0 and float(rows["S"]) > 0
+
+    def test_separable_success_without_l2_exits_5(self, tmp_path, capsys):
+        # Every non-HN clip succeeds and every HN clip fails, so at
+        # --l2 0 the fit has no finite optimum and says so.
+        out = tmp_path / "out"
+        argv = ["error", *self._fixture_paths(tmp_path, 3), "--l2", "0", "--out", str(out)]
+        assert main(argv) == 5
+        assert capsys.readouterr().err == (
+            "error: the classes are separable: without an L2 penalty"
+            " the logistic fit has no finite optimum\n"
+        )
+        assert not out.exists()
 
 
 class TestEval:

@@ -17,9 +17,14 @@ from gazelab import (
     run_task,
     trivial_baseline_f1,
 )
-from gazelab.errors import InvariantViolation, PreconditionError
+from gazelab.errors import InvariantViolation, NumericError, PreconditionError
 from gazelab.harness import derive_seed
 from synthfix import ids_by_level, make_error_fixture, make_linear_task
+
+
+SEPARABLE_MESSAGE = (
+    "the classes are separable: without an L2 penalty the logistic fit has no finite optimum"
+)
 
 
 def labels_of(n_s, n_en, n_hn=0):
@@ -136,6 +141,10 @@ class TestRunTask:
             reports = run_task(cfg, labels, feats, TEST_NEGATIVE_SETS)
             assert [r.test_negatives for r in reports] == [EN_ONLY, EN_HN]
             assert all(r.mean_f1 >= 0.95 for r in reports)
+            # One kept epoch per draw, shared by the test sets of its fit.
+            kept = reports[0].kept_epochs
+            assert len(kept) == len(reports[0].models) and all(1 <= e <= 120 for e in kept)
+            assert all(r.to_json()["kept_epoch"] == list(kept) for r in reports)
 
     def test_test_sets_share_fitted_models(self):
         labels, feats = make_linear_task(4, n=600)
@@ -149,6 +158,7 @@ class TestRunTask:
         assert wide.to_json()["config"]["test_negatives"] == ["EN", "HN"]
         (alone,) = run_task(cfg, labels, feats, [EN_HN])
         assert alone.to_json() == wide.to_json()
+        assert wide.kept_epochs is None and "kept_epoch" not in wide.to_json()
 
     def test_all_draws_share_identical_test_set(self):
         labels, feats = make_linear_task(1, n=600)
@@ -249,6 +259,14 @@ class TestErrorFactors:
             "HN",
             "EN",
         ]
+
+    def test_separable_success_without_penalty_raises(self):
+        # Success is exactly "not HN", so at l2 = 0 the HN weight would
+        # run off to minus infinity.
+        labels, preds = make_error_fixture(3)
+        with pytest.raises(NumericError) as raised:
+            error_factor_analysis(labels, preds, l2=0.0)
+        assert str(raised.value) == SEPARABLE_MESSAGE
 
     def test_perfect_predictions_degenerate(self):
         labels, _ = make_error_fixture(1)

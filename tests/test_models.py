@@ -1,12 +1,14 @@
 """Training kernels, metrics, and model serialization."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from gazelab import (
+    ObjLevel,
     f1,
     init_mlp,
     mlp_gradient,
@@ -20,8 +22,15 @@ from gazelab import (
 )
 from gazelab import models
 from gazelab.cbm import DEFAULT_C_GRID
+from gazelab.harness import clip_descriptor
 from gazelab.errors import InvariantViolation, NumericError, PreconditionError
-from synthfix import hard_margin_normal, margin_two_blobs, mlp_gradcheck_worst_error, model_from_json
+from synthfix import (
+    hard_margin_normal,
+    make_error_fixture,
+    margin_two_blobs,
+    mlp_gradcheck_worst_error,
+    model_from_json,
+)
 
 
 def blobs(seed, n_per=100, dim=4, center=3.0):
@@ -331,6 +340,43 @@ class TestLogreg:
         with pytest.raises(PreconditionError, match=r"need both classes, got only \[0\]"):
             train_logreg(np.zeros((3, 2)), np.array([0, 0, 0]))
 
+    def test_returned_fit_has_a_certified_gradient(self):
+        # The gradient of mean log-loss + l2/2 |w|^2 at the returned fit,
+        # recomputed in the 0/1-label form, is below the stop tolerance.
+        rng = np.random.default_rng(5)
+        random_labels = (rng.normal(0, 1, (200, 6)), rng.integers(0, 2, 200))
+        # The error descriptor's S/HN/EN flags sum to the bias column, so
+        # [X 1] is rank-deficient and at l2 = 0 the Hessian is singular.
+        # Two EN clips (equal descriptors) that differ in success make the
+        # classes inseparable, so the fit has an optimum.
+        labels, preds = make_error_fixture(0)
+        X_err = np.stack([clip_descriptor(label) for label in labels])
+        success = np.array([p == (label.level is ObjLevel.S) for label, p in zip(labels, preds)])
+        success[[0, 1]] = ~success[[0, 1]]  # clip 0 is EN and now fails, clip 1 is HN
+        assert np.linalg.matrix_rank(np.hstack([X_err, np.ones((len(labels), 1))])) < 12
+        for (X, y), l2 in ((blobs(0, dim=8), 1e-3), (random_labels, 1.0), ((X_err, success), 0.0)):
+            m = train_logreg(X, y, l2=l2)
+            resid = 1.0 / (1.0 + np.exp(-(X @ m.weights + m.bias))) - y
+            gradient = np.append(X.T @ resid / len(y) + l2 * m.weights, resid.mean())
+            assert np.abs(gradient).max() < models.LOGREG_TOL
+
+    def test_fit_at_the_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(models, "LOGREG_MAX_ITER", 1)
+        X, y = blobs(0, dim=8)
+        with pytest.raises(NumericError) as raised:
+            train_logreg(X, y, l2=1e-3)
+        assert re.fullmatch(
+            r"logistic regression stopped at its cap of 1 Newton steps "
+            r"with \|gradient\| \S+ > 1e-06",
+            str(raised.value),
+        )
+
+    def test_step_without_decrease_raises(self, monkeypatch):
+        monkeypatch.setattr(models, "LOGREG_HALVINGS", 0)
+        X, y = blobs(0, dim=8)
+        with pytest.raises(NumericError, match="^logistic regression stalled after 0 Newton steps"):
+            train_logreg(X, y, l2=1e-3)
+
 
 class TestTree:
     def test_threshold_feature_gives_depth_one(self):
@@ -463,6 +509,7 @@ class TestMlp:
             assert np.array_equal(result.model.w1, ref.w1)
             assert np.array_equal(result.model.b2, ref.b2)
             assert result.epoch_losses == []
+            assert result.kept_epoch == 0
 
     def test_blobs_within_fifty_epochs(self):
         X, y = blobs(0, dim=8)
@@ -548,6 +595,7 @@ class TestMlp:
         assert losses == result.epoch_losses
         best = scores.index(max(scores))
         assert best < epochs - 1 and len(set(scores)) > 1
+        assert result.kept_epoch == best + 1
         stopped = train_mlp(X, y, Xv, yv, epochs=best + 1, lr=lr, batch=batch, seed=seed).model
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(result.model, name), getattr(after_epoch[best], name))
