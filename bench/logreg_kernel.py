@@ -60,8 +60,8 @@ def main() -> None:
             return models.train_logreg(X, y, l2=l2)
 
         seconds, _ = median_s(fit, args.repeats)
-        row = {"problem": name, "rows": X.shape[0], "cols": X.shape[1], "l2": l2}
-        print(json.dumps({**row, "median_s": seconds, "newton_steps": newton_steps(np, fit)}), flush=True)
+        row = {"problem": name, "rows": X.shape[0], "cols": X.shape[1], "l2": l2, "median_s": seconds}
+        print(json.dumps({**row, "newton_steps": newton_steps(np, fit)}), flush=True)
 
 
 def pcbm_lr_draws(harness, seed: int) -> list:

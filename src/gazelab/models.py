@@ -309,10 +309,11 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
         hessian = (sA.T * (p * (1.0 - p))) @ sA / n + np.diag(penalty)
         d = np.linalg.lstsq(hessian, -g, rcond=None)[0]
         for t in 0.5 ** np.arange(LOGREG_HALVINGS):
-            z_t = sA @ (theta + t * d)
-            f_t = objective(theta + t * d, z_t)
-            if f_t <= f + LOGREG_ARMIJO * t * (g @ d):
-                theta, z, f = theta + t * d, z_t, f_t
+            trial = theta + t * d
+            z_trial = sA @ trial
+            f_trial = objective(trial, z_trial)
+            if f_trial <= f + LOGREG_ARMIJO * t * (g @ d):
+                theta, z, f = trial, z_trial, f_trial
                 break
         else:
             raise NumericError(
@@ -321,7 +322,8 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
             )
     if l2 == 0 and (z > 0).all():
         raise NumericError(
-            "the classes are separable: without an L2 penalty the logistic fit has no finite optimum"
+            "the classes are separable: without an L2 penalty"
+            " the logistic fit has no finite optimum"
         )
     return LinearModel(weights=theta[:dim], bias=float(theta[dim]), kind=LinearKind.LOGISTIC)
 
