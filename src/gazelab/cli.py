@@ -1,8 +1,8 @@
 """Command-line drivers for the fusion, agreement, and evaluation pipeline.
 
 Subcommands: ``fuse``, ``gamma``, ``stats``, ``cav``, ``pcbm``,
-``eval``, ``error``. Exit codes: 2 for parse errors (including missing
-files), 3 for invariant violations, 4 for precondition failures, 5 for
+``eval``, ``error``. Exit codes: 2 for parse errors (including file
+errors), 3 for invariant violations, 4 for precondition failures, 5 for
 numerical divergence. ``cav``, ``pcbm`` and ``eval`` require a seed,
 either via ``--seed`` or the ``OBY_SEED`` environment variable; every
 run is fully reproducible. Every CSV and JSON report records the run's
@@ -52,7 +52,7 @@ SEED_ENV_VAR = "OBY_SEED"
 
 #: Exit code of each error class that ends a command with a one-line message.
 EXIT_CODES = {
-    ParseError: 2, FileNotFoundError: 2, InvariantError: 3, PreconditionError: 4, NumericError: 5
+    ParseError: 2, OSError: 2, InvariantError: 3, PreconditionError: 4, NumericError: 5
 }
 
 
@@ -314,8 +314,8 @@ def cmd_cav(args: argparse.Namespace) -> int:
 
 def _read_cavs(path: str) -> list[cbm_mod.ConceptVector]:
     try:
-        return [cbm_mod.ConceptVector.from_json(d) for d in json.loads(_read_path(path))["cavs"]]
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
+        return [cbm_mod.ConceptVector.from_json(d) for d in json_object(_read_path(path))["cavs"]]
+    except (MalformedRecord, ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ParseError(f"{path}: not a concept-vector file ({e})") from None
 
 

@@ -2,12 +2,11 @@
 
 Everything downstream stages train lives here: a linear SVM solved in
 its dual to a certified duality gap, a logistic regression fitted by
-damped Newton (minimum-norm steps, Armijo backtracking) to a certified
-gradient norm, a CART decision tree, a two-layer MLP trained by seeded
-mini-batch gradient descent, binary F1, and the closed-form F1 of
-data-independent baselines. A logistic fit that reaches its step cap,
-or that separates the classes with no L2 penalty, raises
-``NumericError``. All trainers are pure functions of (inputs,
+damped Newton (Armijo backtracking) to a certified gradient norm, a
+CART decision tree, a two-layer MLP trained by seeded mini-batch
+gradient descent, binary F1, and the closed-form F1 of
+data-independent baselines. A logistic fit that reaches its step cap
+raises ``NumericError``. All trainers are pure functions of (inputs,
 hyperparameters, seed); two runs produce bit-identical models.
 Positive class is 1 everywhere.
 """
@@ -262,26 +261,24 @@ def _exact_multiplier(v: np.ndarray, S: np.ndarray, C: np.ndarray) -> np.ndarray
     return mu_lo + phi_lo * (mu_hi - mu_lo) / (phi_lo - phi_hi)
 
 
-def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
+def train_logreg(X: np.ndarray, y: np.ndarray, l2: float) -> LinearModel:
     """L2-penalized logistic regression by damped Newton on (weights, bias).
 
     Minimizes ``mean(log(1 + exp(-s * (X w + b)))) + l2 / 2 * |w|^2``
-    with the bias unpenalized, from a zero start. Each step solves
-    ``H d = -g`` for its minimum-norm ``d``, with ``H = A' diag(p (1 - p))
-    A / n + diag(l2, ..., l2, 0)`` and ``A = [X 1]``, then halves it
-    until the objective falls by the Armijo fraction ``LOGREG_ARMIJO`` of
-    ``g' d``. At ``l2 = 0`` the Hessian is singular when columns of ``A``
-    are collinear (one-hot flags that sum to the bias); the minimum-norm
-    step keeps the iterates in the row space of ``A``, as gradient
-    descent from zero does. The fit stops at ``|g|_inf < LOGREG_TOL``.
+    with the bias unpenalized, from a zero start. ``l2`` must be finite
+    and above 0: with ``w`` penalized and both classes present the
+    objective is strictly convex and coercive, so it has one finite
+    minimum whatever the data. Each step solves ``H d = -g`` for ``d``,
+    with ``H = A' diag(p (1 - p)) A / n + diag(l2, ..., l2, 0)`` and
+    ``A = [X 1]``, then halves it until the objective falls by the Armijo
+    fraction ``LOGREG_ARMIJO`` of ``g' d``. The fit stops at
+    ``|g|_inf < LOGREG_TOL``.
 
     ``NumericError`` is raised when that takes more than
-    ``LOGREG_MAX_ITER`` steps or a step finds no decrease, and, at
-    ``l2 = 0``, when the fit classifies every training row correctly: the
-    classes are then separable and the objective has no finite minimum.
+    ``LOGREG_MAX_ITER`` steps or a step finds no decrease.
     """
-    if not (math.isfinite(l2) and l2 >= 0):
-        raise InvariantViolation(f"L2 penalty must be finite and >= 0, got {l2}")
+    if not (math.isfinite(l2) and l2 > 0):
+        raise InvariantViolation(f"L2 penalty must be finite and > 0, got {l2}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_binary_training_data(X, y)
@@ -307,6 +304,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
                 f"with |gradient| {gmax:.3g} > {LOGREG_TOL:g}"
             )
         hessian = (sA.T * (p * (1.0 - p))) @ sA / n + np.diag(penalty)
+        # lstsq, not solve: the two differ in the last bits of the fit.
         d = np.linalg.lstsq(hessian, -g, rcond=None)[0]
         for t in 0.5 ** np.arange(LOGREG_HALVINGS):
             trial = theta + t * d
@@ -320,11 +318,6 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> LinearModel:
                 f"logistic regression stalled after {step} Newton steps: no step "
                 f"lowers the objective (|gradient| {gmax:.3g} > {LOGREG_TOL:g})"
             )
-    if l2 == 0 and (z > 0).all():
-        raise NumericError(
-            "the classes are separable: without an L2 penalty"
-            " the logistic fit has no finite optimum"
-        )
     return LinearModel(weights=theta[:dim], bias=float(theta[dim]), kind=LinearKind.LOGISTIC)
 
 

@@ -265,18 +265,6 @@ class TestError:
         assert float(rows["HN"]) < 0
         assert float(rows["EN"]) > 0 and float(rows["S"]) > 0
 
-    def test_separable_success_without_l2_exits_5(self, tmp_path, capsys):
-        # Every non-HN clip succeeds and every HN clip fails, so at
-        # --l2 0 the fit has no finite optimum and says so.
-        out = tmp_path / "out"
-        argv = ["error", *self._fixture_paths(tmp_path, 3), "--l2", "0", "--out", str(out)]
-        assert main(argv) == 5
-        assert capsys.readouterr().err == (
-            "error: the classes are separable: without an L2 penalty"
-            " the logistic fit has no finite optimum\n"
-        )
-        assert not out.exists()
-
 
 class TestEval:
     def test_linear_bundle_grid(self, tmp_path):
@@ -727,6 +715,23 @@ class TestMalformedInputs:
         argv = ["pcbm", str(emb_path), str(labels_path), "--kind", "dt", "--cavs", str(cavs_path)]
         self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
 
+    def test_deeply_nested_cavs_file(self, tmp_path, capsys):
+        path = tmp_path / "cavs.json"
+        path.write_text("[" * 200_000)
+        argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "dt", "--cavs", str(path)]
+        err = self._exits_2(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys)
+        assert err == (
+            f"error: {path}: not a concept-vector file (invalid JSON (nested too deeply))\n"
+        )
+
+    def test_out_names_a_file(self, tmp_path, capsys):
+        labels = tmp_path / "merged.jsonl"
+        labels.write_text('{"clip": "c1", "level": "S", "concepts": ["Body"]}\n')
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        self._exits_2(["stats", str(labels), "--out", str(out)], capsys)
+        assert out.read_text() == "keep\n"
+
     @pytest.mark.parametrize("normal", [1.0, [[1.0, 0.0, 0.0, 0.0]]], ids=["scalar", "nested"])
     def test_cavs_normal_must_be_a_flat_list(self, tmp_path, capsys, normal):
         cavs = [
@@ -971,13 +976,15 @@ class TestMalformedInputs:
         argv = ["eval", *self._pcbm_inputs(tmp_path), "--epochs", "0", "--batch", "1"]
         assert main(argv + ["--seed", "1", "--out", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize("l2", ["nan", "-5", "inf"])
+    # At 0 the fit of GOOD_ROWS would have no finite optimum: every EN
+    # and S clip succeeds, so their weights would grow without bound.
+    @pytest.mark.parametrize("l2", ["nan", "-5", "inf", "0"])
     def test_error_l2_must_be_finite_and_non_negative(self, tmp_path, capsys, l2):
         argv = ["error", *self._error_inputs(tmp_path), "--out", str(tmp_path / "o")]
-        assert main(argv + ["--l2", "0"]) == 0
+        assert main(argv + ["--l2", "1e-6"]) == 0
         out = tmp_path / "bad"
         err = self._exits(argv[:-1] + [str(out), "--l2", l2], capsys, 3)
-        assert err == f"error: L2 penalty must be finite and >= 0, got {float(l2)}\n"
+        assert err == f"error: L2 penalty must be finite and > 0, got {float(l2)}\n"
         assert not out.exists()
 
     def test_clip_id_in_two_films(self, fusion_inputs, tmp_path, capsys):

@@ -17,14 +17,9 @@ from gazelab import (
     run_task,
     trivial_baseline_f1,
 )
-from gazelab.errors import InvariantViolation, NumericError, PreconditionError
+from gazelab.errors import InvariantViolation, PreconditionError
 from gazelab.harness import derive_seed
 from synthfix import ids_by_level, make_error_fixture, make_linear_task
-
-
-SEPARABLE_MESSAGE = (
-    "the classes are separable: without an L2 penalty the logistic fit has no finite optimum"
-)
 
 
 def labels_of(n_s, n_en, n_hn=0):
@@ -259,14 +254,6 @@ class TestErrorFactors:
             "HN",
             "EN",
         ]
-
-    def test_separable_success_without_penalty_raises(self):
-        # Success is exactly "not HN", so at l2 = 0 the HN weight would
-        # run off to minus infinity.
-        labels, preds = make_error_fixture(3)
-        with pytest.raises(NumericError) as raised:
-            error_factor_analysis(labels, preds, l2=0.0)
-        assert str(raised.value) == SEPARABLE_MESSAGE
 
     def test_perfect_predictions_degenerate(self):
         labels, _ = make_error_fixture(1)
