@@ -88,7 +88,7 @@ def _read_path(path: str, binary: bool = False):
     if binary:
         return data
     try:  # no newline translation: the readers split lines themselves
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
 
@@ -141,18 +141,24 @@ def _read_merged_labels(text: str) -> list[ClipLabel]:
 
 def _parse_thresholds(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        thresholds = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ParseError(f"--sweep needs comma-separated numbers, got {text!r}") from None
+        thresholds = []
+    if not thresholds:
+        raise ParseError(f"--sweep needs comma-separated numbers, got {text!r}")
+    return thresholds
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    thresholds = _parse_thresholds(args.sweep) if args.sweep else None
+    thresholds = _parse_thresholds(args.sweep) if args.sweep is not None else None
     spans = parse_annotations(_read_path(args.annotations))
     clips = parse_clip_index(_read_path(args.clips))
     basis = fusion_mod.OverlapBasis(args.basis)
     cfg = fusion_mod.ProjectionConfig(overlap_threshold=args.threshold, overlap_basis=basis)
     projections, merged = fusion_mod.fuse(spans, clips, cfg)
+    for film in sorted(projections):
+        if not projections[film]:
+            print(f"warning: film {film!r} has no annotations; fused as all-EN", file=sys.stderr)
     rows = None
     if thresholds is not None:
         rows = fusion_mod.sweep_thresholds(spans, clips, thresholds, basis)

@@ -397,12 +397,13 @@ def load_embeddings(data: bytes) -> EmbeddingTable:
     """Load an embedding table from either wire encoding.
 
     Payloads starting with the 8-byte magic are decoded as binary;
-    anything else must be UTF-8 CSV text.
+    anything else must be UTF-8 CSV text (a leading byte-order mark is
+    dropped).
     """
     if data[:8] == EMBEDDING_MAGIC:
         return _load_embeddings_binary(data)
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise ParseError("payload is neither magic-prefixed binary nor UTF-8 CSV") from None
     return _load_embeddings_csv(text)

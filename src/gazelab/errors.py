@@ -45,7 +45,3 @@ class InvariantViolation(InvariantError):
         super().__init__(f"{loc}{reason}")
         self.reason = reason
         self.line = line
-
-
-class UnannotatedFilmWarning(UserWarning):
-    """A film in the clip index has no annotations; it fuses as all-EN."""

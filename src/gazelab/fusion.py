@@ -11,7 +11,6 @@ chose it.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +18,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .core import ClipDelimitation, ClipLabel, ObjLevel, SpanAnnotation
-from .errors import InvariantViolation, PreconditionError, UnannotatedFilmWarning
+from .errors import InvariantViolation, PreconditionError
 
 
 class OverlapBasis(Enum):
@@ -170,10 +169,10 @@ def fuse(
 
     Returns ``(projections, merged)`` where ``projections[film][annotator]``
     is that annotator's clip timeline and ``merged[film]`` the fused one.
-    Each film is merged over the annotators with spans on it. Films whose
-    clip index has no annotator at all are fused as all-EN with empty
-    provenance. Spans on a film missing from ``clips`` raise
-    ``PreconditionError``.
+    Each film is merged over the annotators with spans on it. A film of
+    the clip index that no annotator covers gets an empty
+    ``projections[film]`` and is fused as all-EN with empty provenance.
+    Spans on a film missing from ``clips`` raise ``PreconditionError``.
     """
     projections: dict[str, dict[str, list[ClipLabel]]] = {}
     merged: dict[str, list[ClipLabel]] = {}
@@ -185,15 +184,9 @@ def fuse(
             aid: project(by_annotator[aid], film_clips, cfg) for aid in sorted(by_annotator)
         }
         projections[film_id] = film_proj
-        if film_proj:
-            merged[film_id] = merge(list(film_proj.items()))
-        else:
-            warnings.warn(
-                f"film {film_id!r} has no annotations; fused as all-EN",
-                UnannotatedFilmWarning,
-                stacklevel=2,
-            )
-            merged[film_id] = project([], film_clips, cfg)
+        merged[film_id] = (
+            merge(list(film_proj.items())) if film_proj else project([], film_clips, cfg)
+        )
     return projections, merged
 
 

@@ -2,11 +2,13 @@
 
 perfbench/tracing.py wraps functions by module and attribute name and
 its counters read call arguments by parameter name; workloads.py reads
-the concept-axis fold count. A rename in src/ would break the benchmark
-without failing any other test, so this test installs the tracer on
-this checkout's package in a fresh interpreter (installing it rebinds
-module attributes) and checks each of those names. It reads perfbench/
-and changes none of it.
+the concept-axis fold count and runs its stages through the command
+line. A rename in src/ would break the benchmark without failing any
+other test, so this test installs the tracer on this checkout's package
+in a fresh interpreter (installing it rebinds module attributes), checks
+each of those names and parses every stage's arguments with the CLI's
+parser (``gamma --seed`` stays only because a stage passes it). It reads
+perfbench/ and changes none of it.
 """
 
 import os
@@ -20,6 +22,7 @@ CHECK = """
 import dataclasses, inspect, sys
 import gazelab.cli  # imports every module the tracer wraps
 import tracing
+import workloads
 from gazelab import agreement, core, fusion, models
 from gazelab.cbm import CavCvConfig
 
@@ -35,13 +38,20 @@ for fn, params in counted.items():
 assert "epoch_losses" in {f.name for f in dataclasses.fields(models.MlpTrainResult)}
 assert CavCvConfig().k == 10
 
+stages = [stage for _, stages_of, *_ in workloads.WORKLOADS.values() for stage in stages_of(1)]
+for name, argv in stages:
+    try:
+        gazelab.cli.build_parser().parse_args(argv)
+    except SystemExit:
+        raise AssertionError(f"stage {name}: the CLI rejects {argv}") from None
+
 tracing.install(tracing.Tracer())
 for module, attr, _ in tracing.TARGETS:
     owner = sys.modules[f"gazelab.{module}"]
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert hasattr(owner, "__wrapped__"), f"{module}.{attr} was not wrapped"
-print(len(tracing.TARGETS))
+print(len(tracing.TARGETS), len(stages))
 """
 
 
@@ -53,4 +63,5 @@ def test_tracer_installs_on_this_checkout():
         [sys.executable, "-c", CHECK], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 0
+    targets, stages = map(int, proc.stdout.split())
+    assert targets > 0 and stages > 0

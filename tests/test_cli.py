@@ -36,6 +36,20 @@ def read(path):
     return path.read_text(encoding="utf-8")
 
 
+def run_fresh(argv, *python_flags):
+    """``gazelab argv`` in a fresh interpreter started with ``python_flags``,
+    where warnings would reach stderr."""
+    paths = [str(Path(gazelab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "gazelab.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestFuse:
     def test_matches_hand_built_expected_file(self, fusion_inputs, tmp_path):
         ann, clips = fusion_inputs
@@ -112,6 +126,21 @@ class TestFuse:
         assert lines[0].startswith("# config:")
         assert lines[1] == "threshold,en,hn,ns,s,delta_en,delta_hn,delta_ns,delta_s"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("python_flags", [(), ("-W", "error")], ids=["plain", "W-error"])
+    def test_unannotated_film_prints_one_warning(self, fusion_inputs, tmp_path, python_flags):
+        # A film that no annotator covers is fused as all-EN and named in
+        # one stderr line; no Python warning is raised, so -W error
+        # changes nothing.
+        ann, clips = fusion_inputs
+        with clips.open("a") as f:
+            f.write("z1,other,0,60\nz2,other,60,120\n")
+        out = tmp_path / "out"
+        proc = run_fresh(["fuse", str(ann), str(clips), "--out", str(out)], *python_flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: film 'other' has no annotations; fused as all-EN\n"
+        en = '{"film": "other", "clip": "%s", "level": "EN", "concepts": [], "annotators": []}\n'
+        assert read(out / "merged.jsonl") == FUSION_FIXTURE_EXPECTED_MERGED + en % "z1" + en % "z2"
 
 
 class TestGamma:
@@ -264,6 +293,50 @@ class TestError:
         )
         assert float(rows["HN"]) < 0
         assert float(rows["EN"]) > 0 and float(rows["S"]) > 0
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark that starts a text input is dropped."""
+
+    PROJECTIONS = "".join(
+        json.dumps({"film": "juno", "annotator": a, "clip": f"c{i}", "level": level}) + "\n"
+        for a, levels in [("a1", ["EN", "S", "HN", "S"]), ("a2", ["EN", "S", "S", "HN"])]
+        for i, level in enumerate(levels, start=1)
+    )
+    INPUTS = {
+        "ann.jsonl": FUSION_FIXTURE_ANNOTATIONS_JSONL,
+        "clips.csv": FUSION_FIXTURE_CLIPS_CSV,
+        "proj.jsonl": PROJECTIONS,
+        "merged.jsonl": FUSION_FIXTURE_EXPECTED_MERGED,
+        "preds.csv": "c1,0\nc2,1\nc3,1\nc4,0\nc5,1\n",
+    }
+
+    @staticmethod
+    def _outputs(root, argv, inputs, monkeypatch):
+        """The bytes of every file ``gazelab argv`` writes, run in ``root``
+        on ``inputs`` (so the configs record the same relative paths)."""
+        root.mkdir()
+        for name, text in inputs.items():
+            (root / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(root)
+        assert main([*argv, "--out", "o"]) == 0
+        return {p.name: p.read_bytes() for p in sorted((root / "o").iterdir())}
+
+    @pytest.mark.parametrize(
+        "argv, marked",
+        [
+            (["fuse", "ann.jsonl", "clips.csv"], "ann.jsonl"),
+            (["fuse", "ann.jsonl", "clips.csv"], "clips.csv"),
+            (["gamma", "proj.jsonl"], "proj.jsonl"),
+            (["stats", "merged.jsonl"], "merged.jsonl"),
+            (["error", "merged.jsonl", "preds.csv"], "preds.csv"),
+        ],
+        ids=["annotations", "clips", "projections", "labels", "predictions"],
+    )
+    def test_marked_input_gives_the_same_outputs(self, tmp_path, monkeypatch, argv, marked):
+        plain = self._outputs(tmp_path / "plain", argv, self.INPUTS, monkeypatch)
+        inputs = {**self.INPUTS, marked: "\ufeff" + self.INPUTS[marked]}
+        assert self._outputs(tmp_path / "marked", argv, inputs, monkeypatch) == plain
 
 
 class TestEval:
@@ -614,14 +687,24 @@ class TestMalformedInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "sweep, code", [("0,0.2", 3), ("0.2,1.5", 3), ("nan", 3), ("0.1,-0.2", 3), (",", 4)]
+        "sweep, code", [("0,0.2", 3), ("0.2,1.5", 3), ("nan", 3), ("0.1,-0.2", 3)]
     )
     def test_invalid_sweep_writes_nothing(self, fusion_inputs, tmp_path, capsys, sweep, code):
-        # Thresholds outside (0, 1], NaN or none at all are rejected
-        # before merged.jsonl or any other output is written.
+        # Thresholds outside (0, 1] or NaN are rejected before merged.jsonl
+        # or any other output is written.
         ann, clips = fusion_inputs
         out = tmp_path / "out"
         self._exits(["fuse", str(ann), str(clips), "--sweep", sweep, "--out", str(out)], capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["", " ", ","], ids=["empty", "space", "comma"])
+    def test_empty_sweep_exits_2_before_reading(self, tmp_path, capsys, sweep):
+        # A sweep with no threshold is rejected before the inputs are
+        # read: neither of them exists.
+        out = tmp_path / "out"
+        argv = ["fuse", str(tmp_path / "no.jsonl"), str(tmp_path / "no.csv"), "--sweep", sweep]
+        err = self._exits_2(argv + ["--out", str(out)], capsys)
+        assert err == f"error: --sweep needs comma-separated numbers, got {sweep!r}\n"
         assert not out.exists()
 
     def test_spans_on_a_film_without_clips(self, fusion_inputs, tmp_path, capsys):
@@ -897,15 +980,7 @@ class TestMalformedInputs:
     def _fresh(argv, tmp_path):
         """``gazelab argv --seed 1`` in a fresh interpreter, where numpy's
         warnings would reach stderr."""
-        paths = [str(Path(gazelab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        return subprocess.run(
-            [sys.executable, "-m", "gazelab.cli", *argv, "--seed", "1", "--out", str(tmp_path / "o")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        return run_fresh([*argv, "--seed", "1", "--out", str(tmp_path / "o")])
 
     def test_divergence_prints_one_line(self, tmp_path):
         # The diverging run must print only its error.

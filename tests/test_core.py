@@ -219,6 +219,13 @@ class TestEmbeddings:
             for cid in table.clip_ids():
                 assert via_csv[cid].tobytes() == via_bin[cid].tobytes()
 
+    def test_csv_byte_order_mark_is_dropped(self):
+        table = self._random_table(np.random.default_rng(3), n=3, dim=4)
+        data = dump_embeddings(table, "csv")
+        marked = load_embeddings("\ufeff".encode("utf-8") + data)
+        assert marked.clip_ids() == table.clip_ids()
+        assert marked == load_embeddings(data)
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvariantViolation, match="clip 'c2': expected 2 components, got 1"):
             load_embeddings(b"c1,1.0,2.0\nc2,1.0\n")

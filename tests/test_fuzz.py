@@ -354,10 +354,11 @@ def test_cav_csv_embeddings(data):
     run_cav(data)
 
 
-# Names as the readers keep them: cells are stripped, and a prediction
-# row whose first cell starts with '#' is a comment.
+# Names as the readers keep them: cells are stripped, a prediction row
+# whose first cell starts with '#' is a comment, and a byte-order mark
+# that starts a file is dropped.
 names = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=5).filter(
-    lambda name: name == name.strip() and not name.startswith("#")
+    lambda name: name == name.strip() and not name.startswith(("#", "\ufeff"))
 )
 
 
