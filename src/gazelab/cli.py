@@ -40,7 +40,6 @@ from .harness import (
     TEST_NEGATIVE_SETS,
     ModelKind,
     TaskConfig,
-    check_test_sets,
     error_factor_analysis,
     plan_task,
     run_task,
@@ -329,12 +328,12 @@ def cmd_pcbm(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     emb, labels = _load_task_inputs(args)
     kind = ModelKind.PCBM_DT if args.kind == "dt" else ModelKind.PCBM_LR
-    # Check the grid cell and its folds before fitting any concept axis.
     train_neg = ObjLevel.from_name(args.train_neg)
     cfg = TaskConfig(train_neg, kind, seed)
-    (test_neg,) = check_test_sets([_parse_levels(args.test_neg)])
+    test_sets = [_parse_levels(args.test_neg)]
     cavs = _read_cavs(args.cavs) if args.cavs else None
-    plan_task(cfg, labels)
+    # Check the grid cell and its folds before fitting any concept axis.
+    _, _, (test_neg,) = plan_task(cfg, labels, test_sets)
     if cavs is None:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
     scores = cbm_mod.score_table(emb, cavs)
@@ -367,7 +366,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     emb, labels = _load_task_inputs(args)
     model = ModelKind(args.model)
     # Rows are the train negatives, columns the test negative sets; both
-    # rows' settings and folds are checked before any concept axis is fitted.
+    # rows' settings, test sets and folds are checked before anything is fitted.
     configs = [
         TaskConfig(
             train_negatives=train_neg,
@@ -379,13 +378,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         for train_neg in (ObjLevel.EN, ObjLevel.HN)
     ]
-    if model in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
-        for cfg in configs:
-            plan_task(cfg, labels)
+    for cfg in configs:
+        plan_task(cfg, labels, TEST_NEGATIVE_SETS)
+    features = emb
+    if model is not ModelKind.MLP:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
         features = cbm_mod.score_table(emb, cavs)
-    else:
-        features = emb
 
     # Each row is fitted once and scored on both columns.
     rows = {

@@ -129,14 +129,6 @@ class ModelKind(Enum):
 TEST_NEGATIVE_SETS = (frozenset({ObjLevel.EN}), frozenset({ObjLevel.EN, ObjLevel.HN}))
 
 
-def check_test_sets(test_sets: Sequence[frozenset[ObjLevel]]) -> list[frozenset[ObjLevel]]:
-    """``test_sets`` as a list, each one of ``TEST_NEGATIVE_SETS``."""
-    test_sets = [frozenset(t) for t in test_sets]
-    if not test_sets or any(t not in TEST_NEGATIVE_SETS for t in test_sets):
-        raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
-    return test_sets
-
-
 @dataclass(frozen=True)
 class TaskConfig:
     """One row of the train/test negative-composition grid.
@@ -225,16 +217,23 @@ def _train_for_draw(
     raise InvariantViolation(f"unknown model kind {cfg.model}")
 
 
-def plan_task(cfg: TaskConfig, labels: Sequence[ClipLabel]) -> tuple[FoldPlan, list]:
-    """The fold plan and balanced training sets of one train row, from the
-    labels alone: a row they cannot support fails before anything is fitted."""
+def plan_task(
+    cfg: TaskConfig, labels: Sequence[ClipLabel], test_sets: Sequence[frozenset[ObjLevel]]
+) -> tuple[FoldPlan, list, list[frozenset[ObjLevel]]]:
+    """The one check of a task cell before anything is fitted, from the
+    labels alone: ``test_sets`` (each one of ``TEST_NEGATIVE_SETS``), the
+    fold plan and the balanced training sets of the train row. Returns
+    the plan, the training sets and ``test_sets`` as a list."""
+    test_sets = [frozenset(t) for t in test_sets]
+    if not test_sets or any(t not in TEST_NEGATIVE_SETS for t in test_sets):
+        raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
     by_level: dict[ObjLevel, list[str]] = {}
     for lbl in labels:
         if lbl.level is ObjLevel.NS:
             raise PreconditionError("NS clips must be dropped before evaluation")
         by_level.setdefault(lbl.level, []).append(lbl.clip_id)
     plan = make_folds_from_ids(by_level, seed=cfg.seed)
-    return plan, balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
+    return plan, balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives), test_sets
 
 
 def run_task(
@@ -254,25 +253,26 @@ def run_task(
     closed-form random / all-positive baselines for that test
     composition.
     """
-    test_sets = check_test_sets(test_sets)
-    plan, train_sets = plan_task(cfg, labels)
+    plan, train_sets, test_sets = plan_task(cfg, labels, test_sets)
 
     def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
         return [cid for lv in levels for cid in plan.ids(lv, [fold])]
 
     def xy(pos: Sequence[str], neg: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Stacked features of ``pos`` then ``neg``, labelled 1 and 0."""
-        try:
-            X = np.stack([np.asarray(features[cid], dtype=np.float64) for cid in [*pos, *neg]])
-        except KeyError as e:
-            raise PreconditionError(f"no embedding for clip {e.args[0]!r}") from None
+        X = np.stack([np.asarray(features[cid], dtype=np.float64) for cid in [*pos, *neg]])
         return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
 
     test_pos = fold_of([ObjLevel.S], plan.test_fold)
-    tests = [xy(test_pos, fold_of(sorted(neg), plan.test_fold)) for neg in test_sets]
-    X_val, y_val = xy(
-        fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold)
-    )
+    test_rows = [(test_pos, fold_of(sorted(neg), plan.test_fold)) for neg in test_sets]
+    val_row = (fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold))
+    # Every clip the row is scored or fitted on needs features before the
+    # first draw is fitted.
+    for cid in (cid for row in (*test_rows, val_row, *train_sets) for ids in row for cid in ids):
+        if cid not in features:
+            raise PreconditionError(f"no embedding for clip {cid!r}")
+    tests = [xy(*row) for row in test_rows]
+    X_val, y_val = xy(*val_row)
 
     models, kept_epochs = [], []
     draw_f1: list[list[float]] = [[] for _ in test_sets]

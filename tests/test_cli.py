@@ -13,6 +13,7 @@ import pytest
 
 import gazelab
 from gazelab import CONCEPTS, ConceptVector, EmbeddingTable, NegativeMode, cbm, dump_embeddings
+from gazelab import TEST_NEGATIVE_SETS, ModelKind, ObjLevel, TaskConfig, harness
 from gazelab.cli import build_parser, main
 from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
@@ -875,18 +876,23 @@ class TestMalformedInputs:
         [
             (["pcbm", "--kind", "lr", "--train-neg", "HN"], 0, "no training data for classes S/HN"),
             (["eval", "--model", "pcbm-lr"], 0, "no training data for classes S/HN"),
+            (["eval", "--model", "mlp"], 0, "no training data for classes S/HN"),
             (["pcbm", "--kind", "dt"], 5, "class 'HN' has 5 samples, fewer than 10 folds"),
         ],
-        ids=["pcbm-without-HN", "eval-without-HN", "pcbm-5-HN"],
+        ids=["pcbm-without-HN", "eval-without-HN", "eval-mlp-without-HN", "pcbm-5-HN"],
     )
     def test_folds_are_checked_before_fitting(
         self, tmp_path, capsys, monkeypatch, argv, hn_kept, message
     ):
         # A train row the labels cannot fold exits 4 before any concept
-        # axis is fitted.
+        # axis or model is fitted; eval checks its HN row before fitting
+        # the EN row.
         calls = []
-        fit = cbm.fit_all_cavs
-        monkeypatch.setattr(cbm, "fit_all_cavs", lambda *a, **k: calls.append(a) or fit(*a, **k))
+        for module, name in ((cbm, "fit_all_cavs"), (harness, "train_mlp")):
+            fit = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, fit=fit, **k: calls.append(a) or fit(*a, **k)
+            )
         emb, labels = self._pcbm_inputs(tmp_path)
         lines = Path(labels).read_text().splitlines(keepends=True)
         hn = [line for line in lines if '"level": "HN"' in line]
@@ -894,6 +900,47 @@ class TestMalformedInputs:
         argv = [argv[0], emb, labels, *argv[1:], "--seed", "1", "--out", str(tmp_path / "o")]
         assert self._exits(argv, capsys, 4) == f"error: {message}\n"
         assert calls == []
+
+    def test_missing_feature_is_found_before_fitting(self, tmp_path, capsys, monkeypatch):
+        # A clip that only the EN row's last draw trains on has no
+        # embedding: eval names it before it fits the first draw.
+        calls = []
+        fit = harness.train_mlp
+        monkeypatch.setattr(harness, "train_mlp", lambda *a, **k: calls.append(a) or fit(*a, **k))
+        emb_path, labels_path = self._pcbm_inputs(tmp_path)
+        labels, emb = make_linear_task(0, n=100, dim=4)
+        cfg = TaskConfig(ObjLevel.EN, ModelKind.MLP, seed=1)
+        _, train_sets, _ = harness.plan_task(cfg, labels, TEST_NEGATIVE_SETS)
+        missing = train_sets[-1][1][0]
+        assert not any(missing in ids for draw in train_sets[:-1] for ids in draw)
+        assert len(train_sets) > 1
+        del emb[missing]
+        Path(emb_path).write_bytes(dump_embeddings(EmbeddingTable(emb), "binary"))
+        argv = ["eval", emb_path, labels_path, "--model", "mlp", "--epochs", "1"]
+        err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 4)
+        assert err == f"error: no embedding for clip {missing!r}\n"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            (None, "a seed is required (--seed or OBY_SEED)"),
+            ("abc", "OBY_SEED must be an integer, got 'abc'"),
+        ],
+        ids=["unset", "not-an-integer"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["cav"], ["pcbm", "--kind", "dt"], ["eval"]], ids=["cav", "pcbm", "eval"]
+    )
+    def test_seed_errors(self, tmp_path, capsys, monkeypatch, argv, env, message):
+        if env is None:
+            monkeypatch.delenv("OBY_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OBY_SEED", env)
+        out = tmp_path / "o"
+        argv = [argv[0], *self._pcbm_inputs(tmp_path), *argv[1:], "--out", str(out)]
+        assert self._exits(argv, capsys, 4) == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["gazelab-model/2", None])
     def test_cavs_file_format_is_checked(self, tmp_path, capsys, fmt):
@@ -1039,6 +1086,24 @@ class TestMalformedInputs:
         for r in reports:
             del r["config"]["cavs"]
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("kind", ["dt", "lr"])
+    def test_pcbm_without_cavs_fits_en_only_axes(self, tmp_path, kind):
+        # pcbm without --cavs gives the same head as cav --mode en-only
+        # followed by pcbm --cavs on that file.
+        inputs = self._pcbm_inputs(tmp_path)
+        seed = ["--seed", "2"]
+        assert main(["cav", *inputs, "--mode", "en-only", *seed, "--out", str(tmp_path / "c")]) == 0
+        cavs = ["--cavs", str(tmp_path / "c" / "cavs_en-only.json")]
+        outputs = []
+        for name, extra in (("own", []), ("given", cavs)):
+            out = tmp_path / name
+            assert main(["pcbm", *inputs, "--kind", kind, *extra, *seed, "--out", str(out)]) == 0
+            report = json.loads((out / "pcbm_report.json").read_text())
+            del report["config"]["cavs"]
+            tree = (out / "tree.txt").read_text() if kind == "dt" else None
+            outputs.append((report, tree))
+        assert outputs[0] == outputs[1]
 
     def test_overflowing_normal_prints_one_line(self, tmp_path):
         path = self._cavs_file(tmp_path, unit_normal=[1e308, 1e308, 0.0, 0.0])
