@@ -7,11 +7,10 @@ Imports gazelab from ``DIR`` (default: this checkout's ``src/``), builds
 48 negatives) at 64 and 512 dimensions, and prints one JSON line per
 dimension with the seconds of: one ``train_svm`` fit (C=1, median of N
 runs), the 40 (draw, C) fits of the default grid one by one (one run),
-and, where the checkout has ``train_svm_stack``, the same 40 fits as
-one stacked solve (median of N // 2 runs). For the stack it also prints
-the steps it took (counted on one more run, as calls of the checkout's
-``models._project``) and the largest relative duality gap any of its
-problems stopped at (each null where the checkout has no such solve).
+and the same 40 fits as one ``train_svm_stack`` solve (median of N // 2
+runs). For the stack it also prints the steps it took (counted on one
+more run, as calls of ``models._project``) and the largest relative
+duality gap any of its problems stopped at.
 A last line times ``cbm.fit_all_cavs`` (EN-only negatives, median of N
 runs) on the inputs of the concepts benchmark's seed 1, written by
 ``perfbench/workloads.generate_concepts`` into a temporary directory
@@ -50,7 +49,6 @@ def main() -> None:
     import numpy as np
     from gazelab import cbm, models
 
-    stack = getattr(models, "train_svm_stack", None)
     for dim in (64, 512):
         rng = np.random.default_rng(dim)
         X = rng.normal(size=(DRAWS, ROWS, dim))
@@ -61,20 +59,19 @@ def main() -> None:
         fit_by_fit_s, _ = median_s(
             lambda: [[models.train_svm(X[d], y[d], c=c) for c in GRID] for d in range(DRAWS)], 1
         )
+        stacked_s, stacked = median_s(
+            lambda: models.train_svm_stack(X, y, GRID), max(1, args.repeats // 2)
+        )
         row = {
             "dim": dim,
             "draws": DRAWS,
             "rows": ROWS,
             "one_fit_s": one_fit_s,
             "grid_fit_by_fit_s": fit_by_fit_s,
+            "grid_stacked_s": stacked_s,
+            "steps": stack_steps(models, lambda: models.train_svm_stack(X, y, GRID)),
+            "max_gap": max(m.gap for draw in stacked for m in draw),
         }
-        if stack is not None:
-            row["grid_stacked_s"], stacked = median_s(
-                lambda: stack(X, y, GRID), max(1, args.repeats // 2)
-            )
-            gaps = [getattr(m, "gap", None) for draw in stacked for m in draw]
-            row["steps"] = stack_steps(models, lambda: stack(X, y, GRID))
-            row["max_gap"] = None if None in gaps else max(gaps)
         print(json.dumps(row), flush=True)
 
     sys.path.insert(0, str(PERFBENCH))
@@ -95,11 +92,9 @@ def main() -> None:
     print(json.dumps({**row, "sha256": digest.hexdigest()}), flush=True)
 
 
-def stack_steps(models, solve) -> int | None:
+def stack_steps(models, solve) -> int:
     """Steps of one run of ``solve``: one projection of the unsolved problems each."""
-    project = getattr(models, "_project", None)
-    if project is None:
-        return None
+    project = models._project
     calls = []
 
     def counted(*args):

@@ -258,6 +258,10 @@ def _fit_cavs(
     def split(plan, folds: Sequence[int]) -> tuple[tuple[str, ...], tuple[str, ...]]:
         return plan.ids("pos", folds), plan.ids("neg", folds)
 
+    # Every axis's clips need an embedding before the first stack is solved.
+    for cid in (cid for _, pos, neg, _ in axes for cid in (*pos, *neg)):
+        if cid not in emb:
+            raise PreconditionError(f"no embedding for clip {cid!r}")
     # Per axis, its final problem, the ids its F1 is scored on (the test
     # folds, or the training data of an axis too small to fold) and its
     # chosen C with the per-C mean validation F1 (None if it cannot fold).

@@ -327,34 +327,25 @@ def _read_cavs(path: str) -> list[cbm_mod.ConceptVector]:
 def cmd_pcbm(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     emb, labels = _load_task_inputs(args)
-    kind = ModelKind.PCBM_DT if args.kind == "dt" else ModelKind.PCBM_LR
-    train_neg = ObjLevel.from_name(args.train_neg)
-    cfg = TaskConfig(train_neg, kind, seed)
+    cfg = TaskConfig(ObjLevel.from_name(args.train_neg), ModelKind(f"pcbm-{args.kind}"), seed)
     test_sets = [_parse_levels(args.test_neg)]
     cavs = _read_cavs(args.cavs) if args.cavs else None
-    # Check the grid cell and its folds before fitting any concept axis.
-    _, _, (test_neg,) = plan_task(cfg, labels, test_sets)
+    # Check the grid cell, its folds and embeddings before fitting any concept axis.
+    plan_task(cfg, labels, test_sets, emb)
     if cavs is None:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
-    scores = cbm_mod.score_table(emb, cavs)
-    result = cbm_mod.train_pcbm(
-        scores,
-        labels,
-        kind,
-        train_negatives=train_neg,
-        test_negatives=test_neg,
-        seed=seed,
-    )
+    (report,) = run_task(cfg, labels, cbm_mod.score_table(emb, cavs), test_sets)
+    model = report.models[-1]
     resolved = _resolved(args, seed=seed)
     out = Path(args.out)
     doc = {
         "config": resolved,
-        "report": result.report.to_json(),
-        "model": model_to_json(result.model),
+        "report": report.to_json(),
+        "model": model_to_json(model),
     }
     _write_json(out / "pcbm_report.json", doc)
-    if kind is ModelKind.PCBM_DT:
-        _write_text(out / "tree.txt", cbm_mod.export_tree_report(result.model))
+    if cfg.model is ModelKind.PCBM_DT:
+        _write_text(out / "tree.txt", cbm_mod.export_tree_report(model))
     return 0
 
 
@@ -366,7 +357,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     emb, labels = _load_task_inputs(args)
     model = ModelKind(args.model)
     # Rows are the train negatives, columns the test negative sets; both
-    # rows' settings, test sets and folds are checked before anything is fitted.
+    # rows' settings, test sets, folds and embeddings are checked before anything is fitted.
     configs = [
         TaskConfig(
             train_negatives=train_neg,
@@ -379,7 +370,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for train_neg in (ObjLevel.EN, ObjLevel.HN)
     ]
     for cfg in configs:
-        plan_task(cfg, labels, TEST_NEGATIVE_SETS)
+        plan_task(cfg, labels, TEST_NEGATIVE_SETS, emb)
     features = emb
     if model is not ModelKind.MLP:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)

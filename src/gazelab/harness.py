@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Container, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -218,12 +218,16 @@ def _train_for_draw(
 
 
 def plan_task(
-    cfg: TaskConfig, labels: Sequence[ClipLabel], test_sets: Sequence[frozenset[ObjLevel]]
-) -> tuple[FoldPlan, list, list[frozenset[ObjLevel]]]:
-    """The one check of a task cell before anything is fitted, from the
-    labels alone: ``test_sets`` (each one of ``TEST_NEGATIVE_SETS``), the
-    fold plan and the balanced training sets of the train row. Returns
-    the plan, the training sets and ``test_sets`` as a list."""
+    cfg: TaskConfig,
+    labels: Sequence[ClipLabel],
+    test_sets: Sequence[frozenset[ObjLevel]],
+    features: Container[str],
+) -> tuple[list, list, tuple, list[frozenset[ObjLevel]]]:
+    """The one check of a task cell before anything is fitted: ``test_sets``
+    (each one of ``TEST_NEGATIVE_SETS``), the folds, the balanced draws, and
+    that ``features`` holds every clip the cell trains, validates or scores
+    on. Returns the draws, the (positives, negatives) ids of each test set
+    and of the validation fold, and ``test_sets`` as a list."""
     test_sets = [frozenset(t) for t in test_sets]
     if not test_sets or any(t not in TEST_NEGATIVE_SETS for t in test_sets):
         raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
@@ -233,7 +237,18 @@ def plan_task(
             raise PreconditionError("NS clips must be dropped before evaluation")
         by_level.setdefault(lbl.level, []).append(lbl.clip_id)
     plan = make_folds_from_ids(by_level, seed=cfg.seed)
-    return plan, balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives), test_sets
+    train_sets = balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
+
+    def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
+        return [cid for lv in levels for cid in plan.ids(lv, [fold])]
+
+    test_pos = fold_of([ObjLevel.S], plan.test_fold)
+    test_rows = [(test_pos, fold_of(sorted(neg), plan.test_fold)) for neg in test_sets]
+    val_row = (fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold))
+    for cid in (cid for row in (*test_rows, val_row, *train_sets) for ids in row for cid in ids):
+        if cid not in features:
+            raise PreconditionError(f"no embedding for clip {cid!r}")
+    return train_sets, test_rows, val_row, test_sets
 
 
 def run_task(
@@ -253,24 +268,13 @@ def run_task(
     closed-form random / all-positive baselines for that test
     composition.
     """
-    plan, train_sets, test_sets = plan_task(cfg, labels, test_sets)
-
-    def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
-        return [cid for lv in levels for cid in plan.ids(lv, [fold])]
+    train_sets, test_rows, val_row, test_sets = plan_task(cfg, labels, test_sets, features)
 
     def xy(pos: Sequence[str], neg: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Stacked features of ``pos`` then ``neg``, labelled 1 and 0."""
         X = np.stack([np.asarray(features[cid], dtype=np.float64) for cid in [*pos, *neg]])
         return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
 
-    test_pos = fold_of([ObjLevel.S], plan.test_fold)
-    test_rows = [(test_pos, fold_of(sorted(neg), plan.test_fold)) for neg in test_sets]
-    val_row = (fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold))
-    # Every clip the row is scored or fitted on needs features before the
-    # first draw is fitted.
-    for cid in (cid for row in (*test_rows, val_row, *train_sets) for ids in row for cid in ids):
-        if cid not in features:
-            raise PreconditionError(f"no embedding for clip {cid!r}")
     tests = [xy(*row) for row in test_rows]
     X_val, y_val = xy(*val_row)
 
@@ -287,7 +291,7 @@ def run_task(
 
     reports = []
     for test_negatives, (_, y_test), row in zip(test_sets, tests, draw_f1):
-        f_data = len(test_pos) / len(y_test)
+        f_data = int(y_test.sum()) / len(y_test)
         reports.append(
             EvalReport(
                 mean_f1=float(np.mean(row)),

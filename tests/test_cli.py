@@ -19,6 +19,7 @@ from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
     FUSION_FIXTURE_CLIPS_CSV,
     FUSION_FIXTURE_EXPECTED_MERGED,
+    ids_by_level,
     make_error_fixture,
     make_linear_task,
 )
@@ -832,10 +833,12 @@ class TestMalformedInputs:
             " (unit_normal must be a flat list of numbers)\n"
         )
 
-    def _pcbm_inputs(self, tmp_path, drop=()):
-        """A 100-clip, 4-d linear task as pcbm's embeddings and labels,
-        without the labels of the levels named in ``drop``."""
-        labels, emb = make_linear_task(0, n=100, dim=4)
+    def _pcbm_inputs(self, tmp_path, drop=(), n=100, missing=None):
+        """An ``n``-clip, 4-d linear task as pcbm's embeddings and labels,
+        without the labels of the levels named in ``drop`` and without
+        the embedding of clip ``missing``."""
+        labels, emb = make_linear_task(0, n=n, dim=4)
+        emb.pop(missing, None)
         emb_path = tmp_path / "emb.bin"
         emb_path.write_bytes(dump_embeddings(EmbeddingTable(emb), "binary"))
         labels_path = tmp_path / "merged.jsonl"
@@ -910,7 +913,7 @@ class TestMalformedInputs:
         emb_path, labels_path = self._pcbm_inputs(tmp_path)
         labels, emb = make_linear_task(0, n=100, dim=4)
         cfg = TaskConfig(ObjLevel.EN, ModelKind.MLP, seed=1)
-        _, train_sets, _ = harness.plan_task(cfg, labels, TEST_NEGATIVE_SETS)
+        train_sets, *_ = harness.plan_task(cfg, labels, TEST_NEGATIVE_SETS, emb)
         missing = train_sets[-1][1][0]
         assert not any(missing in ids for draw in train_sets[:-1] for ids in draw)
         assert len(train_sets) > 1
@@ -920,6 +923,81 @@ class TestMalformedInputs:
         err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 4)
         assert err == f"error: no embedding for clip {missing!r}\n"
         assert calls == []
+
+    @staticmethod
+    def _clip_to_leave_out(labels, role):
+        """The clip a case leaves out of the embeddings, by role (folds at seed 1):
+        - "axis": an HN clip of the last concept, which no EN-negative cell
+          uses, only that concept's axis;
+        - "cell": an S clip, which every cell uses;
+        - "hn-row": an HN clip of the HN row's first draw, which the EN row
+          does not use;
+        - "leftover": an EN train clip outside every EN draw, which only the
+          concept axes use."""
+        if role == "axis":
+            last = CONCEPTS[-1]
+            return next(l.clip_id for l in labels if l.level is ObjLevel.HN and last in l.concepts)
+        if role == "cell":
+            return next(l.clip_id for l in labels if l.level is ObjLevel.S)
+        plan = harness.make_folds_from_ids(ids_by_level(labels), seed=1)
+        if role == "hn-row":
+            return harness.balanced_train_sets(plan, ObjLevel.S, ObjLevel.HN)[0][1][0]
+        draws = harness.balanced_train_sets(plan, ObjLevel.S, ObjLevel.EN)
+        drawn = {cid for _, neg in draws for cid in neg}
+        return next(cid for cid in plan.train_ids(ObjLevel.EN) if cid not in drawn)
+
+    @pytest.mark.parametrize(
+        "argv, role",
+        [
+            (["cav"], "axis"),
+            (["pcbm", "--kind", "dt"], "axis"),
+            (["pcbm", "--kind", "lr"], "axis"),
+            (["pcbm", "--kind", "dt", "--cavs"], "cell"),
+            (["pcbm", "--kind", "lr", "--cavs"], "cell"),
+            (["eval", "--model", "mlp"], "hn-row"),
+            (["eval", "--model", "pcbm-dt"], "hn-row"),
+            (["eval", "--model", "pcbm-lr"], "hn-row"),
+            (["eval", "--model", "pcbm-dt"], "leftover"),
+            (["eval", "--model", "pcbm-lr"], "leftover"),
+        ],
+        ids=[
+            "cav", "pcbm-dt", "pcbm-lr", "pcbm-dt-cavs", "pcbm-lr-cavs", "eval-mlp-hn-row",
+            "eval-pcbm-dt-hn-row", "eval-pcbm-lr-hn-row", "eval-pcbm-dt-leftover",
+            "eval-pcbm-lr-leftover",
+        ],
+    )
+    def test_missing_embedding_exits_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, argv, role
+    ):
+        # Every fitting command checks that each clip it needs has an
+        # embedding before it solves a concept axis or fits a model.
+        calls = []
+        for module, name in (
+            (cbm, "train_svm_stack"),
+            (harness, "train_mlp"),
+            (harness, "train_tree"),
+            (harness, "train_logreg"),
+        ):
+            fit = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, fit=fit, name=name, **k: calls.append(name) or fit(*a, **k)
+            )
+        labels, _ = make_linear_task(0, n=400, dim=4)
+        missing = self._clip_to_leave_out(labels, role)
+        emb_path, labels_path = self._pcbm_inputs(tmp_path, n=400, missing=missing)
+        if argv[-1] == "--cavs":
+            cavs = [
+                ConceptVector(c, np.eye(4)[int(c) % 4], 0.0, NegativeMode.EN_ONLY, 1.0, None)
+                for c in CONCEPTS
+            ]
+            path = tmp_path / "cavs.json"
+            path.write_text(json.dumps({"cavs": [cav.to_json() for cav in cavs]}))
+            argv = [*argv, str(path)]
+        out = tmp_path / "o"
+        argv = [argv[0], emb_path, labels_path, *argv[1:], "--seed", "1", "--out", str(out)]
+        assert self._exits(argv, capsys, 4) == f"error: no embedding for clip {missing!r}\n"
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "env, message",

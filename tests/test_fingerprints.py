@@ -53,6 +53,14 @@ RUNS = {
         "eval", "lin.bin", "lin.jsonl", "--model", "mlp", "--epochs", "8", "--lr", "0.02",
         "--seed", "6", "--out", "eval",
     ],
+    "eval-pcbm-dt": [
+        "eval", "comp.bin", "comp.jsonl", "--model", "pcbm-dt", "--seed", "4",
+        "--out", "eval-pcbm-dt",
+    ],
+    "eval-pcbm-lr": [
+        "eval", "comp.bin", "comp.jsonl", "--model", "pcbm-lr", "--seed", "4",
+        "--out", "eval-pcbm-lr",
+    ],
     "error": ["error", "err.jsonl", "err_preds.csv", "--out", "error"],
 }
 
@@ -97,6 +105,14 @@ EXPECTED = {
     "eval": {
         "eval_report.json": "99b91e18c423fb622558c1b7145abe60ccdf1c918b886a47a412665f75561cb5",
         "eval_table.csv": "72807e42f3d0353804f32a8c592402e7c9da70cfb4141d7b564ea8850d157c83",
+    },
+    "eval-pcbm-dt": {
+        "eval_report.json": "581facad399d4cde47ea88f90aab4bd99047102a7815d2fbfbd344b0c9d9b647",
+        "eval_table.csv": "42d8b500dccf57e53918ecf203813666647f354781ad997560fa5031c058e5ab",
+    },
+    "eval-pcbm-lr": {
+        "eval_report.json": "8a130ef08e99b5d5e36afde311b487ed8ec388c5e2bb3b3697ac8497cfbb816b",
+        "eval_table.csv": "4f256fc5de79f22c07ea1cb66b47e48f1ec909b317a0feedfb121be7758d82dc",
     },
     # The config line of error_factors.csv no longer carries a "seed"
     # key: the factor regression never used one, and error --seed is gone.
