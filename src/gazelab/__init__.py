@@ -8,7 +8,17 @@ capture: one linear concept axis per annotated concept, an
 interpretable classifier on the concept coordinates, a fold harness
 with balanced draws and trivial baselines, and a regression that
 attributes classification errors to clip factors.
+
+Output bytes are defined at one BLAS thread (README, Determinism), so
+importing the package sets the BLAS thread variables to 1 unless the
+caller set them; this must run before numpy is first imported.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .agreement import (
     GammaConfig,

@@ -42,14 +42,18 @@ LOGREG_ARMIJO = 1e-4
 LOGREG_HALVINGS = 50
 
 
+# min/max, not np.unique: numpy 2.x imports numpy.ma on its first call, about 12 ms per process.
+def _check_labels(y: np.ndarray) -> None:
+    if y.min() < 0 or y.max() > 1:
+        raise InvariantViolation(f"labels must be 0/1, got {np.unique(y).tolist()}")
+
+
 def _check_binary_training_data(X: np.ndarray, y: np.ndarray) -> None:
     if not np.isfinite(X).all():
         raise InvariantViolation("training matrix contains non-finite entries")
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise PreconditionError(f"need both classes, got only {classes.tolist()}")
-    if not np.isin(classes, (0, 1)).all():
-        raise InvariantViolation(f"labels must be 0/1, got {classes.tolist()}")
+    if y.size == 0 or y.min() == y.max():
+        raise PreconditionError(f"need both classes, got only {np.unique(y).tolist()}")
+    _check_labels(y)
 
 
 class LinearKind(Enum):
@@ -424,14 +428,12 @@ def train_tree(
         raise InvariantViolation("training matrix contains non-finite entries")
     if y.size < 2:
         raise PreconditionError(f"need at least 2 samples, got {y.size}")
-
-    def counts_of(labels: np.ndarray) -> np.ndarray:
-        return np.bincount(labels, minlength=2)[:2]
+    _check_labels(y)
 
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         labels = y[rows]
-        node = TreeNode(class_counts=counts_of(labels), depth=depth)
-        if depth >= max_depth or np.unique(labels).size < 2:
+        node = TreeNode(class_counts=np.bincount(labels, minlength=2), depth=depth)
+        if depth >= max_depth or labels.min() == labels.max():
             return node
         found = _best_split(X[rows], labels)
         if found is None:

@@ -38,18 +38,48 @@ def read(path):
     return path.read_text(encoding="utf-8")
 
 
-def run_fresh(argv, *python_flags):
-    """``gazelab argv`` in a fresh interpreter started with ``python_flags``,
-    where warnings would reach stderr."""
-    paths = [str(Path(gazelab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+def run_fresh(argv, *python_flags, env=os.environ, cwd=None):
+    """``gazelab argv`` in a fresh interpreter started with ``python_flags``
+    and the environment ``env``, where warnings would reach stderr."""
+    paths = [str(Path(gazelab.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "gazelab.cli", *argv],
         env=env,
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cav_writes_the_same_bytes_when_the_caller_sets_no_blas_threads(tmp_path):
+    """On 2 or more cores, OpenBLAS left to itself runs several threads,
+    and some of its products then give other last bits; at 400 x 512
+    that moves a ``cav`` axis. Importing gazelab pins one thread unless
+    the caller chose, so both runs below write the same bytes."""
+    labels, feats = make_linear_task(1, n=400, dim=512)
+    (tmp_path / "emb.bin").write_bytes(dump_embeddings(EmbeddingTable(feats), "binary"))
+    (tmp_path / "merged.jsonl").write_text(
+        "".join(
+            json.dumps(
+                {"clip": l.clip_id, "level": l.level.name, "concepts": [c.label for c in sorted(l.concepts)]}
+            )
+            + "\n"
+            for l in labels
+        )
+    )
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    outputs = []
+    for name, env in (("unset", unset), ("one", dict(unset, **dict.fromkeys(BLAS_THREAD_VARS, "1")))):
+        argv = ["cav", "emb.bin", "merged.jsonl", "--mode", "en-only", "--seed", "1", "--out", name]
+        proc = run_fresh(argv, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 class TestFuse:

@@ -17,9 +17,13 @@ declared and the digest updated on purpose.
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gazelab
 from gazelab import EmbeddingTable, ObjLevel, dump_embeddings, harness, train_mlp
 from gazelab.cli import main
 from synthfix import (
@@ -201,3 +205,23 @@ def test_eval_fits_each_train_row_once(tmp_path, monkeypatch):
     rows = (ObjLevel.EN, ObjLevel.HN)
     draws = [len(harness.balanced_train_sets(plan, ObjLevel.S, neg)) for neg in rows]
     assert len(calls) == sum(draws)
+
+
+def test_fitting_commands_never_import_numpy_ma(tmp_path):
+    """In numpy 2.x the first ``np.unique`` call imports ``numpy.ma``,
+    about 12 ms per process; no fitting command may pay for it."""
+    _write_inputs(tmp_path)
+    runs = [RUNS[name] for name in ("cav", "pcbm-dt", "pcbm-lr", "eval", "error")]
+    script = (
+        "import sys\n"
+        "from gazelab.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(gazelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Training kernels, metrics, and model serialization."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -371,6 +372,34 @@ class TestLogreg:
             train_logreg(X, y, l2=1e-3)
 
 
+#: Each binary trainer on (X, y), with its other settings fixed.
+BINARY_TRAINERS = {
+    "train_svm_stack": lambda X, y: train_svm_stack(X[None], y[None], (1.0,)),
+    "train_logreg": lambda X, y: train_logreg(X, y, l2=1e-3),
+    "train_mlp": lambda X, y: train_mlp(X, y, np.zeros((2, 2)), np.array([0, 1]), epochs=1),
+}
+
+
+class TestLabelChecks:
+    @pytest.mark.parametrize("trainer", list(BINARY_TRAINERS))
+    @pytest.mark.parametrize(
+        "labels, error, message",
+        [
+            ([], PreconditionError, "need both classes, got only []"),
+            ([1, 1, 1], PreconditionError, "need both classes, got only [1]"),
+            ([2, 2], PreconditionError, "need both classes, got only [2]"),
+            ([1, 2, 1], InvariantViolation, "labels must be 0/1, got [1, 2]"),
+            ([-1, 1, 1], InvariantViolation, "labels must be 0/1, got [-1, 1]"),
+            ([0, 2, 1, 0], InvariantViolation, "labels must be 0/1, got [0, 1, 2]"),
+        ],
+    )
+    def test_bad_labels_raise_before_any_fit(self, trainer, labels, error, message):
+        y = np.array(labels, dtype=np.int64)
+        X = np.arange(2.0 * y.size).reshape(y.size, 2)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            BINARY_TRAINERS[trainer](X, y)
+
+
 class TestTree:
     def test_threshold_feature_gives_depth_one(self):
         rng = np.random.default_rng(0)
@@ -383,8 +412,21 @@ class TestTree:
 
     def test_single_class_degenerates_to_leaf(self):
         X = np.arange(8.0).reshape(4, 2)
-        tree = train_tree(X, np.array([1, 1, 1, 1]), max_depth=3)
-        assert tree.root.is_leaf and tree.root.majority == 1
+        for label in (0, 1):
+            tree = train_tree(X, np.full(4, label), max_depth=3)
+            assert tree.root.is_leaf and tree.root.majority == label
+            assert tree.root.class_counts.tolist() == [4 * (1 - label), 4 * label]
+
+    @pytest.mark.parametrize(
+        "labels, shown", [([0, 2, 2, 0], "[0, 2]"), ([-1, 1, 1, -1], "[-1, 1]"), ([2, 2], "[2]")]
+    )
+    def test_labels_outside_zero_one_rejected(self, labels, shown):
+        # The two class counts hold no row labelled outside {0, 1}, so
+        # such a fit would ignore those rows.
+        X = np.arange(2.0 * len(labels)).reshape(len(labels), 2)
+        message = f"labels must be 0/1, got {shown}"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            train_tree(X, np.array(labels))
 
     def test_depth_cap_and_min_leaf(self):
         # Depth is the only growth limit; every split leaves at least one
