@@ -13,7 +13,14 @@ the seconds per epoch, and the sha256 of the returned model's parameters
 twice their dimension, so ``train_mlp`` trains their first layer as row
 coefficients and their digests move in the last bits with that form; the
 1,200 x 64 draw trains the weights themselves, and its digest must not
-depend on the checkout. BLAS runs on one thread.
+depend on the checkout. A last line times the whole ``eval --model mlp``
+grid (median of N runs of ``gazelab.cli.main``) on the inputs of the
+evaluate benchmark's seed 1, written by
+``perfbench/workloads.generate_evaluate`` into a temporary directory:
+1,000 clips at 512 dimensions, 3 EN draws and 1 HN draw. It prints the
+usable CPU count, since the grid fits its draws in one forked worker per
+usable CPU, and the sha256 of ``eval_report.json``, which must not
+depend on the checkout or the CPU count. BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -24,15 +31,17 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 
-from timing import times_s
+from timing import median_s, times_s
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
 SHAPES = ((304, 512), (582, 512), (1200, 64))
 VAL_ROWS, EPOCHS, BATCH = 80, 100, 32
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def main() -> None:
@@ -76,6 +85,32 @@ def main() -> None:
             "model_sha256": digest.hexdigest(),
         }
         print(json.dumps(row), flush=True)
+
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    from gazelab import cli
+
+    ((_, argv),) = workloads.stages_evaluate(1)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        os.chdir(root)
+        try:
+            shape = workloads.generate_evaluate(Path(root), seed=1)
+            eval_s, code = median_s(lambda: cli.main(argv), args.repeats)
+            if code != 0:
+                raise SystemExit(f"eval exited {code}")
+            report = Path(argv[argv.index("--out") + 1], "eval_report.json").read_bytes()
+        finally:
+            os.chdir(cwd)
+    row = {
+        "clips": shape["clips"],
+        "dim": shape["dim"],
+        "repeats": args.repeats,
+        "eval_s": eval_s,
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
+        "eval_report_sha256": hashlib.sha256(report).hexdigest(),
+    }
+    print(json.dumps(row), flush=True)
 
 
 if __name__ == "__main__":

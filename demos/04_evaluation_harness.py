@@ -39,7 +39,7 @@ def main():
         cfg = TaskConfig(
             train_negatives=train_neg, model=ModelKind.MLP, seed=3, mlp_epochs=120, mlp_lr=2e-2
         )
-        reports = run_task(cfg, labels, feats, TEST_NEGATIVE_SETS)
+        (reports,) = run_task([cfg], labels, feats, TEST_NEGATIVE_SETS)
         cells = [f"{r.mean_f1:.3f}({r.std_f1:.3f})" for r in reports]
         print(f"  {train_neg.name + ' vs S':14s} {cells[0]:>10s} {cells[1]:>12s}")
     print(f"  baselines for the EN test: {reports[0].baselines}")

@@ -380,7 +380,7 @@ def train_pcbm(
     if kind not in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
         raise InvariantViolation(f"kind must be PCBM_DT or PCBM_LR, got {kind}")
     cfg = TaskConfig(train_negatives=train_negatives, model=kind, seed=seed)
-    (report,) = run_task(cfg, labels, scores, [test_negatives])
+    ((report,),) = run_task([cfg], labels, scores, [test_negatives])
     return PcbmResult(model=report.models[-1], report=report)
 
 

@@ -334,7 +334,7 @@ def cmd_pcbm(args: argparse.Namespace) -> int:
     plan_task(cfg, labels, test_sets, emb)
     if cavs is None:
         cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
-    (report,) = run_task(cfg, labels, cbm_mod.score_table(emb, cavs), test_sets)
+    ((report,),) = run_task([cfg], labels, cbm_mod.score_table(emb, cavs), test_sets)
     model = report.models[-1]
     resolved = _resolved(args, seed=seed)
     out = Path(args.out)
@@ -377,10 +377,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         features = cbm_mod.score_table(emb, cavs)
 
     # Each row is fitted once and scored on both columns.
-    rows = {
-        cfg.train_negatives: run_task(cfg, labels, features, TEST_NEGATIVE_SETS)
-        for cfg in configs
-    }
+    reports_by_row = run_task(configs, labels, features, TEST_NEGATIVE_SETS)
+    rows = {cfg.train_negatives: cells for cfg, cells in zip(configs, reports_by_row)}
 
     resolved = _resolved(args, seed=seed)
     out = Path(args.out)

@@ -13,9 +13,10 @@ from each test composition.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Container, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Container, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -251,64 +252,113 @@ def plan_task(
     return train_sets, test_rows, val_row, test_sets
 
 
+def _rows(
+    features: Mapping[str, np.ndarray], pos: Sequence[str], neg: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked features of ``pos`` then ``neg``, labelled 1 and 0."""
+    X = np.stack([np.asarray(features[cid], dtype=np.float64) for cid in [*pos, *neg]])
+    return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
+
+
+#: The draw fits of the running pool, where its forked workers inherit
+#: them; empty while no pool runs.
+_pending_fits: list[Callable[[], tuple[Any, int | None]]] = []
+
+
+def _run_pending_fit(index: int) -> tuple[Any, int | None]:
+    """In a forked worker: run the inherited fit at ``index``."""
+    return _pending_fits[index]()
+
+
+def _fit_all(fits: list[Callable[[], tuple[Any, int | None]]], mlp: bool) -> list:
+    """The results of ``fits``, in order.
+
+    MLP fits of two or more draws run in a pool of forked workers, one
+    per usable CPU up to one per fit. The fits reach the workers through
+    the fork; only an index goes down the pipe and only the result comes
+    back. Every draw has its own seed, so where it runs cannot change its
+    bits. Tree and logistic fits take milliseconds and run in-process, as
+    every fit does on one CPU or where fork is missing.
+    """
+    global _pending_fits
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(fits), cpus)
+    if mlp and workers >= 2:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            _pending_fits = fits
+            try:
+                futures = [pool.submit(_run_pending_fit, i) for i in range(len(fits))]
+                # In draw order, so the first failing draw raises, as in-process.
+                return [future.result() for future in futures]
+            finally:
+                # Cancel the fits not started yet and wait for every worker to exit.
+                pool.shutdown(cancel_futures=True)
+                _pending_fits = []
+    return [fit() for fit in fits]
+
+
 def run_task(
-    cfg: TaskConfig,
+    configs: Sequence[TaskConfig],
     labels: Sequence[ClipLabel],
     features: Mapping[str, np.ndarray],
     test_sets: Sequence[frozenset[ObjLevel]],
-) -> tuple[EvalReport, ...]:
-    """Evaluate one train row on each of ``test_sets``.
+) -> tuple[tuple[EvalReport, ...], ...]:
+    """Evaluate each train row of ``configs`` on each of ``test_sets``.
 
     ``features`` maps clip ids to vectors (an EmbeddingTable for the
     MLP, concept-subspace coordinates for the interpretable models).
-    Each balanced draw's model is fitted once and scored on every test
-    set; all draws share the identical test fold. One report per test
-    set, in ``test_sets`` order, carries per-draw F1, their mean and
-    standard deviation, the model fitted on each draw, and the
+    Every row is planned and checked before anything is fitted. Each
+    balanced draw's model is fitted once and scored on every test set;
+    all draws of a row share the identical test fold. One tuple of
+    reports per row, in ``configs`` order, holds one report per test
+    set, in ``test_sets`` order; each carries per-draw F1, their mean
+    and standard deviation, the model fitted on each draw, and the
     closed-form random / all-positive baselines for that test
-    composition.
+    composition. The draws of all rows are fitted together, in forked
+    workers when they are MLP draws (see ``_fit_all``).
     """
-    train_sets, test_rows, val_row, test_sets = plan_task(cfg, labels, test_sets, features)
+    plans = [plan_task(cfg, labels, test_sets, features) for cfg in configs]
+    fits = []
+    for cfg, (train_sets, _, val_row, _) in zip(configs, plans):
+        val = _rows(features, *val_row)
+        for draw_index, draw in enumerate(train_sets):
 
-    def xy(pos: Sequence[str], neg: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked features of ``pos`` then ``neg``, labelled 1 and 0."""
-        X = np.stack([np.asarray(features[cid], dtype=np.float64) for cid in [*pos, *neg]])
-        return X, np.array([1] * len(pos) + [0] * len(neg), dtype=np.int64)
+            def fit(cfg=cfg, draw=draw, val=val, draw_seed=derive_seed(cfg.seed, 1, draw_index)):
+                return _train_for_draw(cfg, *_rows(features, *draw), *val, draw_seed)
 
-    tests = [xy(*row) for row in test_rows]
-    X_val, y_val = xy(*val_row)
+            fits.append(fit)
+    results = iter(_fit_all(fits, all(cfg.model is ModelKind.MLP for cfg in configs)))
 
-    models, kept_epochs = [], []
-    draw_f1: list[list[float]] = [[] for _ in test_sets]
-    for draw_index, (pos_ids, neg_ids) in enumerate(train_sets):
-        draw_seed = derive_seed(cfg.seed, 1, draw_index)
-        X_train, y_train = xy(pos_ids, neg_ids)
-        model, kept_epoch = _train_for_draw(cfg, X_train, y_train, X_val, y_val, draw_seed)
-        models.append(model)
-        kept_epochs.append(kept_epoch)
-        for (X_test, y_test), row in zip(tests, draw_f1):
-            row.append(f1(model.predict(X_test), y_test).f1)
-
-    reports = []
-    for test_negatives, (_, y_test), row in zip(test_sets, tests, draw_f1):
-        f_data = int(y_test.sum()) / len(y_test)
-        reports.append(
-            EvalReport(
-                mean_f1=float(np.mean(row)),
-                std_f1=float(np.std(row)),
-                per_draw_f1=tuple(row),
-                baselines={
-                    "random": trivial_baseline_f1(f_data, 0.5),
-                    "all_positive": trivial_baseline_f1(f_data, 1.0),
-                },
-                config=cfg,
-                test_negatives=test_negatives,
-                models=tuple(models),
-                test_positive_fraction=f_data,
-                kept_epochs=tuple(kept_epochs) if cfg.model is ModelKind.MLP else None,
+    rows = []
+    for cfg, (train_sets, test_rows, _, test_sets) in zip(configs, plans):
+        models, kept_epochs = zip(*(next(results) for _ in train_sets))
+        reports = []
+        for test_negatives, test_row in zip(test_sets, test_rows):
+            X_test, y_test = _rows(features, *test_row)
+            row = [f1(model.predict(X_test), y_test).f1 for model in models]
+            f_data = int(y_test.sum()) / len(y_test)
+            reports.append(
+                EvalReport(
+                    mean_f1=float(np.mean(row)),
+                    std_f1=float(np.std(row)),
+                    per_draw_f1=tuple(row),
+                    baselines={
+                        "random": trivial_baseline_f1(f_data, 0.5),
+                        "all_positive": trivial_baseline_f1(f_data, 1.0),
+                    },
+                    config=cfg,
+                    test_negatives=test_negatives,
+                    models=models,
+                    test_positive_fraction=f_data,
+                    kept_epochs=kept_epochs if cfg.model is ModelKind.MLP else None,
+                )
             )
-        )
-    return tuple(reports)
+        rows.append(tuple(reports))
+    return tuple(rows)
 
 
 # --- error-factor analysis ---------------------------------------------------

@@ -579,6 +579,9 @@ def train_mlp(
     X_val = np.asarray(X_val, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     _check_binary_training_data(X, y)
+    y_val = np.asarray(y_val, dtype=np.int64)
+    if y_val.size:
+        _check_labels(y_val)
     n, dim = X.shape
     rng = np.random.default_rng(seed)
     model = init_mlp(dim, seed)
@@ -663,6 +666,10 @@ def f1(preds: Sequence[int], labels: Sequence[int]) -> Metrics:
     fp = int(((p == 1) & (t == 0)).sum())
     fn = int(((p == 0) & (t == 1)).sum())
     tn = int(((p == 0) & (t == 0)).sum())
+    if tp + fp + fn + tn != p.size:
+        raise InvariantViolation(
+            f"predictions and labels must be 0/1, got {np.unique([p, t]).tolist()}"
+        )
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -936,10 +937,18 @@ class TestMalformedInputs:
 
     def test_missing_feature_is_found_before_fitting(self, tmp_path, capsys, monkeypatch):
         # A clip that only the EN row's last draw trains on has no
-        # embedding: eval names it before it fits the first draw.
-        calls = []
+        # embedding: eval names it before it fits the first draw. Draws may
+        # be fitted in forked workers, so each call appends a line to a file.
+        calls = tmp_path / "calls"
+        calls.touch()
         fit = harness.train_mlp
-        monkeypatch.setattr(harness, "train_mlp", lambda *a, **k: calls.append(a) or fit(*a, **k))
+
+        def counting(*args, **kwargs):
+            with open(calls, "a") as f:
+                f.write("train_mlp\n")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_mlp", counting)
         emb_path, labels_path = self._pcbm_inputs(tmp_path)
         labels, emb = make_linear_task(0, n=100, dim=4)
         cfg = TaskConfig(ObjLevel.EN, ModelKind.MLP, seed=1)
@@ -952,7 +961,7 @@ class TestMalformedInputs:
         argv = ["eval", emb_path, labels_path, "--model", "mlp", "--epochs", "1"]
         err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 4)
         assert err == f"error: no embedding for clip {missing!r}\n"
-        assert calls == []
+        assert calls.read_text() == ""
 
     @staticmethod
     def _clip_to_leave_out(labels, role):
@@ -1136,6 +1145,14 @@ class TestMalformedInputs:
         """``gazelab argv --seed 1`` in a fresh interpreter, where numpy's
         warnings would reach stderr."""
         return run_fresh([*argv, "--seed", "1", "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("lr, code", [("0.02", 0), ("1e308", 5)])
+    def test_eval_leaves_no_worker_running(self, tmp_path, capsys, lr, code):
+        # The MLP draws may be fitted in forked workers; none outlives
+        # the command, whether it succeeds or a draw diverges.
+        argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", "mlp", "--epochs", "4", "--lr", lr]
+        assert main([*argv, "--seed", "1", "--out", str(tmp_path / "o")]) == code
+        assert multiprocessing.active_children() == []
 
     def test_divergence_prints_one_line(self, tmp_path):
         # The diverging run must print only its error.

@@ -189,11 +189,16 @@ def test_output_fingerprints(digests, name):
 
 
 def test_eval_fits_each_train_row_once(tmp_path, monkeypatch):
-    """One ``train_mlp`` call per balanced draw of the EN and HN rows."""
-    calls = []
+    """One ``train_mlp`` call per balanced draw of the EN and HN rows.
+
+    The draws may be fitted in forked workers, so each call is counted as
+    a line in a file, which a worker appends to as the test process does."""
+    calls = tmp_path / "calls"
+    calls.touch()
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        with open(calls, "a") as f:
+            f.write("train_mlp\n")
         return train_mlp(*args, **kwargs)
 
     monkeypatch.setattr(harness, "train_mlp", counting)
@@ -204,7 +209,7 @@ def test_eval_fits_each_train_row_once(tmp_path, monkeypatch):
     plan = harness.make_folds_from_ids(ids_by_level(labels), seed=6)
     rows = (ObjLevel.EN, ObjLevel.HN)
     draws = [len(harness.balanced_train_sets(plan, ObjLevel.S, neg)) for neg in rows]
-    assert len(calls) == sum(draws)
+    assert len(calls.read_text().splitlines()) == sum(draws)
 
 
 def test_fitting_commands_never_import_numpy_ma(tmp_path):
@@ -219,9 +224,41 @@ def test_fitting_commands_never_import_numpy_ma(tmp_path):
         "    assert main(argv) == 0, argv\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
+    proc = _run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_script(script, cwd, *args):
+    """``python -c script *args`` in ``cwd``, importing this gazelab."""
     src = str(Path(gazelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_eval_bytes_do_not_depend_on_the_worker_count(tmp_path):
+    """``eval --model mlp`` fits its draws in one forked worker per usable
+    CPU, and in-process on one CPU; both write the recorded bytes."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2:
+        pytest.skip(f"{cpus} usable CPU: both runs would fit the draws in-process")
+    script = (
+        "import os, sys\n"
+        "if sys.argv[1] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from gazelab.cli import main\n"
+        f"sys.exit(main({RUNS['eval']!r}))\n"
+    )
+    outputs = {}
+    for cpus in ("one", "all"):
+        root = tmp_path / cpus
+        root.mkdir()
+        _write_inputs(root)
+        proc = _run_script(script, root, cpus)
+        assert proc.returncode == 0, proc.stderr
+        outputs[cpus] = {name: (root / "eval" / name).read_bytes() for name in EXPECTED["eval"]}
+    assert outputs["one"] == outputs["all"]
+    assert {
+        name: hashlib.sha256(data).hexdigest() for name, data in outputs["all"].items()
+    } == EXPECTED["eval"]

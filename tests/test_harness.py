@@ -1,5 +1,10 @@
 """Folds, balanced draws, task evaluation, and error factors."""
 
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -17,7 +22,8 @@ from gazelab import (
     run_task,
     trivial_baseline_f1,
 )
-from gazelab.errors import InvariantViolation, PreconditionError
+from gazelab import harness
+from gazelab.errors import InvariantViolation, NumericError, PreconditionError
 from gazelab.harness import derive_seed
 from synthfix import ids_by_level, make_error_fixture, make_linear_task
 
@@ -133,7 +139,7 @@ class TestRunTask:
                 mlp_epochs=120,
                 mlp_lr=2e-2,
             )
-            reports = run_task(cfg, labels, feats, TEST_NEGATIVE_SETS)
+            (reports,) = run_task([cfg], labels, feats, TEST_NEGATIVE_SETS)
             assert [r.test_negatives for r in reports] == [EN_ONLY, EN_HN]
             assert all(r.mean_f1 >= 0.95 for r in reports)
             # One kept epoch per draw, shared by the test sets of its fit.
@@ -144,27 +150,27 @@ class TestRunTask:
     def test_test_sets_share_fitted_models(self):
         labels, feats = make_linear_task(4, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=8)
-        narrow, wide = run_task(cfg, labels, feats, [EN_ONLY, EN_HN])
+        ((narrow, wide),) = run_task([cfg], labels, feats, [EN_ONLY, EN_HN])
         assert len(narrow.models) == len(wide.models) >= 2
         for a, b in zip(narrow.models, wide.models):
             assert a is b
         assert wide.test_positive_fraction < narrow.test_positive_fraction
         assert narrow.to_json()["config"]["test_negatives"] == ["EN"]
         assert wide.to_json()["config"]["test_negatives"] == ["EN", "HN"]
-        (alone,) = run_task(cfg, labels, feats, [EN_HN])
+        ((alone,),) = run_task([cfg], labels, feats, [EN_HN])
         assert alone.to_json() == wide.to_json()
         assert wide.kept_epochs is None and "kept_epoch" not in wide.to_json()
 
     def test_all_draws_share_identical_test_set(self):
         labels, feats = make_linear_task(1, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=5)
-        (report,) = run_task(cfg, labels, feats, [EN_ONLY])
+        ((report,),) = run_task([cfg], labels, feats, [EN_ONLY])
         assert_each_draw_scored_on_held_out(report, labels, feats)
 
     def test_per_draw_f1_recomputable_from_predictions(self):
         labels, feats = make_linear_task(2, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_DT, seed=6)
-        (report,) = run_task(cfg, labels, feats, [EN_HN])
+        ((report,),) = run_task([cfg], labels, feats, [EN_HN])
         assert_each_draw_scored_on_held_out(report, labels, feats)
 
     def test_trivial_models_reproduce_baselines(self):
@@ -182,7 +188,7 @@ class TestRunTask:
                 labels.append(ClipLabel(cid, level, concepts))
                 feats[cid] = rng.normal(0, 1, 4)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=17)
-        (rep,) = run_task(cfg, labels, feats, [EN_HN])
+        ((rep,),) = run_task([cfg], labels, feats, [EN_HN])
         _, truths = held_out(labels, feats, 17, EN_HN)
         always = f1(np.ones(len(truths), dtype=np.int64), truths).f1
         assert always == pytest.approx(
@@ -200,7 +206,7 @@ class TestRunTask:
     def test_baselines_use_test_composition(self):
         labels, feats = make_linear_task(3, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.HN, model=ModelKind.PCBM_LR, seed=2)
-        (report,) = run_task(cfg, labels, feats, [EN_ONLY])
+        ((report,),) = run_task([cfg], labels, feats, [EN_ONLY])
         assert report.baselines["all_positive"] == pytest.approx(
             trivial_baseline_f1(report.test_positive_fraction, 1.0)
         )
@@ -212,7 +218,7 @@ class TestRunTask:
         labels = labels_of(20, 20) + [ClipLabel("n0", ObjLevel.NS, frozenset({Concept.BODY}))]
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=0)
         with pytest.raises(PreconditionError):
-            run_task(cfg, labels, {}, [EN_ONLY])
+            run_task([cfg], labels, {}, [EN_ONLY])
 
     def test_task_config_validation(self):
         with pytest.raises(InvariantViolation):
@@ -221,7 +227,7 @@ class TestRunTask:
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.MLP, seed=0)
         for test_sets in ([frozenset({ObjLevel.HN})], [EN_ONLY, frozenset()], []):
             with pytest.raises(InvariantViolation):
-                run_task(cfg, [], {}, test_sets)
+                run_task([cfg], [], {}, test_sets)
 
     def test_draw_seeds_stable_under_extension(self):
         # Adding draws must never perturb earlier ones.
@@ -229,6 +235,117 @@ class TestRunTask:
         later = [derive_seed(42, 1, i) for i in range(6)]
         assert later[:3] == early
 
+
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_two_cpus = pytest.mark.skipif(
+    USABLE_CPUS < 2, reason=f"{USABLE_CPUS} usable CPU: every draw is fitted in-process"
+)
+
+
+class TestDrawPool:
+    """The MLP draws of all rows are fitted in forked workers, one per
+    usable CPU; on one CPU, and for the other models, in-process."""
+
+    @staticmethod
+    def grid(model=ModelKind.MLP):
+        labels, feats = make_linear_task(0, n=300, dim=8)
+        configs = [
+            TaskConfig(neg, model, seed=3, mlp_epochs=6, mlp_lr=2e-2)
+            for neg in (ObjLevel.EN, ObjLevel.HN)
+        ]
+        return configs, labels, feats
+
+    @staticmethod
+    def log_fits(tmp_path, monkeypatch, fit):
+        """Patch every fit of ``run_task`` to ``fit`` and log the process
+        and seed of each call, one line each, from any process."""
+        log = tmp_path / "fits"
+        log.touch()
+
+        def logged(name):
+            def call(*args, **kwargs):
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {name} {kwargs.get('seed')}\n")
+                return fit(*args, **kwargs)
+
+            return call
+
+        for name in ("train_mlp", "train_tree", "train_logreg"):
+            monkeypatch.setattr(harness, name, logged(name))
+        return lambda: [line.split() for line in log.read_text().splitlines()]
+
+    @needs_two_cpus
+    def test_pool_fits_every_mlp_draw_of_both_rows_outside_the_parent(self, tmp_path, monkeypatch):
+        configs, labels, feats = self.grid()
+        fits = self.log_fits(tmp_path, monkeypatch, harness.train_mlp)
+        pooled = run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        seeds = [
+            str(derive_seed(cfg.seed, 1, i))
+            for cfg, cells in zip(configs, pooled)
+            for i in range(len(cells[0].models))
+        ]
+        assert len(pooled[0][0].models) >= 2
+        assert sorted(seed for _, _, seed in fits()) == sorted(seeds)
+        assert str(os.getpid()) not in {pid for pid, _, _ in fits()}
+        assert multiprocessing.active_children() == []
+
+        # On one usable CPU the same fits run in-process, in draw order,
+        # and give the same bits; so does each row on its own.
+        log = tmp_path / "fits"
+        log.write_text("")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        in_process = run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        assert fits() == [[str(os.getpid()), "train_mlp", seed] for seed in seeds]
+        by_row = [run_task([cfg], labels, feats, TEST_NEGATIVE_SETS)[0] for cfg in configs]
+        for other in (in_process, by_row):
+            for cells, other_cells in zip(pooled, other):
+                for report, other_report in zip(cells, other_cells):
+                    assert report.to_json() == other_report.to_json()
+                    for model, other_model in zip(report.models, other_report.models):
+                        for name in ("w1", "b1", "w2", "b2"):
+                            assert np.array_equal(getattr(model, name), getattr(other_model, name))
+
+    @pytest.mark.parametrize("model", [ModelKind.PCBM_DT, ModelKind.PCBM_LR])
+    def test_tree_and_logistic_draws_stay_in_process(self, tmp_path, monkeypatch, model):
+        configs, labels, feats = self.grid(model)
+        fit = {ModelKind.PCBM_DT: harness.train_tree, ModelKind.PCBM_LR: harness.train_logreg}[model]
+        fits = self.log_fits(tmp_path, monkeypatch, fit)
+        rows = run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        assert len(fits()) == sum(len(cells[0].models) for cells in rows) >= 2
+        assert {pid for pid, _, _ in fits()} == {str(os.getpid())}
+
+    @needs_two_cpus
+    def test_first_failing_draw_in_draw_order_raises(self, tmp_path, monkeypatch):
+        # Draw 0 fails last; its error is the one raised, as in-process,
+        # and no worker outlives the run.
+        configs, labels, feats = self.grid()
+        first = derive_seed(configs[0].seed, 1, 0)
+
+        def diverge(*args, seed, **kwargs):
+            if seed == first:
+                time.sleep(0.3)
+            raise NumericError(f"draw with seed {seed} diverged")
+
+        fits = self.log_fits(tmp_path, monkeypatch, diverge)
+        with pytest.raises(NumericError, match=f"^draw with seed {first} diverged$"):
+            run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        assert str(first) in {seed for _, _, seed in fits()}
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_a_worker_that_dies_breaks_the_run(self, monkeypatch):
+        configs, labels, feats = self.grid()
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("an MLP draw was fitted in the parent")
+            os._exit(1)
+
+        monkeypatch.setattr(harness, "train_mlp", die)
+        with pytest.raises(BrokenProcessPool):
+            run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        assert multiprocessing.active_children() == []
 
 class TestErrorFactors:
     def test_hn_failures_get_negative_weight(self):

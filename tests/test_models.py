@@ -546,6 +546,16 @@ class TestMlp:
             assert result.epoch_losses == []
             assert result.kept_epoch == 0
 
+    @pytest.mark.parametrize("y_val, shown", [([0, 2, 2, 5], "[0, 2, 5]"), ([1, -1, 0, 1], "[-1, 0, 1]")])
+    def test_validation_labels_outside_zero_one_rejected(self, y_val, shown):
+        # The kept epoch is chosen on validation F1, which would ignore
+        # these rows; they are rejected before the first epoch.
+        X, y = blobs(0, dim=8)
+        message = f"labels must be 0/1, got {shown}"
+        for epochs in (0, 2):
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+                train_mlp(X, y, X[:4], np.array(y_val), epochs=epochs)
+
     def test_blobs_within_fifty_epochs(self):
         X, y = blobs(0, dim=8)
         Xte, yte = blobs(1, dim=8)
@@ -721,6 +731,17 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(PreconditionError, match="2 predictions vs 1 labels"):
             f1([1, 0], [1])
+
+    @pytest.mark.parametrize(
+        "preds, labels, shown",
+        [([1, 1], [2, 5], "[1, 2, 5]"), ([2, 0, 1], [1, 0, 1], "[0, 1, 2]"), ([0], [-1], "[-1, 0]")],
+    )
+    def test_values_outside_zero_one_rejected(self, preds, labels, shown):
+        # A row outside {0, 1} falls in none of the four counts, so the
+        # score would silently ignore it.
+        message = f"predictions and labels must be 0/1, got {shown}"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            f1(preds, labels)
 
 
 class TestTrivialBaseline:
