@@ -3,7 +3,8 @@
 Subcommands: ``fuse``, ``gamma``, ``stats``, ``cav``, ``pcbm``,
 ``eval``, ``error``. Exit codes: 2 for parse errors (including file
 errors), 3 for invariant violations, 4 for precondition failures, 5 for
-numerical divergence. ``cav``, ``pcbm`` and ``eval`` require a seed,
+numerical divergence, 1 for any other package error (a worker process
+that died). ``cav``, ``pcbm`` and ``eval`` require a seed,
 either via ``--seed`` or the ``OBY_SEED`` environment variable; every
 run is fully reproducible. Every CSV and JSON report records the run's
 resolved configuration (``_resolved``), never a timestamp: in a
@@ -34,7 +35,9 @@ from .core import (
     parse_clip_index,
     read_rows,
 )
-from .errors import InvariantError, MalformedRecord, NumericError, ParseError, PreconditionError
+from .errors import (
+    GazeLabError, InvariantError, MalformedRecord, NumericError, ParseError, PreconditionError
+)
 from .harness import (
     FACTOR_NAMES,
     TEST_NEGATIVE_SETS,
@@ -50,8 +53,11 @@ from .stats import summarize, summary_rows, task_class_fractions
 SEED_ENV_VAR = "OBY_SEED"
 
 #: Exit code of each error class that ends a command with a one-line message.
+#: Any other ``GazeLabError``, such as a dead worker process, exits 1; it
+#: comes last, so each class above keeps its own code.
 EXIT_CODES = {
-    ParseError: 2, OSError: 2, InvariantError: 3, PreconditionError: 4, NumericError: 5
+    ParseError: 2, OSError: 2, InvariantError: 3, PreconditionError: 4, NumericError: 5,
+    GazeLabError: 1,
 }
 
 

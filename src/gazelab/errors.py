@@ -2,10 +2,11 @@
 
 Four categories mirror the CLI exit-code scheme: parse failures (2),
 domain-invariant violations (3), precondition failures (4) and
-numerical breakdowns (5). A check raises its category directly, with a
-message that names its subject; a subclass exists only for fields that
-a caller reads (``core.read_rows`` reads the ``reason`` and ``line`` of
-the two below).
+numerical breakdowns (5). The base class itself is raised only for a
+fault outside the inputs (a worker process that died), and exits 1. A
+check raises its category directly, with a message that names its
+subject; a subclass exists only for fields that a caller reads
+(``core.read_rows`` reads the ``reason`` and ``line`` of the two below).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Any, Callable, Container, Hashable, Iterable, Mapping, Sequen
 import numpy as np
 
 from .core import CONCEPTS, ClipLabel, ObjLevel
-from .errors import InvariantViolation, PreconditionError
+from .errors import GazeLabError, InvariantViolation, PreconditionError
 from .models import (
     check_mlp_settings,
     f1,
@@ -277,8 +277,9 @@ def _fit_all(fits: list[Callable[[], tuple[Any, int | None]]], mlp: bool) -> lis
     per usable CPU up to one per fit. The fits reach the workers through
     the fork; only an index goes down the pipe and only the result comes
     back. Every draw has its own seed, so where it runs cannot change its
-    bits. Tree and logistic fits take milliseconds and run in-process, as
-    every fit does on one CPU or where fork is missing.
+    bits. A worker that dies raises ``GazeLabError``. Tree and logistic
+    fits take milliseconds and run in-process, as every fit does on one
+    CPU or where fork is missing.
     """
     global _pending_fits
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -286,6 +287,7 @@ def _fit_all(fits: list[Callable[[], tuple[Any, int | None]]], mlp: bool) -> lis
     if mlp and workers >= 2:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
@@ -294,6 +296,10 @@ def _fit_all(fits: list[Callable[[], tuple[Any, int | None]]], mlp: bool) -> lis
                 futures = [pool.submit(_run_pending_fit, i) for i in range(len(fits))]
                 # In draw order, so the first failing draw raises, as in-process.
                 return [future.result() for future in futures]
+            except BrokenProcessPool:
+                raise GazeLabError(
+                    "a worker process fitting the MLP draws died; no output was written"
+                ) from None
             finally:
                 # Cancel the fits not started yet and wait for every worker to exit.
                 pool.shutdown(cancel_futures=True)

@@ -530,8 +530,10 @@ def mlp_gradient(
 @dataclass
 class MlpTrainResult:
     """The kept model, the 1-based epoch it was kept after (0 for the
-    initialization) and, per epoch, the batch-size-weighted mean of the
-    mini-batch losses, each taken just before that batch's update."""
+    initialization) and, per epoch run, the batch-size-weighted mean of
+    the mini-batch losses, each taken just before that batch's update.
+    A run that stops at a perfect validation F1 holds ``kept_epoch``
+    losses."""
     model: MlpModel
     kept_epoch: int = 0
     epoch_losses: list[float] = field(default_factory=list)
@@ -563,9 +565,14 @@ def train_mlp(
     Shuffling and initialization are driven by ``seed``; the result is
     bit-identical across runs. The returned model is the parameters
     after the first epoch with the best F1 on ``(X_val, y_val)``; zero
-    epochs returns the initialization. ``NumericError`` is raised after
-    the first epoch with a non-finite mini-batch loss or validation
-    probability (the latter catches the run's last update).
+    epochs returns the initialization. ``epochs`` is a cap: the run
+    stops right after keeping an epoch whose validation F1 is 1.0, since
+    F1 never exceeds 1.0 and no later epoch could be kept, so the model
+    and ``kept_epoch`` are those of the full run. ``NumericError`` is
+    raised after the first epoch with a non-finite mini-batch loss or
+    validation probability (the latter catches the run's last update);
+    the stop comes after that check, so every epoch run is checked, but
+    a run that would diverge only after its perfect epoch returns.
 
     Every step adds ``X[idx].T @ dz1`` to ``w1``, so ``w1`` stays
     ``w1_0 + X.T @ a`` for row coefficients ``a``. A step in ``a`` costs
@@ -627,6 +634,8 @@ def train_mlp(
             best_f1 = score
             kept = [p.copy() for p in params]
             result.kept_epoch = epoch + 1
+            if score >= 1.0:  # no later epoch can score higher, so none is kept
+                break
     if kept is not None:
         if by_rows:
             kept[0] = model.w1 + X.T @ kept[0]

@@ -1154,6 +1154,29 @@ class TestMalformedInputs:
         assert main([*argv, "--seed", "1", "--out", str(tmp_path / "o")]) == code
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="the draws run in-process"
+    )
+    def test_eval_with_a_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A worker killed mid-fit (by the out-of-memory killer, say) ends
+        # the command with one line and exit 1, and nothing is written.
+        # Two usable CPUs are claimed so that the draws go to the pool.
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("an MLP draw was fitted in the parent")
+            os._exit(9)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(harness, "train_mlp", die)
+        out = tmp_path / "o"
+        argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", "mlp", "--epochs", "4"]
+        err = self._exits(argv + ["--seed", "1", "--out", str(out)], capsys, 1)
+        assert err == "error: a worker process fitting the MLP draws died; no output was written\n"
+        assert not (out / "eval_report.json").exists()
+        assert multiprocessing.active_children() == []
+
     def test_divergence_prints_one_line(self, tmp_path):
         # The diverging run must print only its error.
         argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", "mlp", "--lr", "1e308"]

@@ -1,9 +1,10 @@
 """Folds, balanced draws, task evaluation, and error factors."""
 
+import hashlib
+import json
 import multiprocessing
 import os
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gazelab import (
     trivial_baseline_f1,
 )
 from gazelab import harness
-from gazelab.errors import InvariantViolation, NumericError, PreconditionError
+from gazelab.errors import GazeLabError, InvariantViolation, NumericError, PreconditionError
 from gazelab.harness import derive_seed
 from synthfix import ids_by_level, make_error_fixture, make_linear_task
 
@@ -305,6 +306,45 @@ class TestDrawPool:
                         for name in ("w1", "b1", "w2", "b2"):
                             assert np.array_equal(getattr(model, name), getattr(other_model, name))
 
+    @pytest.mark.parametrize(
+        "dim, noise, digest",
+        [
+            (8, 1.0, "9e2e706001fa851dcae65d5c3ba1d1016c224a2bb79e23ecbdd3c696ada6823e"),
+            (64, 0.25, "84f708c32b2fdcbf0b5ed01ed8cecc45ecddd31ec043a414e15da522bfbca094"),
+        ],
+        ids=["weights", "rows"],
+    )
+    def test_draws_stop_at_a_perfect_epoch_and_keep_their_reports(
+        self, monkeypatch, dim, noise, digest
+    ):
+        # The digests of every report and model were recorded when every
+        # draw ran all 40 epochs. Now a draw whose validation F1 reaches
+        # 1.0 stops there; the others still run all 40.
+        labels, feats = make_linear_task(0, n=300, dim=dim, noise=noise)
+        configs = [
+            TaskConfig(neg, ModelKind.MLP, seed=3, mlp_epochs=40) for neg in (ObjLevel.EN, ObjLevel.HN)
+        ]
+        fit, runs = harness.train_mlp, []
+
+        def counted(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            runs.append((result.kept_epoch, len(result.epoch_losses)))
+            return result
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness, "train_mlp", counted)
+        rows = run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        assert sum(ran for _, ran in runs) < 40 * len(runs)
+        assert all(ran == kept for kept, ran in runs if ran < 40)
+        sha = hashlib.sha256()
+        for cells in rows:
+            for report in cells:
+                sha.update(json.dumps(report.to_json(), sort_keys=True).encode())
+            for model in cells[0].models:
+                for name in ("w1", "b1", "w2", "b2"):
+                    sha.update(getattr(model, name).tobytes())
+        assert sha.hexdigest() == digest
+
     @pytest.mark.parametrize("model", [ModelKind.PCBM_DT, ModelKind.PCBM_LR])
     def test_tree_and_logistic_draws_stay_in_process(self, tmp_path, monkeypatch, model):
         configs, labels, feats = self.grid(model)
@@ -343,8 +383,10 @@ class TestDrawPool:
             os._exit(1)
 
         monkeypatch.setattr(harness, "train_mlp", die)
-        with pytest.raises(BrokenProcessPool):
+        message = "a worker process fitting the MLP draws died; no output was written"
+        with pytest.raises(GazeLabError) as raised:
             run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        assert type(raised.value) is GazeLabError and str(raised.value) == message
         assert multiprocessing.active_children() == []
 
 class TestErrorFactors:

@@ -611,6 +611,61 @@ class TestMlp:
                 warnings.simplefilter("error")
                 train_mlp(X, y, X, y, epochs=1, lr=1e308, batch=len(y))
 
+    def test_divergence_with_epochs_left_raises_in_epoch_1(self):
+        # Every epoch run is checked before the run may stop at a perfect
+        # validation F1.
+        for X, y in (blobs(3, n_per=20), coefficient_draw(3)):
+            with pytest.raises(NumericError, match="^training diverged in epoch 1; "):
+                train_mlp(X, y, X, y, epochs=5, lr=1e308, batch=len(y))
+
+    @staticmethod
+    def separable_draw(by_rows):
+        """A draw, its validation rows and a rate at which the validation F1
+        first reaches 1.0 at epoch 12 (44 x 64, row coefficients) or 10
+        (40 x 4, weights) of 30."""
+        if by_rows:
+            draw = (*blobs(4, n_per=22, dim=64, center=0.5), *blobs(6, n_per=22, dim=64, center=0.5))
+            return draw, 5e-3
+        return (*blobs(4, n_per=20, center=1.5), *blobs(8, n_per=20, center=1.5)), 1e-3
+
+    @pytest.mark.parametrize("by_rows", [False, True], ids=["weights", "rows"])
+    def test_stops_after_the_first_perfect_validation_epoch(self, by_rows):
+        # No epoch after a validation F1 of 1.0 can be kept, so the run
+        # stops there and returns what the full run would: the replay's
+        # first best epoch over all 30 epochs.
+        (X, y, Xv, yv), lr = self.separable_draw(by_rows)
+        epochs, batch, seed = 30, 8, 0
+        result = train_mlp(X, y, Xv, yv, epochs=epochs, lr=lr, batch=batch, seed=seed)
+        after_epoch, losses, scores = replay_mlp(X, y, Xv, yv, epochs, lr, batch, seed)
+        k = scores.index(1.0) + 1
+        assert 1 < k < epochs and scores.index(max(scores)) == k - 1
+        assert len(result.epoch_losses) == result.kept_epoch == k
+        stopped = train_mlp(X, y, Xv, yv, epochs=k, lr=lr, batch=batch, seed=seed)
+        assert stopped.kept_epoch == k and stopped.epoch_losses == result.epoch_losses
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(result.model, name), getattr(stopped.model, name))
+            if by_rows:
+                np.testing.assert_allclose(
+                    getattr(result.model, name), getattr(after_epoch[k - 1], name), rtol=1e-10
+                )
+            else:
+                assert np.array_equal(getattr(result.model, name), getattr(after_epoch[k - 1], name))
+        if by_rows:
+            np.testing.assert_allclose(result.epoch_losses, losses[:k], rtol=1e-10)
+        else:
+            assert result.epoch_losses == losses[:k]
+
+    @pytest.mark.parametrize("by_rows", [False, True], ids=["weights", "rows"])
+    def test_runs_every_epoch_below_a_perfect_validation_f1(self, by_rows):
+        if by_rows:
+            (X, y), (Xv, yv) = coefficient_draw(4), coefficient_draw(6)
+        else:
+            (X, y), (Xv, yv) = blobs(4, n_per=20, center=0.6), blobs(8, n_per=20, center=0.6)
+        epochs, lr, batch, seed = 12, 5e-3, 8, 0
+        result = train_mlp(X, y, Xv, yv, epochs=epochs, lr=lr, batch=batch, seed=seed)
+        assert max(replay_mlp(X, y, Xv, yv, epochs, lr, batch, seed)[2]) < 1.0
+        assert len(result.epoch_losses) == epochs > result.kept_epoch
+
     @pytest.mark.parametrize(
         "setting, message",
         [
