@@ -5,11 +5,9 @@
 Imports gazelab from ``DIR`` (default: this checkout's ``src/``). Per
 shape it builds a seeded draw (half positives shifted by 0.05 on every
 axis) and 80 validation rows, and prints the median seconds of N
-``train_mlp`` fits (at most 100 epochs, batch 32, the default learning
-rate), the epochs run (a fit stops after its first epoch with a
-validation F1 of 1.0), the kept epoch, the milliseconds per epoch run,
-and the sha256 of the returned model's parameters (w1, b1, w2, b2 as
-float64 bytes). The shapes are 304 x 512 (the ``eval --model mlp`` draw
+``train_mlp`` fits (100 epochs, batch 32, the default learning rate),
+the kept epoch, the milliseconds per epoch, and the sha256 of the
+returned model's parameters (w1, b1, w2, b2 as float64 bytes). The shapes are 304 x 512 (the ``eval --model mlp`` draw
 of the benchmark's evaluate workload), 582 x 512 (a paper-scale draw)
 and 1,200 x 64. The first two have fewer rows than twice their
 dimension, so ``train_mlp`` trains their first layer as row
@@ -20,13 +18,12 @@ not depend on the checkout.
 Then come the inputs of the evaluate benchmark's seed 1, written by
 ``perfbench/workloads.generate_evaluate`` into a temporary directory:
 1,000 clips at 512 dimensions, 3 EN draws and 1 HN draw. One line per
-draw, in-process, gives the rows, kept epoch, epochs run and median fit
-seconds of its ``train_mlp`` call, built through ``harness.plan_task``
+draw, in-process, gives the rows, kept epoch and median fit seconds of
+its ``train_mlp`` call, built through ``harness.plan_task``
 as ``harness.run_task`` builds it; these are the fits that ``eval``
 runs in forked workers, where a tracer in the parent cannot see them.
 A last line times the whole ``eval --model mlp`` grid (median of N runs
-of ``gazelab.cli.main``), with the epochs its draws run in all. It
-prints the usable CPU count, since the grid fits its draws in one
+of ``gazelab.cli.main``). It prints the usable CPU count, since the grid fits its draws in one
 forked worker per usable CPU, and the sha256 of ``eval_report.json``,
 which must not depend on the checkout or the CPU count. BLAS runs on
 one thread.
@@ -80,20 +77,18 @@ def main() -> None:
         for name in ("w1", "b1", "w2", "b2"):
             digest.update(np.ascontiguousarray(getattr(result.model, name), dtype=np.float64).tobytes())
         fit_s = statistics.median(times)
-        epochs_run = len(result.epoch_losses)
         row = {
             "rows": rows,
             "val_rows": VAL_ROWS,
             "dim": dim,
             "epochs": EPOCHS,
-            "epochs_run": epochs_run,
             "kept_epoch": result.kept_epoch,
             "batch": BATCH,
             "repeats": args.repeats,
             "fit_s": fit_s,
             "fit_s_min": min(times),
             "fit_s_max": max(times),
-            "epoch_ms": 1e3 * fit_s / epochs_run,
+            "epoch_ms": 1e3 * fit_s / EPOCHS,
             "model_sha256": digest.hexdigest(),
         }
         print(json.dumps(row), flush=True)
@@ -108,7 +103,7 @@ def main() -> None:
         os.chdir(root)
         try:
             shape = workloads.generate_evaluate(Path(root), seed=1)
-            epochs_run = draw_lines(argv, args.repeats)
+            draw_lines(argv, args.repeats)
             eval_s, code = median_s(lambda: cli.main(argv), args.repeats)
             if code != 0:
                 raise SystemExit(f"eval exited {code}")
@@ -120,21 +115,19 @@ def main() -> None:
         "dim": shape["dim"],
         "repeats": args.repeats,
         "eval_s": eval_s,
-        "epochs_run": epochs_run,
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
         "eval_report_sha256": hashlib.sha256(report).hexdigest(),
     }
     print(json.dumps(row), flush=True)
 
 
-def draw_lines(argv: list[str], repeats: int) -> int:
+def draw_lines(argv: list[str], repeats: int) -> None:
     """Fit each MLP draw of ``eval`` ``argv`` in-process, as ``run_task``
-    plans and gathers it, and print one line per draw; the epochs run in all."""
+    plans and gathers it, and print one line per draw."""
     from gazelab import TEST_NEGATIVE_SETS, ModelKind, ObjLevel, TaskConfig, cli, harness, models
 
     args = cli.build_parser().parse_args(argv)
     emb, labels = cli._load_task_inputs(args)
-    total = 0
     for neg in (ObjLevel.EN, ObjLevel.HN):
         cfg = TaskConfig(neg, ModelKind.MLP, cli._resolve_seed(args), args.epochs, args.lr, args.batch)
         train_sets, _, val_row, _ = harness.plan_task(cfg, labels, TEST_NEGATIVE_SETS, emb)
@@ -148,8 +141,6 @@ def draw_lines(argv: list[str], repeats: int) -> int:
                 ),
                 repeats,
             )
-            epochs_run = len(result.epoch_losses)
-            total += epochs_run
             row = {
                 "train_negatives": neg.name,
                 "draw": index,
@@ -157,12 +148,10 @@ def draw_lines(argv: list[str], repeats: int) -> int:
                 "dim": X.shape[1],
                 "epochs": cfg.mlp_epochs,
                 "kept_epoch": result.kept_epoch,
-                "epochs_run": epochs_run,
                 "repeats": repeats,
                 "fit_s": statistics.median(times),
             }
             print(json.dumps(row), flush=True)
-    return total
 
 
 if __name__ == "__main__":

@@ -489,30 +489,52 @@ def init_mlp(dim: int, seed: int) -> MlpModel:
 def _softmax_head(
     z1: np.ndarray, w2: np.ndarray, b2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and class probabilities of hidden pre-activations ``z1``."""
+    """Hidden activations and class probabilities of hidden pre-activations
+    ``z1``. A row's max and sum are taken over its two class columns as
+    views, which gives the bits of ``max`` and ``sum`` along the row in
+    fewer numpy calls."""
     hidden = np.maximum(z1, 0.0)
-    logits = hidden @ w2 + b2
-    logits = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return hidden, e / e.sum(axis=1, keepdims=True)
+    probs = hidden @ w2
+    probs += b2
+    first, second = probs[:, 0], probs[:, 1]
+    probs -= np.maximum(first, second)[:, None]
+    np.exp(probs, out=probs)
+    probs /= (first + second)[:, None]
+    return hidden, probs
 
 
 def _head_gradient(
-    z1: np.ndarray, y: np.ndarray, w2: np.ndarray, b2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    z1: np.ndarray, onehot: np.ndarray, w2: np.ndarray, b2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (fresh arrays) of a batch's mean cross-entropy with respect
-    to ``z1``, ``w2`` and ``b2``, then that loss."""
-    n = z1.shape[0]
+    to ``z1``, ``w2`` and ``b2``, given the batch's labels one-hot, then
+    its class probabilities, from which ``_label_losses`` takes the loss."""
     hidden, probs = _softmax_head(z1, w2, b2)
-    loss = float(-np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean())
-    dlogits = probs
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
+    dlogits = probs - onehot
+    dlogits /= len(onehot)
     dw2 = hidden.T @ dlogits
     db2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ w2.T
-    dz1 = dhidden * (z1 > 0.0)
-    return dz1, dw2, db2, loss
+    dz1 = dlogits @ w2.T
+    dz1 *= z1 > 0.0
+    return dz1, dw2, db2, probs
+
+
+def _label_losses(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's cross-entropy: minus the log of its label's probability."""
+    return -np.log(np.maximum(probs[np.arange(len(y)), y], 1e-300))
+
+
+def _summed_batch_losses(losses: np.ndarray, batch: int) -> float:
+    """The mean of each run of ``batch`` losses times its length, added
+    run by run: the total that per-batch means give, in two numpy calls."""
+    full = len(losses) - len(losses) % batch
+    means = losses[:full].reshape(-1, batch).mean(axis=1).tolist()
+    total = 0.0
+    for mean in means:
+        total += mean * batch
+    if full < len(losses):
+        total += float(losses[full:].mean()) * (len(losses) - full)
+    return total
 
 
 def mlp_gradient(
@@ -523,17 +545,16 @@ def mlp_gradient(
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] != y.shape[0]:
         raise PreconditionError(f"{X.shape[0]} samples vs {y.shape[0]} labels")
-    dz1, dw2, db2, loss = _head_gradient(X @ model.w1 + model.b1, y, model.w2, model.b2)
-    return X.T @ dz1, dz1.sum(axis=0), dw2, db2, loss
+    z1 = X @ model.w1 + model.b1
+    dz1, dw2, db2, probs = _head_gradient(z1, np.eye(2)[y], model.w2, model.b2)
+    return X.T @ dz1, dz1.sum(axis=0), dw2, db2, float(_label_losses(probs, y).mean())
 
 
 @dataclass
 class MlpTrainResult:
     """The kept model, the 1-based epoch it was kept after (0 for the
-    initialization) and, per epoch run, the batch-size-weighted mean of
-    the mini-batch losses, each taken just before that batch's update.
-    A run that stops at a perfect validation F1 holds ``kept_epoch``
-    losses."""
+    initialization) and, per epoch, the batch-size-weighted mean of the
+    mini-batch losses, each taken just before that batch's update."""
     model: MlpModel
     kept_epoch: int = 0
     epoch_losses: list[float] = field(default_factory=list)
@@ -565,14 +586,10 @@ def train_mlp(
     Shuffling and initialization are driven by ``seed``; the result is
     bit-identical across runs. The returned model is the parameters
     after the first epoch with the best F1 on ``(X_val, y_val)``; zero
-    epochs returns the initialization. ``epochs`` is a cap: the run
-    stops right after keeping an epoch whose validation F1 is 1.0, since
-    F1 never exceeds 1.0 and no later epoch could be kept, so the model
-    and ``kept_epoch`` are those of the full run. ``NumericError`` is
+    epochs returns the initialization. Every epoch runs, whatever its
+    F1, so a draw's cost does not depend on its data. ``NumericError`` is
     raised after the first epoch with a non-finite mini-batch loss or
-    validation probability (the latter catches the run's last update);
-    the stop comes after that check, so every epoch run is checked, but
-    a run that would diverge only after its perfect epoch returns.
+    validation probability (the latter catches the run's last update).
 
     Every step adds ``X[idx].T @ dz1`` to ``w1``, so ``w1`` stays
     ``w1_0 + X.T @ a`` for row coefficients ``a``. A step in ``a`` costs
@@ -580,6 +597,9 @@ def train_mlp(
     ``w1``, so a draw of fewer than ``2 * dim`` rows trains ``a`` through
     the Gram matrix and builds ``w1`` once, from the kept ``a``. Its model
     equals the ``w1`` form's up to rounding; other draws train ``w1``.
+    The row form keeps each batch's class probabilities and takes the
+    epoch's loss from them in one pass after its last step; the bits are
+    those of a loss taken per batch.
     """
     check_mlp_settings(epochs, batch, lr)
     X = np.asarray(X, dtype=np.float64)
@@ -597,11 +617,15 @@ def train_mlp(
     if by_rows:  # model.w1 then keeps its initial value
         gram, base = X @ X.T, X @ model.w1
         gram_val, base_val = X_val @ X.T, X_val @ model.w1
+        onehot = np.eye(2)[y]
+        epoch_probs = np.empty((n, 2))
         a = np.zeros((n, MLP_HIDDEN))
         stepped = (model.b1, model.w2, model.b2)  # a is stepped row by row
         params = (a, *stepped)
     else:
         stepped = params = (model.w1, model.b1, model.w2, model.b2)
+    positive = y_val == 1
+    n_positive = int(np.count_nonzero(positive))
     kept = None
     best_f1 = -1.0
     for epoch in range(epochs):
@@ -610,32 +634,40 @@ def train_mlp(
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
             if by_rows:
-                z1 = base[idx] + gram[idx] @ a + model.b1
-                dz1, dw2, db2, loss = _head_gradient(z1, y[idx], model.w2, model.b2)
+                z1 = gram[idx] @ a
+                z1 += base[idx]
+                z1 += model.b1
+                dz1, dw2, db2, probs = _head_gradient(z1, onehot[idx], model.w2, model.b2)
+                epoch_probs[start : start + batch] = probs
+                grads = (dz1.sum(axis=0), dw2, db2)
+                dz1 *= lr  # in place, now that b1's gradient is summed
                 # The rows of a batch are distinct, being a slice of a
                 # permutation, so this fancy-index update is exact.
-                a[idx] -= lr * dz1
-                grads = (dz1.sum(axis=0), dw2, db2)
+                a[idx] -= dz1
             else:
                 *grads, loss = mlp_gradient(model, X[idx], y[idx])
-            total += loss * len(idx)
+                total += loss * len(idx)
             for param, grad in zip(stepped, grads):
                 np.multiply(grad, lr, out=grad)
                 np.subtract(param, grad, out=param)
         if by_rows:
-            probs = _softmax_head(base_val + gram_val @ a + model.b1, model.w2, model.b2)[1]
+            total = _summed_batch_losses(_label_losses(epoch_probs, y[perm]), batch)
+            z1 = gram_val @ a
+            z1 += base_val
+            z1 += model.b1
+            probs = _softmax_head(z1, model.w2, model.b2)[1]
         else:
             probs = model.probabilities(X_val)
         if not (np.isfinite(total) and np.isfinite(probs).all()):
             raise NumericError(f"training diverged in epoch {epoch + 1}; lower the learning rate")
         result.epoch_losses.append(total / n)
-        score = f1((probs[:, 1] > 0.5).astype(np.int64), y_val).f1
+        predicted = probs[:, 1] > 0.5
+        tp = int(np.count_nonzero(predicted[positive]))
+        score = _precision_recall_f1(tp, int(np.count_nonzero(predicted)) - tp, n_positive - tp)[2]
         if score > best_f1 + 1e-12:
             best_f1 = score
             kept = [p.copy() for p in params]
             result.kept_epoch = epoch + 1
-            if score >= 1.0:  # no later epoch can score higher, so none is kept
-                break
     if kept is not None:
         if by_rows:
             kept[0] = model.w1 + X.T @ kept[0]
@@ -679,10 +711,15 @@ def f1(preds: Sequence[int], labels: Sequence[int]) -> Metrics:
         raise InvariantViolation(
             f"predictions and labels must be 0/1, got {np.unique([p, t]).tolist()}"
         )
+    return Metrics(*_precision_recall_f1(tp, fp, fn), tp, fp, fn, tn)
+
+
+def _precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of positive-class counts."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return Metrics(precision, recall, score, tp, fp, fn, tn)
+    return precision, recall, score
 
 
 def trivial_baseline_f1(f_data: float, f_classifier: float) -> float:
