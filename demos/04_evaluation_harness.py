@@ -21,7 +21,6 @@ from gazelab import (
     export_tree_report,
     fit_all_cavs,
     run_task,
-    score_table,
     train_pcbm,
 )
 
@@ -48,11 +47,11 @@ def main():
     print("== interpretable head on concept coordinates ==")
     comp_labels, comp_emb = make_compositional(seed=1, n=240, dim=16)
     cavs = fit_all_cavs(comp_emb, comp_labels, mode=NegativeMode.EN_ONLY, seed=7)
-    scores = score_table(comp_emb, cavs)
-    result = train_pcbm(scores, comp_labels, ModelKind.PCBM_DT, seed=9)
-    print(f"  tree F1 on the held-out fold: {result.report.mean_f1:.3f}")
+    cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_DT, seed=9)
+    ((report,),) = train_pcbm(comp_emb, comp_labels, [cfg], [frozenset({ObjLevel.EN})], cavs)
+    print(f"  tree F1 on the held-out fold: {report.mean_f1:.3f}")
     print("  first levels of the fitted tree:")
-    for line in export_tree_report(result.model).splitlines()[:8]:
+    for line in export_tree_report(report.models[-1]).splitlines()[:8]:
         print("   ", line)
     print()
 

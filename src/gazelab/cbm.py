@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +27,11 @@ from .errors import InvariantViolation, PreconditionError
 from .harness import (
     FOLDS,
     EvalReport,
-    ModelKind,
     TaskConfig,
     balanced_draws,
     derive_seed,
     make_folds_from_ids,
+    plan_task,
     run_task,
 )
 from .models import (
@@ -350,38 +350,27 @@ def concept_presence_f1(
     return f1_score((cav.decision(X) > 0).astype(np.int64), y)
 
 
-@dataclass(frozen=True)
-class PcbmResult:
-    model: DecisionTree | LinearModel
-    report: EvalReport
-
-
 def train_pcbm(
-    scores: Mapping[str, np.ndarray],
+    emb: EmbeddingTable,
     labels: Sequence[ClipLabel],
-    kind: ModelKind,
-    train_negatives: ObjLevel = ObjLevel.EN,
-    test_negatives: frozenset[ObjLevel] = frozenset({ObjLevel.EN}),
-    seed: int = 0,
-) -> PcbmResult:
-    """Interpretable classifier on concept coordinates.
+    configs: Sequence[TaskConfig],
+    test_sets: Sequence[frozenset[ObjLevel]],
+    cavs: Sequence[ConceptVector] | None = None,
+) -> tuple[tuple[EvalReport, ...], ...]:
+    """Interpretable heads on concept coordinates: ``run_task`` of the
+    ``PCBM_DT``/``PCBM_LR`` rows ``configs`` on the ``score_table`` of
+    ``cavs``, or of the EN-only axes fitted with the first row's seed.
+    Every cell is checked against ``emb`` before any axis is fitted.
 
-    Reuses the task harness (its ``FOLDS`` folds, balanced draws and
-    trivial baselines) with the 8-dimensional coordinates as features;
-    the tree is grown to ``TREE_MAX_DEPTH`` and the logistic head uses
-    ``LOGREG_L2``. The returned model is the one fitted on the last
-    balanced draw, the report aggregates all draws.
-
-    ``scores`` may come from any concept axes, but the axes must not
-    have seen the harness's test fold: axes fitted on the test clips
-    shape the very coordinates the head is scored on, and its F1 then
-    overstates what the concepts carry.
+    ``cavs`` must not have seen the harness's test fold: axes fitted on
+    the test clips shape the very coordinates the head is scored on, and
+    its F1 then overstates what the concepts carry.
     """
-    if kind not in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
-        raise InvariantViolation(f"kind must be PCBM_DT or PCBM_LR, got {kind}")
-    cfg = TaskConfig(train_negatives=train_negatives, model=kind, seed=seed)
-    ((report,),) = run_task([cfg], labels, scores, [test_negatives])
-    return PcbmResult(model=report.models[-1], report=report)
+    for cfg in configs:
+        plan_task(cfg, labels, test_sets, emb)
+    if cavs is None:
+        cavs = fit_all_cavs(emb, labels, mode=NegativeMode.EN_ONLY, seed=configs[0].seed)
+    return run_task(configs, labels, score_table(emb, cavs), test_sets)
 
 
 def export_tree_report(tree: DecisionTree) -> str:

@@ -36,7 +36,8 @@ from .core import (
     read_rows,
 )
 from .errors import (
-    GazeLabError, InvariantError, MalformedRecord, NumericError, ParseError, PreconditionError
+    GazeLabError, InvariantError, InvariantViolation, MalformedRecord, NumericError, ParseError,
+    PreconditionError,
 )
 from .harness import (
     FACTOR_NAMES,
@@ -44,7 +45,6 @@ from .harness import (
     ModelKind,
     TaskConfig,
     error_factor_analysis,
-    plan_task,
     run_task,
 )
 from .models import model_to_json
@@ -222,6 +222,8 @@ def _aligned_sequences(
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
+    if args.exclude is not None and not args.exclude.replace(",", " ").strip():
+        raise ParseError(f"--exclude needs comma-separated level names, got {args.exclude!r}")
     films: dict[str, dict[str, dict[str, ObjLevel]]] = {}
 
     def rating(line: str) -> None:
@@ -328,6 +330,8 @@ def _read_cavs(path: str) -> list[cbm_mod.ConceptVector]:
         return [cbm_mod.ConceptVector.from_json(d) for d in json_object(_read_path(path))["cavs"]]
     except (MalformedRecord, ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ParseError(f"{path}: not a concept-vector file ({e})") from None
+    except InvariantViolation as e:  # an unknown concept, or a normal not of unit length
+        raise InvariantViolation(f"{path}: {e}") from None
 
 
 def cmd_pcbm(args: argparse.Namespace) -> int:
@@ -336,11 +340,7 @@ def cmd_pcbm(args: argparse.Namespace) -> int:
     cfg = TaskConfig(ObjLevel.from_name(args.train_neg), ModelKind(f"pcbm-{args.kind}"), seed)
     test_sets = [_parse_levels(args.test_neg)]
     cavs = _read_cavs(args.cavs) if args.cavs else None
-    # Check the grid cell, its folds and embeddings before fitting any concept axis.
-    plan_task(cfg, labels, test_sets, emb)
-    if cavs is None:
-        cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
-    ((report,),) = run_task([cfg], labels, cbm_mod.score_table(emb, cavs), test_sets)
+    ((report,),) = cbm_mod.train_pcbm(emb, labels, [cfg], test_sets, cavs)
     model = report.models[-1]
     resolved = _resolved(args, seed=seed)
     out = Path(args.out)
@@ -375,15 +375,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         for train_neg in (ObjLevel.EN, ObjLevel.HN)
     ]
-    for cfg in configs:
-        plan_task(cfg, labels, TEST_NEGATIVE_SETS, emb)
-    features = emb
-    if model is not ModelKind.MLP:
-        cavs = cbm_mod.fit_all_cavs(emb, labels, mode=cbm_mod.NegativeMode.EN_ONLY, seed=seed)
-        features = cbm_mod.score_table(emb, cavs)
-
     # Each row is fitted once and scored on both columns.
-    reports_by_row = run_task(configs, labels, features, TEST_NEGATIVE_SETS)
+    if model is ModelKind.MLP:
+        reports_by_row = run_task(configs, labels, emb, TEST_NEGATIVE_SETS)
+    else:
+        reports_by_row = cbm_mod.train_pcbm(emb, labels, configs, TEST_NEGATIVE_SETS)
     rows = {cfg.train_negatives: cells for cfg, cells in zip(configs, reports_by_row)}
 
     resolved = _resolved(args, seed=seed)

@@ -32,6 +32,7 @@ from gazelab import (
     ModelKind,
     NegativeMode,
     ObjLevel,
+    TaskConfig,
     build_concept_sets,
     dump_embeddings,
     fit_all_cavs,
@@ -44,7 +45,6 @@ from gazelab import (
     parse_annotations,
     parse_clip_index,
     project,
-    score_table,
     task_class_fractions,
     train_pcbm,
     train_svm,
@@ -404,13 +404,15 @@ def test_criterion5_cbm_end_to_end():
         if cav.cv_f1 < 0.99:
             failures.append(f"{cav.concept.label}: EN-only presence F1 {cav.cv_f1:.3f} < 0.99")
 
-    scores = score_table(emb, en_cavs)
-    dt = train_pcbm(scores, labels, ModelKind.PCBM_DT, seed=5)
-    lr = train_pcbm(scores, labels, ModelKind.PCBM_LR, seed=5)
-    if dt.report.mean_f1 < 0.9:
-        failures.append(f"PCBM tree F1 {dt.report.mean_f1:.3f} < 0.9")
-    if lr.report.mean_f1 < 0.8:
-        failures.append(f"PCBM logistic F1 {lr.report.mean_f1:.3f} < 0.8")
+    en_test = [frozenset({ObjLevel.EN})]
+    dt_cfg = TaskConfig(ObjLevel.EN, ModelKind.PCBM_DT, seed=5)
+    lr_cfg = TaskConfig(ObjLevel.EN, ModelKind.PCBM_LR, seed=5)
+    ((dt,),) = train_pcbm(emb, labels, [dt_cfg], en_test, en_cavs)
+    ((lr,),) = train_pcbm(emb, labels, [lr_cfg], en_test, en_cavs)
+    if dt.mean_f1 < 0.9:
+        failures.append(f"PCBM tree F1 {dt.mean_f1:.3f} < 0.9")
+    if lr.mean_f1 < 0.8:
+        failures.append(f"PCBM logistic F1 {lr.mean_f1:.3f} < 0.8")
 
     elapsed = time.monotonic() - t0
     if elapsed >= 300.0:

@@ -14,6 +14,7 @@ from gazelab import (
     ModelKind,
     NegativeMode,
     ObjLevel,
+    TaskConfig,
     balanced_train_sets,
     build_concept_sets,
     cbm,
@@ -23,6 +24,7 @@ from gazelab import (
     fit_cav,
     make_folds_from_ids,
     model_to_json,
+    run_task,
     score_table,
     train_logreg,
     train_pcbm,
@@ -393,19 +395,23 @@ class TestPresence:
         assert metrics.support_positive == 0
 
 
+PCBM_KINDS = (ModelKind.PCBM_DT, ModelKind.PCBM_LR)
+EN_NEGATIVES = frozenset({ObjLevel.EN})
+
+
 class TestPcbm:
     def test_compositional_oracle(self):
         labels, emb = make_compositional(seed=2, n=300, dim=24)
         from gazelab import fit_all_cavs
 
         cavs = fit_all_cavs(emb, labels, mode=NegativeMode.EN_ONLY, seed=8)
-        scores = score_table(emb, cavs)
-        dt = train_pcbm(scores, labels, ModelKind.PCBM_DT, seed=9)
-        lr = train_pcbm(scores, labels, ModelKind.PCBM_LR, seed=9)
-        assert dt.report.mean_f1 >= 0.9
-        assert lr.report.mean_f1 >= 0.8
-        assert isinstance(dt.model, DecisionTree)
-        assert dt.model.max_depth == 10
+        dt_cfg, lr_cfg = (TaskConfig(ObjLevel.EN, kind, seed=9) for kind in PCBM_KINDS)
+        ((dt,),) = train_pcbm(emb, labels, [dt_cfg], [EN_NEGATIVES], cavs)
+        ((lr,),) = train_pcbm(emb, labels, [lr_cfg], [EN_NEGATIVES], cavs)
+        assert dt.mean_f1 >= 0.9
+        assert lr.mean_f1 >= 0.8
+        assert isinstance(dt.models[-1], DecisionTree)
+        assert dt.models[-1].max_depth == 10
 
     def test_shuffled_labels_stay_near_baseline(self):
         rng = np.random.default_rng(10)
@@ -422,7 +428,8 @@ class TestPcbm:
                 concepts = frozenset({Concept.BODY})
             shuffled.append(ClipLabel(l.clip_id, new_level, concepts))
         scores = {cid: rng.normal(0, 1, 8) for cid in emb.clip_ids()}
-        report = train_pcbm(scores, shuffled, ModelKind.PCBM_LR, seed=11).report
+        cfg = TaskConfig(ObjLevel.EN, ModelKind.PCBM_LR, seed=11)
+        ((report,),) = run_task([cfg], shuffled, scores, [EN_NEGATIVES])
         # F1 should sit near the trivial band for the model's own
         # positive rate, far from the oracle regime
         assert report.mean_f1 <= 0.75
@@ -439,10 +446,11 @@ class TestPcbm:
         ]
         rng = np.random.default_rng(12)
         scores = {lbl.clip_id: rng.normal(0, 1, 8) for lbl in labels}
-        for kind in (ModelKind.PCBM_DT, ModelKind.PCBM_LR):
+        for kind in PCBM_KINDS:
             for train_neg in (ObjLevel.EN, ObjLevel.HN):
-                result = train_pcbm(scores, labels, kind, train_negatives=train_neg, seed=13)
-                assert len(result.report.models) > 1
+                cfg = TaskConfig(train_neg, kind, seed=13)
+                ((report,),) = run_task([cfg], labels, scores, [EN_NEGATIVES])
+                assert len(report.models) > 1
                 by_level = {}
                 for lbl in labels:
                     by_level.setdefault(lbl.level, []).append(lbl.clip_id)
@@ -454,12 +462,7 @@ class TestPcbm:
                     refit = train_tree(X, y, max_depth=10)
                 else:
                     refit = train_logreg(X, y, l2=1e-3)
-                assert model_to_json(result.model) == model_to_json(refit)
-
-    def test_kind_validation(self):
-        labels, _ = make_compositional(seed=4, n=120, dim=16)
-        with pytest.raises(InvariantViolation):
-            train_pcbm({}, labels, ModelKind.MLP, seed=0)
+                assert model_to_json(report.models[-1]) == model_to_json(refit)
 
 
 class TestTreeReport:

@@ -740,6 +740,16 @@ class TestMalformedInputs:
         assert err == f"error: --sweep needs comma-separated numbers, got {sweep!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("exclude", ["", " ", ","], ids=["empty", "space", "comma"])
+    def test_empty_exclude_exits_2_before_reading(self, tmp_path, capsys, exclude):
+        # An exclude that names no level is rejected before the
+        # projections, which do not exist, are read.
+        out = tmp_path / "out"
+        argv = ["gamma", str(tmp_path / "no.jsonl"), "--exclude", exclude, "--out", str(out)]
+        err = self._exits_2(argv, capsys)
+        assert err == f"error: --exclude needs comma-separated level names, got {exclude!r}\n"
+        assert not out.exists()
+
     def test_spans_on_a_film_without_clips(self, fusion_inputs, tmp_path, capsys):
         ann, clips = fusion_inputs
         with ann.open("a") as f:
@@ -1257,7 +1267,60 @@ class TestMalformedInputs:
         path = self._cavs_file(tmp_path, unit_normal=[1e308, 1e308, 0.0, 0.0])
         proc = self._fresh(["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "dt", "--cavs", path], tmp_path)
         assert proc.returncode == 3
-        assert proc.stderr == "error: normal must have unit norm, got inf\n"
+        assert proc.stderr == f"error: {path}: normal must have unit norm, got inf\n"
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("concept", "Bodyy", "unknown concept 'Bodyy'"),
+            ("unit_normal", [1.5, 0.0, 0.0, 0.0], "normal must have unit norm, got 1.5"),
+        ],
+        ids=["unknown-concept", "long-normal"],
+    )
+    def test_cavs_invariants_name_the_file(self, tmp_path, capsys, key, value, reason):
+        path = self._cavs_file(tmp_path, **{key: value})
+        argv = ["pcbm", *self._pcbm_inputs(tmp_path), "--kind", "dt", "--cavs", path]
+        err = self._exits(argv + ["--seed", "1", "--out", str(tmp_path / "o")], capsys, 3)
+        assert err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["pcbm", "--kind", "dt"], 1),
+            (["pcbm", "--kind", "lr"], 1),
+            (["pcbm", "--kind", "dt", "--cavs"], 1),
+            (["pcbm", "--kind", "lr", "--cavs"], 1),
+            (["eval", "--model", "pcbm-dt"], 1),
+            (["eval", "--model", "pcbm-lr"], 1),
+            (["eval", "--model", "mlp", "--epochs", "1"], 0),
+        ],
+        ids=["pcbm-dt", "pcbm-lr", "pcbm-dt-cavs", "pcbm-lr-cavs", "eval-pcbm-dt", "eval-pcbm-lr",
+             "eval-mlp"],
+    )
+    def test_concept_heads_run_train_pcbm_once(self, tmp_path, monkeypatch, argv, calls):
+        # pcbm and eval's concept heads share one path; eval's MLP does not take it.
+        made = []
+        train_pcbm = cbm.train_pcbm
+        monkeypatch.setattr(
+            cbm, "train_pcbm", lambda *a, **k: made.append(a) or train_pcbm(*a, **k)
+        )
+        if argv[-1] == "--cavs":
+            argv = [*argv, self._cavs_file(tmp_path)]
+        argv = [argv[0], *self._pcbm_inputs(tmp_path), *argv[1:], "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert len(made) == calls
+
+    def test_eval_mlp_plans_each_row_once(self, tmp_path, monkeypatch):
+        # run_task plans both rows before it fits a draw, and eval plans
+        # nothing of its own: one fold plan per row.
+        plans = []
+        make_folds = harness.make_folds_from_ids
+        monkeypatch.setattr(
+            harness, "make_folds_from_ids", lambda *a, **k: plans.append(a) or make_folds(*a, **k)
+        )
+        argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", "mlp", "--epochs", "1"]
+        assert main([*argv, "--seed", "1", "--out", str(tmp_path / "o")]) == 0
+        assert len(plans) == 2
 
     def test_eval_zero_epochs_is_valid(self, tmp_path):
         # Zero epochs keeps each draw's initialization, as documented.
