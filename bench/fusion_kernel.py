@@ -6,10 +6,12 @@ Imports gazelab from ``DIR`` (default: this checkout's ``src/``), builds
 one seeded film of 3,000 contiguous clips (2-6 s each) and 6,000 free
 spans (2-12 s each, anywhere in the film) from 4 annotators, and prints
 one JSON line with the seconds of: ``project`` of every annotator's
-spans onto the clips at the default threshold, and ``sweep_thresholds``
-at 0.1, 0.2, 0.3 and 0.4 (each the median of N runs). It also prints the
-number of intersecting (span, clip) pairs and a digest of both results,
-so that two checkouts can be compared for identical output.
+spans onto the clips at the default threshold, ``fuse`` of the whole
+film at the default threshold (its projections and merged labels), and
+``sweep_thresholds`` at 0.1, 0.2, 0.3 and 0.4 (each the median of N
+runs). It also prints the number of intersecting (span, clip) pairs and
+a digest of all three results, so that two checkouts can be compared
+for identical output.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def main() -> None:
     sys.path.insert(0, args.src)
     import numpy as np
     from gazelab import ClipDelimitation, Concept, ObjLevel, SpanAnnotation
-    from gazelab import project, sweep_thresholds
+    from gazelab import fuse, project, sweep_thresholds
 
     rng = np.random.default_rng(5)
     edges = np.round(np.concatenate([[0.0], np.cumsum(rng.uniform(2.0, 6.0, CLIPS))]), 3)
@@ -58,23 +60,29 @@ def main() -> None:
     project_s, labels = median_s(
         lambda: [project(group, clips) for group in spans_by_annotator.values()], args.repeats
     )
+    fuse_s, (projections, merged) = median_s(lambda: fuse(spans, clips), args.repeats)
     sweep_s, rows = median_s(lambda: sweep_thresholds(spans, clips, THRESHOLDS), args.repeats)
     overlap_pairs = sum(
         int(((np.minimum(s.end, edges[1:]) - np.maximum(s.start, edges[:-1])) > 0).sum())
         for s in spans
     )
-    canonical = (
-        [
+    def canonical_labels(timelines):
+        return [
             (
                 lbl.clip_id,
                 lbl.level.name,
                 sorted(c.label for c in lbl.concepts),
                 sorted(lbl.annotators),
             )
-            for timeline in labels
+            for timeline in timelines
             for lbl in timeline
-        ],
+        ]
+
+    canonical = (
+        canonical_labels(labels),
         [(row.threshold, [row.counts[lv] for lv in ObjLevel]) for row in rows],
+        sorted(projections["film"]),
+        canonical_labels([*projections["film"].values(), merged["film"]]),
     )
     digest = hashlib.sha256(repr(canonical).encode()).hexdigest()[:16]
     print(
@@ -86,6 +94,7 @@ def main() -> None:
                 "overlap_pairs": overlap_pairs,
                 "repeats": args.repeats,
                 "project_s": round(project_s, 4),
+                "fuse_s": round(fuse_s, 4),
                 "sweep_4_thresholds_s": round(sweep_s, 4),
                 "digest": digest,
             }

@@ -117,12 +117,16 @@ def expected_disorder(
     null set with nothing kept counts 0. Pairs that share an annotator
     have dependent kept counts, so exclusions need exactly two annotators.
     """
-    rows = _as_index_rows(sequences)
-    if len(rows) > 2 and cfg.excluded_levels:
+    return _expected_disorder_of_rows(_as_index_rows(sequences), cfg.excluded_levels)
+
+
+def _expected_disorder_of_rows(rows: np.ndarray, excluded: frozenset[ObjLevel]) -> float:
+    """``expected_disorder`` of level-index rows shaped (annotators, clips)."""
+    if len(rows) > 2 and excluded:
         raise PreconditionError(f"excluded levels need one annotator pair, got {len(rows)}")
     # Integer kept counts: a pair with every clip kept has m_a·m_b exactly 1.
     counts = np.stack([np.bincount(row, minlength=4) for row in rows])
-    counts[:, [int(lv) for lv in cfg.excluded_levels]] = 0
+    counts[:, [int(lv) for lv in excluded]] = 0
     a, b = np.triu_indices(len(rows), 1)
     kept_pairs = counts.sum(axis=1)[a] * counts.sum(axis=1)[b]
     clips = rows.shape[1]
@@ -138,12 +142,17 @@ def gamma(
 ) -> GammaResult:
     """Chance-corrected agreement of aligned level sequences; raises
     ``PreconditionError`` when the excluded levels leave nothing to compare."""
-    total, count = _disorder_terms(_as_index_rows(sequences), cfg.excluded_levels)
+    return _gamma_of_rows(_as_index_rows(sequences), cfg, "|".join(sorted(sequences)))
+
+
+def _gamma_of_rows(rows: np.ndarray, cfg: GammaConfig, names: str) -> GammaResult:
+    """``gamma`` of level-index rows shaped (annotators, clips); ``names``
+    joins the annotators' names for the error message."""
+    total, count = _disorder_terms(rows, cfg.excluded_levels)
     if not count:
-        pair = "|".join(sorted(sequences))
-        raise PreconditionError(f"pair {pair}: the excluded levels leave no clip to compare")
+        raise PreconditionError(f"pair {names}: the excluded levels leave no clip to compare")
     observed = float(total / count)
-    expected = expected_disorder(sequences, cfg)
+    expected = _expected_disorder_of_rows(rows, cfg.excluded_levels)
     # Disorder above 0 needs a kept clip whose two levels differ, and every
     # off-diagonal level distance is positive, so the exact null is then
     # above 0 as well.
@@ -177,21 +186,24 @@ def gamma_per_film_and_average(
     """Agreement per (film, annotator pair) plus the overall average.
 
     The average weights every annotator pair equally, which is the same
-    as weighting each film by its number of pairs.
+    as weighting each film by its number of pairs. Each pair's result is
+    exactly ``gamma`` of its two sequences; each annotator's sequence
+    becomes a level-index row once per film.
     """
     if not films:
         raise PreconditionError("no films to score")
-    rows: list[FilmPairGamma] = []
+    per_pair: list[FilmPairGamma] = []
     for film_id in sorted(films):
         sequences = films[film_id]
         names = sorted(sequences)
         if len(names) < 2:
             raise PreconditionError(f"film {film_id!r} has {len(names)} annotator(s)")
-        for a, b in itertools.combinations(names, 2):
-            try:
-                result = gamma({a: sequences[a], b: sequences[b]}, cfg)
-            except PreconditionError as e:
-                raise PreconditionError(f"film {film_id!r}, {e}") from None
-            rows.append(FilmPairGamma(film_id, a, b, result))
-    average = float(np.mean([r.result.gamma for r in rows]))
-    return GammaSummary(per_pair=tuple(rows), average=average)
+        try:
+            rows = _as_index_rows(sequences)
+            for (i, a), (j, b) in itertools.combinations(enumerate(names), 2):
+                result = _gamma_of_rows(rows[[i, j]], cfg, f"{a}|{b}")
+                per_pair.append(FilmPairGamma(film_id, a, b, result))
+        except PreconditionError as e:
+            raise PreconditionError(f"film {film_id!r}, {e}") from None
+    average = float(np.mean([r.result.gamma for r in per_pair]))
+    return GammaSummary(per_pair=tuple(per_pair), average=average)

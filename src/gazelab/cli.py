@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import cbm as cbm_mod
 from . import fusion as fusion_mod
@@ -114,16 +115,6 @@ def _parse_levels(text: str) -> frozenset[ObjLevel]:
     return frozenset(ObjLevel.from_name(part.strip()) for part in text.split(",") if part.strip())
 
 
-def _label_to_obj(film: str, label: ClipLabel) -> dict:
-    return {
-        "film": film,
-        "clip": label.clip_id,
-        "level": label.level.name,
-        "concepts": [c.label for c in sorted(label.concepts)],
-        "annotators": sorted(label.annotators),
-    }
-
-
 def _read_merged_labels(text: str) -> list[ClipLabel]:
     """Merged-label JSONL, each clip once (clip ids key everything downstream)."""
     seen: set[str] = set()
@@ -154,6 +145,37 @@ def _parse_thresholds(text: str) -> list[float]:
     return thresholds
 
 
+def _label_lines(
+    timelines: Iterable[tuple[dict, list[ClipLabel]]], with_annotators: bool
+) -> list[str]:
+    """One JSONL line per label of each ``(head, labels)`` timeline:
+    ``json.dumps`` of ``{**head, "clip", "level", "concepts"}``, with
+    ``"annotators"`` last if ``with_annotators``.
+
+    Each head is encoded once, and each distinct tail after the clip id
+    once per call, so a line encodes only its clip id. The default
+    separators and ``ensure_ascii`` make every line byte-equal to the
+    record dict encoded whole.
+    """
+    tails: dict[tuple, str] = {}
+    lines = []
+    for head, labels in timelines:
+        prefix = json.dumps(head)[:-1] + ', "clip": '
+        for label in labels:
+            key = (label.level, label.concepts, label.annotators if with_annotators else None)
+            tail = tails.get(key)
+            if tail is None:
+                fields = {
+                    "level": label.level.name,
+                    "concepts": [c.label for c in sorted(label.concepts)],
+                }
+                if with_annotators:
+                    fields["annotators"] = sorted(label.annotators)
+                tail = tails[key] = ", " + json.dumps(fields)[1:]
+            lines.append(prefix + json.dumps(label.clip_id) + tail)
+    return lines
+
+
 def cmd_fuse(args: argparse.Namespace) -> int:
     thresholds = _parse_thresholds(args.sweep) if args.sweep is not None else None
     spans = parse_annotations(_read_path(args.annotations))
@@ -172,25 +194,20 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     resolved = _resolved(args)
     del resolved["sweep"]  # recorded in sweep.csv, the one output it shapes
 
-    merged_lines = []
-    for film in sorted(merged):
-        for label in merged[film]:
-            merged_lines.append(json.dumps(_label_to_obj(film, label)))
+    merged_lines = _label_lines(
+        (({"film": film}, merged[film]) for film in sorted(merged)), with_annotators=True
+    )
     _write_lines(out / "merged.jsonl", merged_lines)
     _write_json(out / "merged.config.json", resolved)
 
-    proj_lines = []
-    for film in sorted(projections):
-        for annotator in sorted(projections[film]):
-            for label in projections[film][annotator]:
-                obj = {
-                    "film": film,
-                    "annotator": annotator,
-                    "clip": label.clip_id,
-                    "level": label.level.name,
-                    "concepts": [c.label for c in sorted(label.concepts)],
-                }
-                proj_lines.append(json.dumps(obj))
+    proj_lines = _label_lines(
+        (
+            ({"film": film, "annotator": annotator}, projections[film][annotator])
+            for film in sorted(projections)
+            for annotator in sorted(projections[film])
+        ),
+        with_annotators=False,
+    )
     _write_lines(out / "projections.jsonl", proj_lines)
 
     if rows is not None:
@@ -228,8 +245,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
     def rating(line: str) -> None:
         obj = json_object(line)
-        keys = ("film", "annotator", "clip", "level")
-        film, annotator, clip, level = (field(obj, key, str) for key in keys)
+        film, annotator = field(obj, "film", str), field(obj, "annotator", str)
+        clip, level = field(obj, "clip", str), field(obj, "level", str)
         ratings = films.setdefault(film, {}).setdefault(annotator, {})
         if clip in ratings:
             raise MalformedRecord(

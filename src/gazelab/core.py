@@ -253,10 +253,12 @@ def jsonl_rows(text: str) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` of every non-blank line of JSONL text.
 
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, so a character such as
-    U+2028 or U+0085 stays inside the JSON string that holds it.
+    U+2028 or U+0085 stays inside the JSON string that holds it. A blank
+    line holds only JSON whitespace (spaces and tabs); a line of any other
+    whitespace, such as ``\\x0c`` or U+2028, is kept and fails as JSON.
     """
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip())
+    return ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip(" \t"))
 
 
 def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -289,8 +291,25 @@ def read_rows(rows: Iterable[tuple[int, Any]], parse: Callable[[Any], Any]) -> l
     return records
 
 
+_DECODER = json.JSONDecoder()
+
+
 def json_object(line: str) -> dict:
-    """The JSON object on one JSONL line; MalformedRecord for anything else."""
+    """The JSON object on one JSONL line; MalformedRecord for anything else.
+
+    A line that ends in ``}`` and is exactly one object is decoded by
+    ``raw_decode`` alone. Any other line, such as a whole document ending
+    in a newline, goes to ``json.loads``, which accepts it (surrounding
+    whitespace) or names its fault in the message.
+    """
+    if line.endswith("}"):
+        try:
+            obj, end = _DECODER.raw_decode(line)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if end == len(line) and isinstance(obj, dict):
+                return obj
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:

@@ -74,9 +74,22 @@ def project(
                 f"project expects a single annotator, got {sorted(provenance)}"
             )
 
+    overlaps = _clip_overlaps(spans, clips, cfg.overlap_basis)
+    return _label_clips(clips, overlaps, cfg.overlap_threshold, provenance)
+
+
+def _label_clips(
+    clips: Sequence[ClipDelimitation],
+    overlaps: Sequence[Sequence[tuple[float, SpanAnnotation]]],
+    threshold: float,
+    provenance: frozenset[str],
+) -> list[ClipLabel]:
+    """One label per clip from its ``(overlap_fraction, span)`` list: the
+    highest level among the spans at or above ``threshold``, with their
+    concepts at that level unioned, or EN when none qualifies."""
     labels: list[ClipLabel] = []
-    for clip, overlaps in zip(clips, _clip_overlaps(spans, clips, cfg.overlap_basis)):
-        qualifying = [s for f, s in overlaps if f >= cfg.overlap_threshold]
+    for clip, clip_overlaps in zip(clips, overlaps):
+        qualifying = [s for f, s in clip_overlaps if f >= threshold]
         if not qualifying:
             labels.append(ClipLabel(clip.clip_id, ObjLevel.EN, frozenset(), provenance))
             continue
@@ -173,15 +186,22 @@ def fuse(
     the clip index that no annotator covers gets an empty
     ``projections[film]`` and is fused as all-EN with empty provenance.
     Spans on a film missing from ``clips`` raise ``PreconditionError``.
+
+    Each film's spans take one overlap pass together, as in
+    ``sweep_thresholds``; each clip's list is then split by annotator,
+    keeping its order, and labelled as ``project`` labels it.
     """
     projections: dict[str, dict[str, list[ClipLabel]]] = {}
     merged: dict[str, list[ClipLabel]] = {}
     for film_id, (film_clips, film_spans) in _by_film(spans, clips).items():
-        by_annotator: dict[str, list[SpanAnnotation]] = {}
-        for s in film_spans:
-            by_annotator.setdefault(s.annotator_id, []).append(s)
+        annotators = sorted({s.annotator_id for s in film_spans})
+        split = {aid: [[] for _ in film_clips] for aid in annotators}
+        for i, overlaps in enumerate(_clip_overlaps(film_spans, film_clips, cfg.overlap_basis)):
+            for pair in overlaps:
+                split[pair[1].annotator_id][i].append(pair)
         film_proj = {
-            aid: project(by_annotator[aid], film_clips, cfg) for aid in sorted(by_annotator)
+            aid: _label_clips(film_clips, overlaps, cfg.overlap_threshold, frozenset([aid]))
+            for aid, overlaps in split.items()
         }
         projections[film_id] = film_proj
         merged[film_id] = (

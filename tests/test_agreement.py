@@ -1,6 +1,7 @@
 """Categorical disorder, the exact chance null, and the agreement score."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gazelab import (
     level_distance,
     observed_disorder,
 )
-from gazelab.agreement import LEVEL_DISTANCE_MATRIX
+from gazelab.agreement import LEVEL_DISTANCE_MATRIX, FilmPairGamma
 from gazelab.errors import PreconditionError
 
 EN, HN, NS, S = ObjLevel.EN, ObjLevel.HN, ObjLevel.NS, ObjLevel.S
@@ -323,6 +324,8 @@ class TestGamma:
             gamma({"A": [NS, NS], "B": [EN, S]}, cfg)
         with pytest.raises(PreconditionError, match=r"^film 'f', pair A\|B: the excluded levels"):
             gamma_per_film_and_average({"f": {"A": [NS, NS], "B": [EN, S], "C": [EN, S]}}, cfg)
+        with pytest.raises(PreconditionError, match=r"^film 'f', pair B\|C: the excluded levels"):
+            gamma_per_film_and_average({"f": {"C": [S, NS], "A": [EN, S], "B": [NS, EN]}}, cfg)
 
     def test_config_validation(self):
         # The excluded levels are the one setting; the exact null has no
@@ -334,6 +337,19 @@ class TestGamma:
                 GammaConfig(**setting)
         with pytest.raises(AttributeError):
             GammaConfig().n_null = 62
+
+
+def _pairwise_gamma(films, cfg):
+    """The pairs of ``gamma_per_film_and_average``, each scored by ``gamma``
+    of its two sequences alone."""
+    out = []
+    for film, seqs in sorted(films.items()):
+        for a, b in itertools.combinations(sorted(seqs), 2):
+            try:
+                out.append(FilmPairGamma(film, a, b, gamma({a: seqs[a], b: seqs[b]}, cfg)))
+            except PreconditionError as e:
+                raise PreconditionError(f"film {film!r}, {e}") from None
+    return tuple(out)
 
 
 class TestPerFilmAverage:
@@ -354,6 +370,29 @@ class TestPerFilmAverage:
         g2 = summary.per_pair[1].result.gamma
         assert summary.per_pair[0].result.gamma == 1.0
         assert summary.average == pytest.approx((1.0 + g2) / 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("excluded", [frozenset(), frozenset({NS}), frozenset({EN, S})])
+    def test_each_pair_is_exactly_gamma_of_its_two_sequences(self, excluded):
+        rng = np.random.default_rng(34)
+        cfg = GammaConfig(excluded_levels=excluded)
+        for _ in range(40):
+            films = {}
+            for film in ("f", "g", "h")[: int(rng.integers(1, 4))]:
+                names = [f"a{int(k)}" for k in rng.permutation(9)[: int(rng.integers(2, 6))]]
+                n = int(rng.integers(2, 40))
+                films[film] = {
+                    a: [ObjLevel(int(v)) for v in rng.choice(4, n, p=rng.dirichlet(np.ones(4)))]
+                    for a in names
+                }
+            try:
+                expected = _pairwise_gamma(films, cfg)
+            except PreconditionError as e:
+                with pytest.raises(PreconditionError, match=f"^{re.escape(str(e))}$"):
+                    gamma_per_film_and_average(films, cfg)
+                continue
+            summary = gamma_per_film_and_average(films, cfg)
+            assert summary.per_pair == expected
+            assert summary.average == float(np.mean([r.result.gamma for r in expected]))
 
     def test_four_annotators_make_six_pairs(self):
         rng = np.random.default_rng(33)

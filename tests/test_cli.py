@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 import gazelab
 from gazelab import CONCEPTS, ConceptVector, EmbeddingTable, NegativeMode, cbm, dump_embeddings
-from gazelab import TEST_NEGATIVE_SETS, ModelKind, ObjLevel, TaskConfig, harness
+from gazelab import TEST_NEGATIVE_SETS, ModelKind, ObjLevel, TaskConfig, fuse, harness
 from gazelab.cli import build_parser, main
 from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
@@ -23,6 +24,9 @@ from synthfix import (
     ids_by_level,
     make_error_fixture,
     make_linear_task,
+    random_fusion_fixture,
+    serialize_annotations,
+    serialize_clip_index,
 )
 
 
@@ -131,6 +135,58 @@ class TestFuse:
         assert main(["fuse", str(ann), str(clips), "--out", str(out)]) == 0
         rows = [json.loads(line) for line in read(out / "merged.jsonl").splitlines()]
         assert [r["clip"] for r in rows] == ["c\r5", "c6"]
+
+    def test_lines_are_json_dumps_of_each_record(self, tmp_path):
+        # Ids holding JSON escapes, non-ASCII text, a line separator and a
+        # control character. Each line must be the record dict encoded whole.
+        odd = '"\\é日本\u2028\x01'
+        rng = np.random.default_rng(16)
+        clips, spans = [], []
+        for film in (f"film{odd}", "plain"):
+            film_clips, by_annotator = random_fusion_fixture(rng, film)
+            clips += [replace(c, clip_id=f"{film}/{c.clip_id}{odd}") for c in film_clips]
+            spans += [
+                replace(s, annotator_id=f"{s.annotator_id}{odd}" if s.annotator_id == "a1" else "b")
+                for group in by_annotator.values()
+                for s in group
+            ]
+        (tmp_path / "ann.jsonl").write_text(serialize_annotations(spans), encoding="utf-8")
+        (tmp_path / "clips.csv").write_text(serialize_clip_index(clips), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["fuse", str(tmp_path / "ann.jsonl"), str(tmp_path / "clips.csv"),
+                     "--out", str(out)]) == 0
+
+        projections, merged = fuse(spans, clips)
+        merged_records = [
+            {
+                "film": film,
+                "clip": label.clip_id,
+                "level": label.level.name,
+                "concepts": [c.label for c in sorted(label.concepts)],
+                "annotators": sorted(label.annotators),
+            }
+            for film in sorted(merged)
+            for label in merged[film]
+        ]
+        projection_records = [
+            {
+                "film": film,
+                "annotator": annotator,
+                "clip": label.clip_id,
+                "level": label.level.name,
+                "concepts": [c.label for c in sorted(label.concepts)],
+            }
+            for film in sorted(projections)
+            for annotator in sorted(projections[film])
+            for label in projections[film][annotator]
+        ]
+        for name, records in (("merged", merged_records), ("projections", projection_records)):
+            expected = "".join(json.dumps(r) + "\n" for r in records)
+            assert (out / f"{name}.jsonl").read_bytes() == expected.encode("ascii")
+        assert {r["annotator"] for r in projection_records} == {f"a1{odd}", "b"}
+        # Some (level, concepts) comes with several annotator sets.
+        shapes = [(r["level"], tuple(r["concepts"]), tuple(r["annotators"])) for r in merged_records]
+        assert len({shape[:2] for shape in shapes}) < len(set(shapes))
 
     def test_missing_clip_file_exits_2(self, fusion_inputs, tmp_path):
         ann, _ = fusion_inputs

@@ -1,12 +1,17 @@
 """Domain model, parsing, and serialization round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from gazelab import (
+    CONCEPTS,
     ClipLabel,
     Concept,
+    ConceptVector,
     EmbeddingTable,
+    NegativeMode,
     ObjLevel,
     SpanAnnotation,
     dump_embeddings,
@@ -14,6 +19,7 @@ from gazelab import (
     parse_annotations,
     parse_clip_index,
 )
+from gazelab.core import json_object
 from gazelab.errors import InvariantViolation, MalformedRecord, ParseError
 from synthfix import serialize_annotations, serialize_clip_index
 
@@ -104,6 +110,13 @@ class TestParseAnnotations:
             with pytest.raises(MalformedRecord) as err:
                 parse_annotations(text)
             assert err.value.line == 1
+        # Only spaces and tabs, JSON's own whitespace, make a line blank;
+        # a line of any other whitespace is a record that is not JSON.
+        record = '{"film":"f","annotator":"a","start":0,"end":1,"level":"EN","concepts":[]}\n'
+        assert len(parse_annotations(record + " \t \n\n" + record)) == 2
+        for junk in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", " \x0c\t"):
+            with pytest.raises(MalformedRecord, match=r"^line 2: invalid JSON \("):
+                parse_annotations(record + junk + "\n" + record)
 
     def test_missing_field_is_malformed(self):
         with pytest.raises(MalformedRecord):
@@ -157,6 +170,64 @@ class TestParseAnnotations:
                     )
                 )
             assert parse_annotations(serialize_annotations(spans)) == spans
+
+
+def _loads_outcome(line):
+    """What ``json.loads`` makes of a line, as ``json_object`` reports it:
+    the object, or the reason of the MalformedRecord it raises."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        return f"invalid JSON ({e.msg})"
+    except RecursionError:
+        return "invalid JSON (nested too deeply)"
+    return obj if isinstance(obj, dict) else "record is not a JSON object"
+
+
+class TestJsonObject:
+    CAVS_FILE = json.dumps(
+        {
+            "config": {"mode": "en-only", "seed": 1},
+            "cavs": [
+                ConceptVector(c, np.eye(4)[c % 4], 0.5, NegativeMode.EN_ONLY, 1.0, None).to_json()
+                for c in CONCEPTS
+            ],
+        },
+        sort_keys=True,
+        indent=2,
+    ) + "\n"
+    LINES = [
+        '{"a": 1, "b": [true, null, "x"]}',
+        '{"film": "\\u65e5\\u672c \\"\\\\ \\u2028\\u0001", "clip": "é日本\u2028"}',
+        "{}",
+        ' {"a": 1}',
+        '{"a": 1} ',
+        '\t{"a": 1}\t',
+        '\ufeff{"a": 1}',
+        "{} {}",
+        "{}, {}",
+        "[1]",
+        "1",
+        '"text"',
+        "NaN",
+        '{"a": NaN, "b": -Infinity}',
+        '{"a": 1, "a": 2}',
+        '{"a": "\x01"}',
+        '{"a": 1',
+        "",
+        "[" * 100_000,
+        '{"a": ' * 100_000,
+        CAVS_FILE,
+    ]
+
+    def test_same_value_or_message_as_json_loads(self):
+        for line in self.LINES:
+            try:
+                outcome = json_object(line)
+            except MalformedRecord as e:
+                outcome = e.reason
+            # repr: NaN equals itself there, and 1 differs from 1.0.
+            assert repr(outcome) == repr(_loads_outcome(line)), line[:40]
 
 
 class TestClipIndex:

@@ -362,6 +362,29 @@ class TestAllPairsReference:
                         assert project(spans, clips, cfg) == all_pairs_project(spans, clips, cfg)
         assert touching > REFERENCE_FIXTURES
 
+    def test_fuse_matches(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(REFERENCE_FIXTURES):
+            clips, spans_by = reference_fixture(rng)
+            spans = [s for group in spans_by.values() for s in group]
+            for basis in OverlapBasis:
+                for t in reference_thresholds(rng):
+                    cfg = ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
+                    projections, merged = fuse(spans, clips, cfg)
+                    for film in ("f", "g"):
+                        film_clips = [c for c in clips if c.film_id == film]
+                        film_spans = {
+                            aid: [s for s in group if s.film_id == film]
+                            for aid, group in sorted(spans_by.items())
+                        }
+                        timelines = {
+                            aid: all_pairs_project(group, film_clips, cfg)
+                            for aid, group in film_spans.items()
+                            if group
+                        }
+                        assert projections[film] == timelines
+                        assert merged[film] == merge(list(timelines.items()))
+
     def test_sweep_matches(self):
         rng = np.random.default_rng(2025)
         for _ in range(REFERENCE_FIXTURES):
