@@ -60,6 +60,7 @@ from .fusion import (
     ProjectionConfig,
     SweepRow,
     fuse,
+    fuse_and_sweep,
     merge,
     overlap_fraction,
     project,

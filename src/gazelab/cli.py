@@ -14,6 +14,7 @@ resolved configuration (``_resolved``), never a timestamp: in a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,12 +26,11 @@ from . import fusion as fusion_mod
 from .agreement import GammaConfig, gamma_per_film_and_average
 from .core import (
     ClipLabel,
-    Concept,
     ObjLevel,
+    concept_set,
     csv_rows,
-    field,
     json_object,
-    jsonl_rows,
+    jsonl_records,
     load_embeddings,
     parse_annotations,
     parse_clip_index,
@@ -116,20 +116,26 @@ def _parse_levels(text: str) -> frozenset[ObjLevel]:
 
 
 def _read_merged_labels(text: str) -> list[ClipLabel]:
-    """Merged-label JSONL, each clip once (clip ids key everything downstream)."""
-    seen: set[str] = set()
+    """Merged-label JSONL, each clip once (clip ids key everything downstream).
 
-    def label(line: str) -> ClipLabel:
-        obj = json_object(line)
-        clip_id, level = field(obj, "clip", str), field(obj, "level", str)
-        if clip_id in seen:
+    ``fuse``'s own lines take the layout path of ``jsonl_records``; each
+    distinct concept and annotator list is decoded once.
+    """
+    seen: set[str] = set()
+    concepts_of, annotators_of = functools.cache(concept_set), functools.cache(frozenset)
+
+    def label(values: Iterable) -> ClipLabel:
+        values = iter(values)
+        clip_id, level = next(values), next(values)
+        if clip_id in seen:  # found before a fault in the fields after it
             raise MalformedRecord(f"second record of clip {clip_id!r}")
         seen.add(clip_id)
-        concepts, annotators = field(obj, "concepts", list, []), field(obj, "annotators", list, [])
-        concepts = frozenset(Concept.from_label(c) for c in concepts)
-        return ClipLabel(clip_id, ObjLevel.from_name(level), concepts, frozenset(annotators))
+        concepts, annotators = values
+        concepts = concepts_of(concepts)
+        return ClipLabel(clip_id, ObjLevel.from_name(level), concepts, annotators_of(annotators))
 
-    return read_rows(jsonl_rows(text), label)
+    fields = [("clip", str), ("level", str), ("concepts", list, []), ("annotators", list, [])]
+    return read_rows(jsonl_records(text, fields, _MERGED_LAYOUT), label)
 
 
 # --- fuse -------------------------------------------------------------------
@@ -143,6 +149,17 @@ def _parse_thresholds(text: str) -> list[float]:
     if not thresholds:
         raise ParseError(f"--sweep needs comma-separated numbers, got {text!r}")
     return thresholds
+
+
+#: The keys, in order, of the lines ``_label_lines`` writes to
+#: ``projections.jsonl`` and ``merged.jsonl``: the layouts by which
+#: ``jsonl_records`` reads those lines back without a JSON decoder.
+_PROJECTION_LAYOUT = (
+    ("film", str), ("annotator", str), ("clip", str), ("level", str), ("concepts", list),
+)
+_MERGED_LAYOUT = (
+    ("film", str), ("clip", str), ("level", str), ("concepts", list), ("annotators", list),
+)
 
 
 def _label_lines(
@@ -182,13 +199,14 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     clips = parse_clip_index(_read_path(args.clips))
     basis = fusion_mod.OverlapBasis(args.basis)
     cfg = fusion_mod.ProjectionConfig(overlap_threshold=args.threshold, overlap_basis=basis)
-    projections, merged = fusion_mod.fuse(spans, clips, cfg)
+    if thresholds is None:
+        projections, merged = fusion_mod.fuse(spans, clips, cfg)
+        rows = None
+    else:
+        projections, merged, rows = fusion_mod.fuse_and_sweep(spans, clips, cfg, thresholds)
     for film in sorted(projections):
         if not projections[film]:
             print(f"warning: film {film!r} has no annotations; fused as all-EN", file=sys.stderr)
-    rows = None
-    if thresholds is not None:
-        rows = fusion_mod.sweep_thresholds(spans, clips, thresholds, basis)
 
     out = Path(args.out)
     resolved = _resolved(args)
@@ -238,15 +256,14 @@ def _aligned_sequences(
     return {a: [levels[clip] for clip in ratings[first]] for a, levels in ratings.items()}
 
 
-def cmd_gamma(args: argparse.Namespace) -> int:
-    if args.exclude is not None and not args.exclude.replace(",", " ").strip():
-        raise ParseError(f"--exclude needs comma-separated level names, got {args.exclude!r}")
+def _read_projections(text: str) -> dict[str, dict[str, dict[str, ObjLevel]]]:
+    """Projection JSONL as ``film -> annotator -> clip -> level``, each clip
+    once per annotator; ``fuse``'s own lines take the layout path of
+    ``jsonl_records``."""
     films: dict[str, dict[str, dict[str, ObjLevel]]] = {}
 
-    def rating(line: str) -> None:
-        obj = json_object(line)
-        film, annotator = field(obj, "film", str), field(obj, "annotator", str)
-        clip, level = field(obj, "clip", str), field(obj, "level", str)
+    def rating(values: Iterable) -> None:
+        film, annotator, clip, level = values
         ratings = films.setdefault(film, {}).setdefault(annotator, {})
         if clip in ratings:
             raise MalformedRecord(
@@ -254,7 +271,15 @@ def cmd_gamma(args: argparse.Namespace) -> int:
             )
         ratings[clip] = ObjLevel.from_name(level)
 
-    read_rows(jsonl_rows(_read_path(args.projections)), rating)
+    fields = [("film", str), ("annotator", str), ("clip", str), ("level", str)]
+    read_rows(jsonl_records(text, fields, _PROJECTION_LAYOUT), rating)
+    return films
+
+
+def cmd_gamma(args: argparse.Namespace) -> int:
+    if args.exclude is not None and not args.exclude.replace(",", " ").strip():
+        raise ParseError(f"--exclude needs comma-separated level names, got {args.exclude!r}")
+    films = _read_projections(_read_path(args.projections))
 
     excluded = _parse_levels(args.exclude) if args.exclude else frozenset()
     cfg = GammaConfig(excluded_levels=excluded)

@@ -28,11 +28,13 @@ Three file formats are owned here, all bit-exact:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import re
 import struct
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any
@@ -127,7 +129,8 @@ class SpanAnnotation:
     concepts: frozenset[Concept]
 
     def __post_init__(self):
-        object.__setattr__(self, "concepts", frozenset(self.concepts))
+        if not isinstance(self.concepts, frozenset):
+            object.__setattr__(self, "concepts", frozenset(self.concepts))
         if self.start < 0:
             raise InvariantViolation(f"negative start {self.start}")
         if not self.start < self.end < math.inf:
@@ -172,8 +175,10 @@ class ClipLabel:
     annotators: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "concepts", frozenset(self.concepts))
-        object.__setattr__(self, "annotators", frozenset(self.annotators))
+        if not isinstance(self.concepts, frozenset):
+            object.__setattr__(self, "concepts", frozenset(self.concepts))
+        if not isinstance(self.annotators, frozenset):
+            object.__setattr__(self, "annotators", frozenset(self.annotators))
         _check_level_concepts(self.level, self.concepts)
 
 
@@ -347,23 +352,100 @@ def field(obj: dict, key: str, kind: type, default: Any = None) -> Any:
     raise MalformedRecord(f"field {key!r} must be {_KIND_NAMES[kind]}")
 
 
+#: The text of a string that ``json.dumps`` writes between its quotes
+#: as it is: one holding no ``"``, no ``\\`` and no U+0000-U+001F.
+_PLAIN = r'[^"\\\x00-\x1f]*'
+
+
+def _layout_pattern(layout: Sequence[tuple[str, type]], keys: set[str]) -> re.Pattern:
+    """The line ``json.dumps`` writes, default separators, for an object
+    with exactly the keys of ``layout`` in its order, each holding a
+    plain string (``str``) or an array of them (``list``). There is one
+    group for each of ``keys``, in layout order: a string's text between
+    its quotes, or an array's between its brackets."""
+    string = f'"{_PLAIN}"'
+    values = {str: _PLAIN, list: f"(?:{string}(?:, {string})*)?"}
+    parts = []
+    for key, kind in layout:
+        value = values[kind] if key not in keys else f"({values[kind]})"
+        parts.append(f'"{key}": ' + (f'"{value}"' if kind is str else rf"\[{value}\]"))
+    return re.compile("{" + ", ".join(parts) + "}")
+
+
+def _json_fields(line: str, fields: Sequence[tuple]) -> Iterator[Any]:
+    """The values of ``fields`` on ``line``, each checked as it is taken."""
+    obj = json_object(line)
+    for key, kind, default in fields:
+        value = field(obj, key, kind, default)
+        yield tuple(value) if kind is list else value
+
+
+def jsonl_records(
+    text: str, fields: Sequence[tuple], layout: Sequence[tuple[str, type]] | None = None
+) -> Iterator[tuple[int, Iterable]]:
+    """``(line number, values)`` of every line of ``jsonl_rows``.
+
+    ``fields`` holds ``(key, kind)`` or ``(key, kind, default)`` as
+    ``field`` takes them; the values come in that order, an array of
+    strings as a tuple. A line that is exactly what ``json.dumps`` writes
+    for ``layout`` (``_layout_pattern``) gives them from one match, each
+    distinct array split once per call; ``fields`` must then follow the
+    layout's order and kinds. Any other line is decoded by ``json_object``
+    and checked by ``field`` one field at a time, as the values are taken,
+    so its values and its faults, in their order, are those of calling
+    the two directly, and ``read_rows`` names the line of a fault.
+    """
+    fields = [(*f, None)[:3] for f in fields]  # no default is None to ``field``
+    match = None
+    if layout is not None:
+        keys = {key for key, _, _ in fields}
+        if [(key, kind) for key, kind, _ in fields] != [f for f in layout if f[0] in keys]:
+            raise ValueError(f"fields {fields} do not follow layout {layout}")
+        match = _layout_pattern(layout, keys).fullmatch
+    arrays = [i for i, (_, kind, _) in enumerate(fields) if kind is list]
+    decoded: dict[str, tuple[str, ...]] = {"": ()}
+    for lineno, line in jsonl_rows(text):
+        found = match(line) if match is not None else None
+        if found is None:
+            yield lineno, _json_fields(line, fields)
+            continue
+        values = found.groups()
+        if arrays:
+            values = list(values)
+            for i in arrays:
+                items = decoded.get(values[i])
+                if items is None:
+                    items = decoded[values[i]] = tuple(values[i][1:-1].split('", "'))
+                values[i] = items
+        yield lineno, values
+
+
+def concept_set(labels: Iterable[str]) -> frozenset[Concept]:
+    """The concepts of wire labels; InvariantViolation names the first unknown one."""
+    return frozenset(map(Concept.from_label, labels))
+
+
 def parse_annotations(text: str) -> list[SpanAnnotation]:
     """Parse annotation JSONL into spans, preserving line order.
 
     Raises MalformedRecord for lines that are not well-formed records
     and InvariantViolation (tagged with the line number) for records
-    that break the domain rules.
+    that break the domain rules. Annotation files come from outside
+    gazelab, so no line has a layout; each distinct concept list is
+    decoded once.
     """
+    concepts_of = functools.cache(concept_set)
 
-    def span(line: str) -> SpanAnnotation:
-        obj = json_object(line)
-        film, annotator = field(obj, "film", str), field(obj, "annotator", str)
-        start, end = field(obj, "start", float), field(obj, "end", float)
-        level, concepts = field(obj, "level", str), field(obj, "concepts", list)
-        concepts = frozenset(Concept.from_label(c) for c in concepts)
+    def span(values: Iterable) -> SpanAnnotation:
+        film, annotator, start, end, level, concepts = values
+        concepts = concepts_of(concepts)
         return SpanAnnotation(film, annotator, start, end, ObjLevel.from_name(level), concepts)
 
-    return read_rows(jsonl_rows(text), span)
+    fields = [
+        ("film", str), ("annotator", str), ("start", float), ("end", float),
+        ("level", str), ("concepts", list),
+    ]
+    return read_rows(jsonl_records(text, fields), span)
 
 
 # --- clip index CSV ------------------------------------------------------

@@ -131,26 +131,34 @@ def merge(per_annotator: Sequence[tuple[str, Sequence[ClipLabel]]]) -> list[Clip
 
     Per clip, the merged level is the maximum over annotators and the
     merged concepts are the union over exactly the annotators at that
-    maximum; those annotators form the provenance set.
+    maximum; those annotators form the provenance set. Timelines that
+    list the clips of the first in its order are read as they are; any
+    other is re-keyed by clip id into that order. An annotator with two
+    timelines, or a timeline that repeats a clip, is a PreconditionError.
     """
     if not per_annotator:
         raise PreconditionError("merge needs at least one annotator timeline")
     first_ids = [lbl.clip_id for lbl in per_annotator[0][1]]
-    by_annotator: dict[str, dict[str, ClipLabel]] = {}
+    first_set = set(first_ids)
+    annotators: list[str] = []
+    timelines: list[Sequence[ClipLabel]] = []
     for annotator_id, labels in per_annotator:
-        table = {lbl.clip_id: lbl for lbl in labels}
-        if set(table) != set(first_ids) or len(table) != len(labels):
-            raise PreconditionError(f"annotator {annotator_id!r} labels a different clip set")
-        by_annotator[annotator_id] = table
+        if annotator_id in annotators:
+            raise PreconditionError(f"annotator {annotator_id!r} has more than one timeline")
+        if len(first_set) != len(first_ids) or [lbl.clip_id for lbl in labels] != first_ids:
+            table = {lbl.clip_id: lbl for lbl in labels}
+            if table.keys() != first_set or len(table) != len(labels):
+                raise PreconditionError(f"annotator {annotator_id!r} labels a different clip set")
+            labels = [table[clip_id] for clip_id in first_ids]
+        annotators.append(annotator_id)
+        timelines.append(labels)
 
     merged: list[ClipLabel] = []
-    for clip_id in first_ids:
-        entries = [(aid, table[clip_id]) for aid, table in by_annotator.items()]
-        top = max(lbl.level for _, lbl in entries)
-        winners = [(aid, lbl) for aid, lbl in entries if lbl.level == top]
+    for clip_id, entries in zip(first_ids, zip(*timelines)):
+        top = max(lbl.level for lbl in entries)
+        winners = [(aid, lbl) for aid, lbl in zip(annotators, entries) if lbl.level == top]
         concepts = frozenset().union(*(lbl.concepts for _, lbl in winners))
-        annotators = frozenset(aid for aid, _ in winners)
-        merged.append(ClipLabel(clip_id, top, concepts, annotators))
+        merged.append(ClipLabel(clip_id, top, concepts, frozenset(aid for aid, _ in winners)))
     return merged
 
 
@@ -191,22 +199,7 @@ def fuse(
     ``sweep_thresholds``; each clip's list is then split by annotator,
     keeping its order, and labelled as ``project`` labels it.
     """
-    projections: dict[str, dict[str, list[ClipLabel]]] = {}
-    merged: dict[str, list[ClipLabel]] = {}
-    for film_id, (film_clips, film_spans) in _by_film(spans, clips).items():
-        annotators = sorted({s.annotator_id for s in film_spans})
-        split = {aid: [[] for _ in film_clips] for aid in annotators}
-        for i, overlaps in enumerate(_clip_overlaps(film_spans, film_clips, cfg.overlap_basis)):
-            for pair in overlaps:
-                split[pair[1].annotator_id][i].append(pair)
-        film_proj = {
-            aid: _label_clips(film_clips, overlaps, cfg.overlap_threshold, frozenset([aid]))
-            for aid, overlaps in split.items()
-        }
-        projections[film_id] = film_proj
-        merged[film_id] = (
-            merge(list(film_proj.items())) if film_proj else project([], film_clips, cfg)
-        )
+    projections, merged, _ = fuse_and_sweep(spans, clips, cfg, ())
     return projections, merged
 
 
@@ -217,6 +210,27 @@ class SweepRow:
     threshold: float
     counts: Mapping[ObjLevel, int]
     deltas: Mapping[ObjLevel, int]
+
+
+def _count_levels(
+    overlaps: Sequence[Sequence[tuple[float, SpanAnnotation]]],
+    thresholds: Sequence[float],
+    counts: Sequence[dict[ObjLevel, int]],
+) -> None:
+    """Add to ``counts[i]`` each clip's merged level at ``thresholds[i]``:
+    the highest level of a span meeting it, or EN."""
+    for t, row in zip(thresholds, counts):
+        for clip_overlaps in overlaps:
+            row[max((s.level for f, s in clip_overlaps if f >= t), default=ObjLevel.EN)] += 1
+
+
+def _sweep_rows(
+    thresholds: Sequence[float], counts: Sequence[dict[ObjLevel, int]]
+) -> list[SweepRow]:
+    return [
+        SweepRow(t, row, {level: row[level] - counts[0][level] for level in ObjLevel})
+        for t, row in zip(thresholds, counts)
+    ]
 
 
 def sweep_thresholds(
@@ -238,19 +252,43 @@ def sweep_thresholds(
         raise PreconditionError("no thresholds to sweep")
     for t in thresholds:
         ProjectionConfig(overlap_threshold=t, overlap_basis=basis)
-    pooled = [
-        _clip_overlaps(film_spans, film_clips, basis)
-        for film_clips, film_spans in _by_film(spans, clips).values()
-    ]
-    rows: list[SweepRow] = []
-    base: dict[ObjLevel, int] | None = None
+    counts = [{level: 0 for level in ObjLevel} for _ in thresholds]
+    for film_clips, film_spans in _by_film(spans, clips).values():
+        _count_levels(_clip_overlaps(film_spans, film_clips, basis), thresholds, counts)
+    return _sweep_rows(thresholds, counts)
+
+
+def fuse_and_sweep(
+    spans: Sequence[SpanAnnotation],
+    clips: Sequence[ClipDelimitation],
+    cfg: ProjectionConfig,
+    thresholds: Sequence[float],
+) -> tuple[dict[str, dict[str, list[ClipLabel]]], dict[str, list[ClipLabel]], list[SweepRow]]:
+    """``fuse(spans, clips, cfg)``, and the rows of ``sweep_thresholds(spans,
+    clips, thresholds, cfg.overlap_basis)`` (none for no thresholds), from
+    one overlap pass per film that both read. Films missing from ``clips``
+    are reported before the thresholds are checked.
+    """
+    films = _by_film(spans, clips)
     for t in thresholds:
-        counts = {level: 0 for level in ObjLevel}
-        for film in pooled:
-            for overlaps in film:
-                counts[max((s.level for f, s in overlaps if f >= t), default=ObjLevel.EN)] += 1
-        if base is None:
-            base = counts
-        deltas = {level: counts[level] - base[level] for level in ObjLevel}
-        rows.append(SweepRow(threshold=t, counts=counts, deltas=deltas))
-    return rows
+        ProjectionConfig(overlap_threshold=t, overlap_basis=cfg.overlap_basis)
+    projections: dict[str, dict[str, list[ClipLabel]]] = {}
+    merged: dict[str, list[ClipLabel]] = {}
+    counts = [{level: 0 for level in ObjLevel} for _ in thresholds]
+    for film_id, (film_clips, film_spans) in films.items():
+        overlaps = _clip_overlaps(film_spans, film_clips, cfg.overlap_basis)
+        annotators = sorted({s.annotator_id for s in film_spans})
+        split = {aid: [[] for _ in film_clips] for aid in annotators}
+        for i, clip_overlaps in enumerate(overlaps):
+            for pair in clip_overlaps:
+                split[pair[1].annotator_id][i].append(pair)
+        film_proj = {
+            aid: _label_clips(film_clips, film_overlaps, cfg.overlap_threshold, frozenset([aid]))
+            for aid, film_overlaps in split.items()
+        }
+        projections[film_id] = film_proj
+        merged[film_id] = (
+            merge(list(film_proj.items())) if film_proj else project([], film_clips, cfg)
+        )
+        _count_levels(overlaps, thresholds, counts)
+    return projections, merged, _sweep_rows(thresholds, counts)

@@ -15,7 +15,7 @@ import pytest
 
 import gazelab
 from gazelab import CONCEPTS, ConceptVector, EmbeddingTable, NegativeMode, cbm, dump_embeddings
-from gazelab import TEST_NEGATIVE_SETS, ModelKind, ObjLevel, TaskConfig, fuse, harness
+from gazelab import TEST_NEGATIVE_SETS, ModelKind, ObjLevel, TaskConfig, core, fuse, fusion, harness
 from gazelab.cli import build_parser, main
 from synthfix import (
     FUSION_FIXTURE_ANNOTATIONS_JSONL,
@@ -187,6 +187,43 @@ class TestFuse:
         # Some (level, concepts) comes with several annotator sets.
         shapes = [(r["level"], tuple(r["concepts"]), tuple(r["annotators"])) for r in merged_records]
         assert len({shape[:2] for shape in shapes}) < len(set(shapes))
+
+    def test_own_output_takes_the_layout_path(self, tmp_path, monkeypatch):
+        # Two films. fuse --sweep makes one pooled overlap pass per film,
+        # read by the labelling and the sweep; gamma and stats read fuse's
+        # own lines without a JSON decoder.
+        rng = np.random.default_rng(32)
+        clips, spans = [], []
+        for film in ("f1", "f2"):
+            film_clips, by_annotator = random_fusion_fixture(rng, film)
+            clips += [replace(c, clip_id=f"{film}/{c.clip_id}") for c in film_clips]
+            spans += [s for group in by_annotator.values() for s in group]
+        (tmp_path / "ann.jsonl").write_text(serialize_annotations(spans), encoding="utf-8")
+        (tmp_path / "clips.csv").write_text(serialize_clip_index(clips), encoding="utf-8")
+        calls = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(core, "json_object")
+        count(gazelab.cli, "json_object")
+        count(fusion, "_clip_overlaps")
+        out = tmp_path / "out"
+        assert main(["fuse", str(tmp_path / "ann.jsonl"), str(tmp_path / "clips.csv"),
+                     "--sweep", "0.1,0.2,0.3,0.4", "--out", str(out / "fuse")]) == 0
+        assert calls == {"json_object": len(spans), "_clip_overlaps": 2}
+        calls.clear()
+        projections = str(out / "fuse" / "projections.jsonl")
+        assert main(["gamma", projections, "--out", str(out / "gamma")]) == 0
+        assert main(["gamma", projections, "--exclude", "NS", "--out", str(out / "ns")]) == 0
+        assert main(["stats", str(out / "fuse" / "merged.jsonl"), "--out", str(out / "stats")]) == 0
+        assert calls == {}
 
     def test_missing_clip_file_exits_2(self, fusion_inputs, tmp_path):
         ann, _ = fusion_inputs

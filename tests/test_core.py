@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gazelab import (
     CONCEPTS,
@@ -19,7 +20,8 @@ from gazelab import (
     parse_annotations,
     parse_clip_index,
 )
-from gazelab.core import json_object
+from gazelab.cli import _read_merged_labels, _read_projections
+from gazelab.core import field, json_object, jsonl_records, jsonl_rows, read_rows
 from gazelab.errors import InvariantViolation, MalformedRecord, ParseError
 from synthfix import serialize_annotations, serialize_clip_index
 
@@ -228,6 +230,123 @@ class TestJsonObject:
                 outcome = e.reason
             # repr: NaN equals itself there, and 1 differs from 1.0.
             assert repr(outcome) == repr(_loads_outcome(line)), line[:40]
+
+
+def _json_path_projections(text):
+    """``gamma``'s projection reader on ``json_object`` and ``field`` alone."""
+    films = {}
+
+    def rating(line):
+        obj = json_object(line)
+        film, annotator = field(obj, "film", str), field(obj, "annotator", str)
+        clip, level = field(obj, "clip", str), field(obj, "level", str)
+        ratings = films.setdefault(film, {}).setdefault(annotator, {})
+        if clip in ratings:
+            raise MalformedRecord(
+                f"second rating of clip {clip!r} by {annotator!r} in film {film!r}"
+            )
+        ratings[clip] = ObjLevel.from_name(level)
+
+    read_rows(jsonl_rows(text), rating)
+    return films
+
+
+def _json_path_merged_labels(text):
+    """The merged-label reader on ``json_object`` and ``field`` alone."""
+    seen = set()
+
+    def label(line):
+        obj = json_object(line)
+        clip_id, level = field(obj, "clip", str), field(obj, "level", str)
+        if clip_id in seen:
+            raise MalformedRecord(f"second record of clip {clip_id!r}")
+        seen.add(clip_id)
+        concepts, annotators = field(obj, "concepts", list, []), field(obj, "annotators", list, [])
+        concepts = frozenset(Concept.from_label(c) for c in concepts)
+        return ClipLabel(clip_id, ObjLevel.from_name(level), concepts, frozenset(annotators))
+
+    return read_rows(jsonl_rows(text), label)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except (MalformedRecord, InvariantViolation) as e:
+        return type(e), str(e), e.line
+
+
+# Strings that take the layout path (plain and non-ASCII text) and
+# strings that do not: a quote, a backslash or a control character, each
+# written as ``json.dumps`` escapes it, and non-ASCII text escaped too.
+_TEXT = st.text(
+    st.sampled_from(["a", "b", "0", "_", "é", "日", "\u2028", '"', "\\", "\x01"]), max_size=3
+)
+_LEVELS = st.sampled_from(["EN", "HN", "NS", "S", "XL"])
+_CONCEPTS = st.lists(st.sampled_from(["Body", "Look", "Activity", "Hat"]), max_size=2)
+
+
+@st.composite
+def _fuse_lines(draw, merged):
+    """A line of ``merged.jsonl`` or ``projections.jsonl``: the record in
+    fuse's key order, written by ``json.dumps`` with raw or escaped
+    non-ASCII text, sometimes in another key order, with other
+    separators, or with a raw control character."""
+    record = {"film": draw(_TEXT | st.just("f"))}
+    if not merged:
+        record["annotator"] = draw(_TEXT | st.just("a1"))
+    record["clip"] = draw(st.sampled_from(["c1", "c2", "c3"]) | _TEXT)
+    record["level"] = draw(_LEVELS)
+    record["concepts"] = draw(_CONCEPTS)
+    if merged:
+        record["annotators"] = draw(st.lists(_TEXT, max_size=2))
+    if draw(st.integers(0, 5)) == 0:
+        record = dict(draw(st.permutations(list(record.items()))))
+    separators = draw(st.sampled_from([None, None, None, (",", ":")]))
+    line = json.dumps(record, ensure_ascii=draw(st.booleans()), separators=separators)
+    if draw(st.integers(0, 5)) == 0:
+        line = line.replace("\\u0001", "\x01")
+    return line
+
+
+class TestLayoutPath:
+    """fuse's two JSONL readers read every line as ``json_object`` and
+    ``field`` would: the same records, or the same fault at the same line."""
+
+    SETTINGS = settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+    @SETTINGS
+    @given(st.lists(_fuse_lines(merged=False), max_size=6).map("\n".join))
+    @example('{"film": "f", "annotator": "a", "clip": "c1", "level": "S", "concepts": ["Body"]}')
+    @example('{"film": "f", "annotator": "a", "clip": "c1", "level": "S", "concepts": []}\n' * 2)
+    @example('{"film": "f", "annotator": "a", "clip": "c1", "level": "XL", "concepts": ["Hat"]}')
+    def test_projections(self, text):
+        assert _outcome(_read_projections, text) == _outcome(_json_path_projections, text)
+
+    @SETTINGS
+    @given(st.lists(_fuse_lines(merged=True), max_size=6).map("\n".join))
+    @example('{"film": "f", "clip": "c1", "level": "S", "concepts": ["Body"], "annotators": []}')
+    @example('{"film": "f", "clip": "c", "level": "EN", "concepts": [], "annotators": ["a"]}\n' * 2)
+    @example('{"film": "f", "clip": "c", "level": "XL", "concepts": ["Hat"], "annotators": []}')
+    @example('{"film": "f", "clip": "c", "level": "XL", "concepts": [], "annotators": []}')
+    @example('{"film": "é", "clip": "\\"", "level": "S", "concepts": [], "annotators": ["\\u00e9"]}')
+    @example('{"clip": "c", "level": "EN"}\n{"clip": "c", "level": "S", "concepts": 1}')
+    def test_merged_labels(self, text):
+        assert _outcome(_read_merged_labels, text) == _outcome(_json_path_merged_labels, text)
+
+    def test_fields_follow_the_layout(self):
+        layout = (("a", str), ("b", list))
+        line = '{"a": "x", "b": ["y", "z"]}'
+        records = list(jsonl_records(line, [("a", str), ("b", list)], layout))
+        assert records == [(1, ["x", ("y", "z")])]
+        for fields in ([("b", list), ("a", str)], [("a", list)], [("c", str)]):
+            with pytest.raises(ValueError):
+                list(jsonl_records(line, fields, layout))
 
 
 class TestClipIndex:

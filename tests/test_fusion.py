@@ -15,6 +15,7 @@ from gazelab import (
     SpanAnnotation,
     SweepRow,
     fuse,
+    fuse_and_sweep,
     merge,
     overlap_fraction,
     project,
@@ -154,6 +155,39 @@ class TestMerge:
                 ]
             )
 
+    def test_an_annotator_with_two_timelines_rejected(self):
+        s = [ClipLabel("c1", ObjLevel.S, frozenset({Concept.BODY}))]
+        en = [ClipLabel("c1", ObjLevel.EN, frozenset())]
+        for timelines in (
+            [("a", s), ("a", en)],
+            [("a", en), ("a", s)],
+            [("a", en), ("b", s), ("a", en)],
+        ):
+            with pytest.raises(PreconditionError, match="annotator 'a' has more than one timeline"):
+                merge(timelines)
+
+    def test_a_repeated_clip_rejected(self):
+        one, two = (ClipLabel(c, ObjLevel.EN, frozenset()) for c in ("c1", "c2"))
+        for timelines, annotator in (
+            ([("A", [one, one])], "A"),
+            ([("A", [one, one]), ("B", [one, one])], "A"),
+            ([("A", [one, two]), ("B", [one, two, one])], "B"),
+            ([("A", [one, two]), ("B", [two, one, two])], "B"),
+        ):
+            with pytest.raises(PreconditionError, match=f"annotator '{annotator}' labels a"):
+                merge(timelines)
+
+    def test_timelines_in_another_clip_order_are_rekeyed(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            clips, spans_by = random_fusion_fixture(rng)
+            timelines = [(aid, project(sp, clips)) for aid, sp in spans_by.items()]
+            shuffled = [(aid, list(rng.permutation(labels))) for aid, labels in timelines]
+            assert merge(timelines[:1] + shuffled[1:]) == merge(timelines)
+            assert sorted(merge(shuffled), key=lambda l: l.clip_id) == sorted(
+                merge(timelines), key=lambda l: l.clip_id
+            )
+
     def test_empty_input(self):
         with pytest.raises(PreconditionError, match="merge needs at least one annotator timeline"):
             merge([])
@@ -219,6 +253,26 @@ class TestFuse:
             fuse([span(0.0, 9.0, ObjLevel.S), ghost], [CLIP])
         with pytest.raises(PreconditionError, match=r"clip index: \['ghost'\]"):
             sweep_thresholds([ghost], [CLIP], [0.2])
+
+    def test_fuse_and_sweep_is_fuse_and_sweep_thresholds(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            clips, spans_by = random_fusion_fixture(rng)
+            spans = [s for group in spans_by.values() for s in group]
+            thresholds = list(rng.uniform(0.01, 1.0, int(rng.integers(1, 5))))
+            for basis in OverlapBasis:
+                cfg = ProjectionConfig(float(rng.uniform(0.01, 1.0)), basis)
+                rows = sweep_thresholds(spans, clips, thresholds, basis)
+                assert fuse_and_sweep(spans, clips, cfg, thresholds) == (*fuse(spans, clips, cfg), rows)
+
+    def test_fuse_and_sweep_checks_films_then_thresholds(self):
+        cfg = ProjectionConfig()
+        other = SpanAnnotation("g", "a1", 0.0, 1.0, ObjLevel.EN, frozenset())
+        with pytest.raises(PreconditionError, match="missing from the clip index"):
+            fuse_and_sweep([other], [CLIP], cfg, [2.0])
+        assert fuse_and_sweep([], [CLIP], cfg, []) == (*fuse([], [CLIP], cfg), [])
+        with pytest.raises(InvariantViolation, match="overlap threshold"):
+            fuse_and_sweep([], [CLIP], cfg, [0.1, 2.0])
 
     def test_film_without_annotators_fuses_all_en_silently(self):
         # The empty projection is the only report: the CLI prints it.
