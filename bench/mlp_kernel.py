@@ -19,9 +19,11 @@ Then come the inputs of the evaluate benchmark's seed 1, written by
 ``perfbench/workloads.generate_evaluate`` into a temporary directory:
 1,000 clips at 512 dimensions, 3 EN draws and 1 HN draw. One line per
 draw, in-process, gives the rows, kept epoch and median fit seconds of
-its ``train_mlp`` call, built through ``harness.plan_task``
-as ``harness.run_task`` builds it; these are the fits that ``eval``
-runs in forked workers, where a tracer in the parent cannot see them.
+its ``train_mlp`` call, planned from one ``harness.fold_plan`` through
+``harness.plan_task`` as ``eval`` plans it and gathered as
+``harness.run_task`` gathers it (so these lines need a ``DIR`` that has
+``fold_plan``); these are the fits that ``eval`` runs in forked workers,
+where a tracer in the parent cannot see them.
 A last line times the whole ``eval --model mlp`` grid (median of N runs
 of ``gazelab.cli.main``). It prints the usable CPU count, since the grid fits its draws in one
 forked worker per usable CPU, and the sha256 of ``eval_report.json``,
@@ -122,17 +124,18 @@ def main() -> None:
 
 
 def draw_lines(argv: list[str], repeats: int) -> None:
-    """Fit each MLP draw of ``eval`` ``argv`` in-process, as ``run_task``
-    plans and gathers it, and print one line per draw."""
+    """Fit each MLP draw of ``eval`` ``argv`` in-process, planned as ``eval``
+    plans it and gathered as ``run_task`` gathers it; one line per draw."""
     from gazelab import TEST_NEGATIVE_SETS, ModelKind, ObjLevel, TaskConfig, cli, harness, models
 
     args = cli.build_parser().parse_args(argv)
     emb, labels = cli._load_task_inputs(args)
+    folds = harness.fold_plan(labels, cli._resolve_seed(args))
     for neg in (ObjLevel.EN, ObjLevel.HN):
-        cfg = TaskConfig(neg, ModelKind.MLP, cli._resolve_seed(args), args.epochs, args.lr, args.batch)
-        train_sets, _, val_row, _ = harness.plan_task(cfg, labels, TEST_NEGATIVE_SETS, emb)
-        val = harness._rows(emb, *val_row)
-        for index, draw in enumerate(train_sets):
+        cfg = TaskConfig(neg, ModelKind.MLP, folds.seed, args.epochs, args.lr, args.batch)
+        cell = harness.plan_task(cfg, folds, TEST_NEGATIVE_SETS, emb)
+        val = harness._rows(emb, *cell.val_row)
+        for index, draw in enumerate(cell.draws):
             X, y = harness._rows(emb, *draw)
             times, result = times_s(
                 lambda: models.train_mlp(

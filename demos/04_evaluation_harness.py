@@ -20,6 +20,8 @@ from gazelab import (
     error_factor_analysis,
     export_tree_report,
     fit_all_cavs,
+    fold_plan,
+    plan_task,
     run_task,
     train_pcbm,
 )
@@ -34,11 +36,12 @@ def main():
     print("== task grid, MLP head (mean F1 over balanced draws) ==")
     corner = "train \\ test"
     print(f"  {corner:14s} {'EN vs S':>10s} {'EN+HN vs S':>12s}")
+    folds = fold_plan(labels, seed=3)  # both rows draw from one fold plan
     for train_neg in (ObjLevel.EN, ObjLevel.HN):
         cfg = TaskConfig(
             train_negatives=train_neg, model=ModelKind.MLP, seed=3, mlp_epochs=120, mlp_lr=2e-2
         )
-        (reports,) = run_task([cfg], labels, feats, TEST_NEGATIVE_SETS)
+        (reports,) = run_task([plan_task(cfg, folds, TEST_NEGATIVE_SETS, feats)], feats)
         cells = [f"{r.mean_f1:.3f}({r.std_f1:.3f})" for r in reports]
         print(f"  {train_neg.name + ' vs S':14s} {cells[0]:>10s} {cells[1]:>12s}")
     print(f"  baselines for the EN test: {reports[0].baselines}")

@@ -75,7 +75,9 @@ from .harness import (
     TaskConfig,
     balanced_train_sets,
     error_factor_analysis,
+    fold_plan,
     make_folds_from_ids,
+    plan_task,
     run_task,
 )
 from .models import (

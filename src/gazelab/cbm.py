@@ -30,6 +30,7 @@ from .harness import (
     TaskConfig,
     balanced_draws,
     derive_seed,
+    fold_plan,
     make_folds_from_ids,
     plan_task,
     run_task,
@@ -358,19 +359,20 @@ def train_pcbm(
     cavs: Sequence[ConceptVector] | None = None,
 ) -> tuple[tuple[EvalReport, ...], ...]:
     """Interpretable heads on concept coordinates: ``run_task`` of the
-    ``PCBM_DT``/``PCBM_LR`` rows ``configs`` on the ``score_table`` of
-    ``cavs``, or of the EN-only axes fitted with the first row's seed.
-    Every cell is checked against ``emb`` before any axis is fitted.
+    ``PCBM_DT``/``PCBM_LR`` rows ``configs``, all of one seed, on the
+    ``score_table`` of ``cavs``, or of the EN-only axes fitted with that
+    seed. Each cell is planned once, against ``emb``, from the one
+    ``fold_plan(labels, seed)``, before any axis is fitted.
 
-    ``cavs`` must not have seen the harness's test fold: axes fitted on
-    the test clips shape the very coordinates the head is scored on, and
-    its F1 then overstates what the concepts carry.
+    ``cavs`` must not have seen the test fold of that ``fold_plan``: axes
+    fitted on the test clips shape the very coordinates the head is scored
+    on, and its F1 then overstates what the concepts carry.
     """
-    for cfg in configs:
-        plan_task(cfg, labels, test_sets, emb)
+    folds = fold_plan(labels, configs[0].seed)
+    cells = [plan_task(cfg, folds, test_sets, emb) for cfg in configs]
     if cavs is None:
-        cavs = fit_all_cavs(emb, labels, mode=NegativeMode.EN_ONLY, seed=configs[0].seed)
-    return run_task(configs, labels, score_table(emb, cavs), test_sets)
+        cavs = fit_all_cavs(emb, labels, mode=NegativeMode.EN_ONLY, seed=folds.seed)
+    return run_task(cells, score_table(emb, cavs))
 
 
 def export_tree_report(tree: DecisionTree) -> str:

@@ -46,6 +46,8 @@ from .harness import (
     ModelKind,
     TaskConfig,
     error_factor_analysis,
+    fold_plan,
+    plan_task,
     run_task,
 )
 from .models import model_to_json
@@ -194,16 +196,12 @@ def _label_lines(
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
-    thresholds = _parse_thresholds(args.sweep) if args.sweep is not None else None
+    thresholds = _parse_thresholds(args.sweep) if args.sweep is not None else ()
     spans = parse_annotations(_read_path(args.annotations))
     clips = parse_clip_index(_read_path(args.clips))
     basis = fusion_mod.OverlapBasis(args.basis)
     cfg = fusion_mod.ProjectionConfig(overlap_threshold=args.threshold, overlap_basis=basis)
-    if thresholds is None:
-        projections, merged = fusion_mod.fuse(spans, clips, cfg)
-        rows = None
-    else:
-        projections, merged, rows = fusion_mod.fuse_and_sweep(spans, clips, cfg, thresholds)
+    projections, merged, rows = fusion_mod.fuse_and_sweep(spans, clips, cfg, thresholds)
     for film in sorted(projections):
         if not projections[film]:
             print(f"warning: film {film!r} has no annotations; fused as all-EN", file=sys.stderr)
@@ -228,7 +226,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     )
     _write_lines(out / "projections.jsonl", proj_lines)
 
-    if rows is not None:
+    if args.sweep is not None:
         lines = [_config_line({**resolved, "sweep": thresholds})]
         lines.append("threshold,en,hn,ns,s,delta_en,delta_hn,delta_ns,delta_s")
         for row in rows:
@@ -404,22 +402,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     emb, labels = _load_task_inputs(args)
     model = ModelKind(args.model)
-    # Rows are the train negatives, columns the test negative sets; both
-    # rows' settings, test sets, folds and embeddings are checked before anything is fitted.
+    # Rows are the train negatives, columns the test negative sets. Both rows'
+    # settings and plans are checked before anything is fitted; each is fitted once.
     configs = [
-        TaskConfig(
-            train_negatives=train_neg,
-            model=model,
-            seed=seed,
-            mlp_epochs=args.epochs,
-            mlp_lr=args.lr,
-            mlp_batch=args.batch,
-        )
+        TaskConfig(train_neg, model, seed, args.epochs, args.lr, args.batch)
         for train_neg in (ObjLevel.EN, ObjLevel.HN)
     ]
-    # Each row is fitted once and scored on both columns.
     if model is ModelKind.MLP:
-        reports_by_row = run_task(configs, labels, emb, TEST_NEGATIVE_SETS)
+        folds = fold_plan(labels, seed)
+        planned = [plan_task(cfg, folds, TEST_NEGATIVE_SETS, emb) for cfg in configs]
+        reports_by_row = run_task(planned, emb)
     else:
         reports_by_row = cbm_mod.train_pcbm(emb, labels, configs, TEST_NEGATIVE_SETS)
     rows = {cfg.train_negatives: cells for cfg, cells in zip(configs, reports_by_row)}

@@ -201,14 +201,8 @@ def _train_for_draw(
     """Fit the configured model, and the MLP's epoch kept on validation F1."""
     if cfg.model is ModelKind.MLP:
         fit = train_mlp(
-            X_train,
-            y_train,
-            X_val,
-            y_val,
-            epochs=cfg.mlp_epochs,
-            lr=cfg.mlp_lr,
-            batch=cfg.mlp_batch,
-            seed=draw_seed,
+            X_train, y_train, X_val, y_val,
+            epochs=cfg.mlp_epochs, lr=cfg.mlp_lr, batch=cfg.mlp_batch, seed=draw_seed,
         )
         return fit.model, fit.kept_epoch
     if cfg.model is ModelKind.PCBM_DT:
@@ -218,38 +212,53 @@ def _train_for_draw(
     raise InvariantViolation(f"unknown model kind {cfg.model}")
 
 
-def plan_task(
-    cfg: TaskConfig,
-    labels: Sequence[ClipLabel],
-    test_sets: Sequence[frozenset[ObjLevel]],
-    features: Container[str],
-) -> tuple[list, list, tuple, list[frozenset[ObjLevel]]]:
-    """The one check of a task cell before anything is fitted: ``test_sets``
-    (each one of ``TEST_NEGATIVE_SETS``), the folds, the balanced draws, and
-    that ``features`` holds every clip the cell trains, validates or scores
-    on. Returns the draws, the (positives, negatives) ids of each test set
-    and of the validation fold, and ``test_sets`` as a list."""
-    test_sets = [frozenset(t) for t in test_sets]
-    if not test_sets or any(t not in TEST_NEGATIVE_SETS for t in test_sets):
-        raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
+def fold_plan(labels: Sequence[ClipLabel], seed: int) -> FoldPlan:
+    """The folds of ``labels`` by level at ``seed``, shared by every cell of that seed."""
     by_level: dict[ObjLevel, list[str]] = {}
     for lbl in labels:
         if lbl.level is ObjLevel.NS:
             raise PreconditionError("NS clips must be dropped before evaluation")
         by_level.setdefault(lbl.level, []).append(lbl.clip_id)
-    plan = make_folds_from_ids(by_level, seed=cfg.seed)
-    train_sets = balanced_train_sets(plan, ObjLevel.S, cfg.train_negatives)
+    return make_folds_from_ids(by_level, seed=seed)
+
+
+@dataclass(frozen=True)
+class CellPlan:
+    """One checked train row: its draws and its test and validation (positives, negatives)."""
+
+    config: TaskConfig
+    draws: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    test_rows: tuple[tuple[list[str], list[str]], ...]
+    val_row: tuple[list[str], list[str]]
+    test_sets: tuple[frozenset[ObjLevel], ...]
+
+
+def plan_task(
+    cfg: TaskConfig,
+    folds: FoldPlan,
+    test_sets: Sequence[frozenset[ObjLevel]],
+    features: Container[str],
+) -> CellPlan:
+    """The one check of a task cell before anything is fitted: ``test_sets``
+    (each one of ``TEST_NEGATIVE_SETS``), the seed of ``folds``, the draws,
+    and that ``features`` holds every clip the cell fits or scores on."""
+    test_sets = tuple(frozenset(t) for t in test_sets)
+    if not test_sets or any(t not in TEST_NEGATIVE_SETS for t in test_sets):
+        raise InvariantViolation("test negatives must be {EN} or {EN, HN}")
+    if cfg.seed != folds.seed:
+        raise InvariantViolation(f"a cell of seed {cfg.seed} planned on folds of seed {folds.seed}")
+    draws = tuple(balanced_train_sets(folds, ObjLevel.S, cfg.train_negatives))
 
     def fold_of(levels: Sequence[ObjLevel], fold: int) -> list[str]:
-        return [cid for lv in levels for cid in plan.ids(lv, [fold])]
+        return [cid for lv in levels for cid in folds.ids(lv, [fold])]
 
-    test_pos = fold_of([ObjLevel.S], plan.test_fold)
-    test_rows = [(test_pos, fold_of(sorted(neg), plan.test_fold)) for neg in test_sets]
-    val_row = (fold_of([ObjLevel.S], plan.val_fold), fold_of([cfg.train_negatives], plan.val_fold))
-    for cid in (cid for row in (*test_rows, val_row, *train_sets) for ids in row for cid in ids):
+    test_pos = fold_of([ObjLevel.S], folds.test_fold)
+    test_rows = tuple((test_pos, fold_of(sorted(neg), folds.test_fold)) for neg in test_sets)
+    val_row = tuple(fold_of([lv], folds.val_fold) for lv in (ObjLevel.S, cfg.train_negatives))
+    for cid in (cid for row in (*test_rows, val_row, *draws) for ids in row for cid in ids):
         if cid not in features:
             raise PreconditionError(f"no embedding for clip {cid!r}")
-    return train_sets, test_rows, val_row, test_sets
+    return CellPlan(cfg, draws, test_rows, val_row, test_sets)
 
 
 def _rows(
@@ -308,42 +317,35 @@ def _fit_all(fits: list[Callable[[], tuple[Any, int | None]]], mlp: bool) -> lis
 
 
 def run_task(
-    configs: Sequence[TaskConfig],
-    labels: Sequence[ClipLabel],
-    features: Mapping[str, np.ndarray],
-    test_sets: Sequence[frozenset[ObjLevel]],
+    cells: Sequence[CellPlan], features: Mapping[str, np.ndarray]
 ) -> tuple[tuple[EvalReport, ...], ...]:
-    """Evaluate each train row of ``configs`` on each of ``test_sets``.
+    """Fit each balanced draw of ``cells`` once and score it on every test
+    set of its row, with ``features`` mapping each clip of ``cells`` to a
+    vector (an EmbeddingTable for the MLP, concept coordinates otherwise).
 
-    ``features`` maps clip ids to vectors (an EmbeddingTable for the
-    MLP, concept-subspace coordinates for the interpretable models).
-    Every row is planned and checked before anything is fitted. Each
-    balanced draw's model is fitted once and scored on every test set;
-    all draws of a row share the identical test fold. One tuple of
-    reports per row, in ``configs`` order, holds one report per test
-    set, in ``test_sets`` order; each carries per-draw F1, their mean
-    and standard deviation, the model fitted on each draw, and the
-    closed-form random / all-positive baselines for that test
-    composition. The draws of all rows are fitted together, in forked
+    One tuple of reports per cell, in order, holds one report per test set:
+    per-draw F1, their mean and standard deviation, the model of each draw,
+    and the closed-form random / all-positive baselines of that test
+    composition. The draws of all cells are fitted together, in forked
     workers when they are MLP draws (see ``_fit_all``).
     """
-    plans = [plan_task(cfg, labels, test_sets, features) for cfg in configs]
     fits = []
-    for cfg, (train_sets, _, val_row, _) in zip(configs, plans):
-        val = _rows(features, *val_row)
-        for draw_index, draw in enumerate(train_sets):
+    for cell in cells:
+        cfg = cell.config
+        val = _rows(features, *cell.val_row)
+        for draw_index, draw in enumerate(cell.draws):
 
             def fit(cfg=cfg, draw=draw, val=val, draw_seed=derive_seed(cfg.seed, 1, draw_index)):
                 return _train_for_draw(cfg, *_rows(features, *draw), *val, draw_seed)
 
             fits.append(fit)
-    results = iter(_fit_all(fits, all(cfg.model is ModelKind.MLP for cfg in configs)))
+    results = iter(_fit_all(fits, all(cell.config.model is ModelKind.MLP for cell in cells)))
 
     rows = []
-    for cfg, (train_sets, test_rows, _, test_sets) in zip(configs, plans):
-        models, kept_epochs = zip(*(next(results) for _ in train_sets))
+    for cell in cells:
+        models, kept_epochs = zip(*(next(results) for _ in cell.draws))
         reports = []
-        for test_negatives, test_row in zip(test_sets, test_rows):
+        for test_negatives, test_row in zip(cell.test_sets, cell.test_rows):
             X_test, y_test = _rows(features, *test_row)
             row = [f1(model.predict(X_test), y_test).f1 for model in models]
             f_data = int(y_test.sum()) / len(y_test)
@@ -356,11 +358,11 @@ def run_task(
                         "random": trivial_baseline_f1(f_data, 0.5),
                         "all_positive": trivial_baseline_f1(f_data, 1.0),
                     },
-                    config=cfg,
+                    config=cell.config,
                     test_negatives=test_negatives,
                     models=models,
                     test_positive_fraction=f_data,
-                    kept_epochs=kept_epochs if cfg.model is ModelKind.MLP else None,
+                    kept_epochs=kept_epochs if cell.config.model is ModelKind.MLP else None,
                 )
             )
         rows.append(tuple(reports))

@@ -28,8 +28,11 @@ from gazelab import (
     MlpModel,
     ObjLevel,
     SpanAnnotation,
+    fold_plan,
     init_mlp,
     mlp_gradient,
+    plan_task,
+    run_task,
 )
 from gazelab.models import MODEL_FORMAT, TreeNode
 
@@ -310,6 +313,13 @@ def ids_by_level(labels: Sequence[ClipLabel]) -> dict[ObjLevel, list[str]]:
     for lbl in labels:
         out.setdefault(lbl.level, []).append(lbl.clip_id)
     return out
+
+
+def run_cells(configs, labels, features, test_sets):
+    """``run_task`` of ``configs``, all of one seed, each planned once from the
+    one ``fold_plan`` of ``labels`` at that seed, as ``eval`` plans its rows."""
+    folds = fold_plan(labels, configs[0].seed)
+    return run_task([plan_task(cfg, folds, test_sets, features) for cfg in configs], features)
 
 
 def serialize_annotations(spans: Iterable[SpanAnnotation]) -> str:

@@ -24,7 +24,6 @@ from gazelab import (
     fit_cav,
     make_folds_from_ids,
     model_to_json,
-    run_task,
     score_table,
     train_logreg,
     train_pcbm,
@@ -36,7 +35,7 @@ from gazelab.cbm import DEFAULT_C_GRID, CavCvConfig
 from gazelab.errors import InvariantViolation, PreconditionError
 from gazelab.harness import FOLDS, balanced_draws, derive_seed
 from gazelab.models import SVM_GAP_TOL, DecisionTree, TreeNode, f1
-from synthfix import make_compositional, make_entangled
+from synthfix import make_compositional, make_entangled, run_cells
 
 
 def lbl(cid, level, *concepts):
@@ -429,7 +428,7 @@ class TestPcbm:
             shuffled.append(ClipLabel(l.clip_id, new_level, concepts))
         scores = {cid: rng.normal(0, 1, 8) for cid in emb.clip_ids()}
         cfg = TaskConfig(ObjLevel.EN, ModelKind.PCBM_LR, seed=11)
-        ((report,),) = run_task([cfg], shuffled, scores, [EN_NEGATIVES])
+        ((report,),) = run_cells([cfg], shuffled, scores, [EN_NEGATIVES])
         # F1 should sit near the trivial band for the model's own
         # positive rate, far from the oracle regime
         assert report.mean_f1 <= 0.75
@@ -449,7 +448,7 @@ class TestPcbm:
         for kind in PCBM_KINDS:
             for train_neg in (ObjLevel.EN, ObjLevel.HN):
                 cfg = TaskConfig(train_neg, kind, seed=13)
-                ((report,),) = run_task([cfg], labels, scores, [EN_NEGATIVES])
+                ((report,),) = run_cells([cfg], labels, scores, [EN_NEGATIVES])
                 assert len(report.models) > 1
                 by_level = {}
                 for lbl in labels:

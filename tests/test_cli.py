@@ -1055,7 +1055,8 @@ class TestMalformedInputs:
         emb_path, labels_path = self._pcbm_inputs(tmp_path)
         labels, emb = make_linear_task(0, n=100, dim=4)
         cfg = TaskConfig(ObjLevel.EN, ModelKind.MLP, seed=1)
-        train_sets, *_ = harness.plan_task(cfg, labels, TEST_NEGATIVE_SETS, emb)
+        folds = harness.fold_plan(labels, seed=1)
+        train_sets = harness.plan_task(cfg, folds, TEST_NEGATIVE_SETS, emb).draws
         missing = train_sets[-1][1][0]
         assert not any(missing in ids for draw in train_sets[:-1] for ids in draw)
         assert len(train_sets) > 1
@@ -1403,17 +1404,52 @@ class TestMalformedInputs:
         assert main([*argv, "--out", str(tmp_path / "o")]) == 0
         assert len(made) == calls
 
-    def test_eval_mlp_plans_each_row_once(self, tmp_path, monkeypatch):
-        # run_task plans both rows before it fits a draw, and eval plans
-        # nothing of its own: one fold plan per row.
-        plans = []
-        make_folds = harness.make_folds_from_ids
+    @staticmethod
+    def _count_plans(monkeypatch):
+        """Log the ``make_folds_from_ids`` calls over clip levels and the
+        ``balanced_train_sets`` calls, leaving out the concept axes' folds."""
+        plans, draws = [], []
+        make_folds, train_sets = harness.make_folds_from_ids, harness.balanced_train_sets
+
+        def folds(ids_by_class, *a, **k):
+            if all(isinstance(cls, ObjLevel) for cls in ids_by_class):
+                plans.append(ids_by_class)
+            return make_folds(ids_by_class, *a, **k)
+
+        monkeypatch.setattr(harness, "make_folds_from_ids", folds)
         monkeypatch.setattr(
-            harness, "make_folds_from_ids", lambda *a, **k: plans.append(a) or make_folds(*a, **k)
+            harness, "balanced_train_sets", lambda *a: draws.append(a) or train_sets(*a)
         )
+        return plans, draws
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["pcbm", "--kind", "dt"], 1),
+            (["pcbm", "--kind", "lr"], 1),
+            (["pcbm", "--kind", "dt", "--cavs"], 1),
+            (["pcbm", "--kind", "lr", "--cavs"], 1),
+            (["eval", "--model", "pcbm-dt"], 2),
+            (["eval", "--model", "pcbm-lr"], 2),
+        ],
+        ids=["pcbm-dt", "pcbm-lr", "pcbm-dt-cavs", "pcbm-lr-cavs", "eval-pcbm-dt", "eval-pcbm-lr"],
+    )
+    def test_concept_heads_plan_each_cell_once(self, tmp_path, monkeypatch, argv, rows):
+        # One fold plan for all cells, and one set of draws per cell.
+        plans, draws = self._count_plans(monkeypatch)
+        if argv[-1] == "--cavs":
+            argv = [*argv, self._cavs_file(tmp_path)]
+        argv = [argv[0], *self._pcbm_inputs(tmp_path), *argv[1:], "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert (len(plans), len(draws)) == (1, rows)
+
+    def test_eval_mlp_plans_each_row_once(self, tmp_path, monkeypatch):
+        # eval plans both rows from one fold plan before it fits a draw,
+        # and run_task plans nothing of its own.
+        plans, draws = self._count_plans(monkeypatch)
         argv = ["eval", *self._pcbm_inputs(tmp_path), "--model", "mlp", "--epochs", "1"]
         assert main([*argv, "--seed", "1", "--out", str(tmp_path / "o")]) == 0
-        assert len(plans) == 2
+        assert len(plans) == 1
 
     def test_eval_zero_epochs_is_valid(self, tmp_path):
         # Zero epochs keeps each draw's initialization, as documented.

@@ -19,14 +19,15 @@ from gazelab import (
     balanced_train_sets,
     error_factor_analysis,
     f1,
+    fold_plan,
     make_folds_from_ids,
-    run_task,
+    plan_task,
     trivial_baseline_f1,
 )
 from gazelab import harness
 from gazelab.errors import GazeLabError, InvariantViolation, NumericError, PreconditionError
 from gazelab.harness import derive_seed
-from synthfix import ids_by_level, make_error_fixture, make_linear_task
+from synthfix import ids_by_level, make_error_fixture, make_linear_task, run_cells
 
 
 def labels_of(n_s, n_en, n_hn=0):
@@ -111,8 +112,35 @@ EN_ONLY = frozenset({ObjLevel.EN})
 EN_HN = frozenset({ObjLevel.EN, ObjLevel.HN})
 
 
+class TestPlan:
+    def test_fold_plan_is_the_folds_of_the_levels(self):
+        labels = labels_of(30, 50, 40)
+        for seed in (0, 5):
+            assert fold_plan(labels, seed) == make_folds_from_ids(ids_by_level(labels), seed)
+
+    def test_rows_of_one_plan_share_test_fold_and_validation_positives(self):
+        labels, feats = make_linear_task(1, n=600)
+        folds = fold_plan(labels, 4)
+        en, hn = (
+            plan_task(TaskConfig(neg, ModelKind.PCBM_LR, seed=4), folds, TEST_NEGATIVE_SETS, feats)
+            for neg in (ObjLevel.EN, ObjLevel.HN)
+        )
+        assert en.test_sets == hn.test_sets == TEST_NEGATIVE_SETS
+        assert en.test_rows == hn.test_rows
+        assert en.val_row[0] == hn.val_row[0] == list(folds.ids(ObjLevel.S, [folds.val_fold]))
+        assert en.val_row[1] == list(folds.ids(ObjLevel.EN, [folds.val_fold]))
+        assert hn.val_row[1] == list(folds.ids(ObjLevel.HN, [folds.val_fold]))
+        assert en.draws == tuple(balanced_train_sets(folds, ObjLevel.S, ObjLevel.EN))
+
+    def test_cell_of_another_seed_is_refused(self):
+        labels, feats = make_linear_task(1, n=600)
+        cfg = TaskConfig(ObjLevel.EN, ModelKind.PCBM_LR, seed=4)
+        with pytest.raises(InvariantViolation, match="seed 4 planned on folds of seed 5"):
+            plan_task(cfg, fold_plan(labels, 5), TEST_NEGATIVE_SETS, feats)
+
+
 def held_out(labels, feats, seed, negatives):
-    """Features and truths of run_task's test fold, rebuilt from its fold plan."""
+    """Features and truths of a cell's test fold, rebuilt from its fold plan."""
     plan = make_folds_from_ids(ids_by_level(labels), seed)
     pos = plan.ids(ObjLevel.S, [plan.test_fold])
     neg = [cid for lv in sorted(negatives) for cid in plan.ids(lv, [plan.test_fold])]
@@ -140,7 +168,7 @@ class TestRunTask:
                 mlp_epochs=120,
                 mlp_lr=2e-2,
             )
-            (reports,) = run_task([cfg], labels, feats, TEST_NEGATIVE_SETS)
+            (reports,) = run_cells([cfg], labels, feats, TEST_NEGATIVE_SETS)
             assert [r.test_negatives for r in reports] == [EN_ONLY, EN_HN]
             assert all(r.mean_f1 >= 0.95 for r in reports)
             # One kept epoch per draw, shared by the test sets of its fit.
@@ -151,27 +179,27 @@ class TestRunTask:
     def test_test_sets_share_fitted_models(self):
         labels, feats = make_linear_task(4, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=8)
-        ((narrow, wide),) = run_task([cfg], labels, feats, [EN_ONLY, EN_HN])
+        ((narrow, wide),) = run_cells([cfg], labels, feats, [EN_ONLY, EN_HN])
         assert len(narrow.models) == len(wide.models) >= 2
         for a, b in zip(narrow.models, wide.models):
             assert a is b
         assert wide.test_positive_fraction < narrow.test_positive_fraction
         assert narrow.to_json()["config"]["test_negatives"] == ["EN"]
         assert wide.to_json()["config"]["test_negatives"] == ["EN", "HN"]
-        ((alone,),) = run_task([cfg], labels, feats, [EN_HN])
+        ((alone,),) = run_cells([cfg], labels, feats, [EN_HN])
         assert alone.to_json() == wide.to_json()
         assert wide.kept_epochs is None and "kept_epoch" not in wide.to_json()
 
     def test_all_draws_share_identical_test_set(self):
         labels, feats = make_linear_task(1, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=5)
-        ((report,),) = run_task([cfg], labels, feats, [EN_ONLY])
+        ((report,),) = run_cells([cfg], labels, feats, [EN_ONLY])
         assert_each_draw_scored_on_held_out(report, labels, feats)
 
     def test_per_draw_f1_recomputable_from_predictions(self):
         labels, feats = make_linear_task(2, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_DT, seed=6)
-        ((report,),) = run_task([cfg], labels, feats, [EN_HN])
+        ((report,),) = run_cells([cfg], labels, feats, [EN_HN])
         assert_each_draw_scored_on_held_out(report, labels, feats)
 
     def test_trivial_models_reproduce_baselines(self):
@@ -189,7 +217,7 @@ class TestRunTask:
                 labels.append(ClipLabel(cid, level, concepts))
                 feats[cid] = rng.normal(0, 1, 4)
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=17)
-        ((rep,),) = run_task([cfg], labels, feats, [EN_HN])
+        ((rep,),) = run_cells([cfg], labels, feats, [EN_HN])
         _, truths = held_out(labels, feats, 17, EN_HN)
         always = f1(np.ones(len(truths), dtype=np.int64), truths).f1
         assert always == pytest.approx(
@@ -207,7 +235,7 @@ class TestRunTask:
     def test_baselines_use_test_composition(self):
         labels, feats = make_linear_task(3, n=600)
         cfg = TaskConfig(train_negatives=ObjLevel.HN, model=ModelKind.PCBM_LR, seed=2)
-        ((report,),) = run_task([cfg], labels, feats, [EN_ONLY])
+        ((report,),) = run_cells([cfg], labels, feats, [EN_ONLY])
         assert report.baselines["all_positive"] == pytest.approx(
             trivial_baseline_f1(report.test_positive_fraction, 1.0)
         )
@@ -217,18 +245,17 @@ class TestRunTask:
 
     def test_ns_must_be_dropped(self):
         labels = labels_of(20, 20) + [ClipLabel("n0", ObjLevel.NS, frozenset({Concept.BODY}))]
-        cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.PCBM_LR, seed=0)
-        with pytest.raises(PreconditionError):
-            run_task([cfg], labels, {}, [EN_ONLY])
+        with pytest.raises(PreconditionError, match="NS clips must be dropped"):
+            fold_plan(labels, 0)
 
     def test_task_config_validation(self):
         with pytest.raises(InvariantViolation):
             TaskConfig(train_negatives=ObjLevel.NS, model=ModelKind.MLP, seed=0)
-        # The test negative sets are checked by run_task, before any data.
+        # The test negative sets are checked by plan_task, before any data.
         cfg = TaskConfig(train_negatives=ObjLevel.EN, model=ModelKind.MLP, seed=0)
         for test_sets in ([frozenset({ObjLevel.HN})], [EN_ONLY, frozenset()], []):
             with pytest.raises(InvariantViolation):
-                run_task([cfg], [], {}, test_sets)
+                plan_task(cfg, fold_plan([], 0), test_sets, {})
 
     def test_draw_seeds_stable_under_extension(self):
         # Adding draws must never perturb earlier ones.
@@ -279,7 +306,7 @@ class TestDrawPool:
     def test_pool_fits_every_mlp_draw_of_both_rows_outside_the_parent(self, tmp_path, monkeypatch):
         configs, labels, feats = self.grid()
         fits = self.log_fits(tmp_path, monkeypatch, harness.train_mlp)
-        pooled = run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        pooled = run_cells(configs, labels, feats, TEST_NEGATIVE_SETS)
         seeds = [
             str(derive_seed(cfg.seed, 1, i))
             for cfg, cells in zip(configs, pooled)
@@ -295,9 +322,9 @@ class TestDrawPool:
         log = tmp_path / "fits"
         log.write_text("")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        in_process = run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        in_process = run_cells(configs, labels, feats, TEST_NEGATIVE_SETS)
         assert fits() == [[str(os.getpid()), "train_mlp", seed] for seed in seeds]
-        by_row = [run_task([cfg], labels, feats, TEST_NEGATIVE_SETS)[0] for cfg in configs]
+        by_row = [run_cells([cfg], labels, feats, TEST_NEGATIVE_SETS)[0] for cfg in configs]
         for other in (in_process, by_row):
             for cells, other_cells in zip(pooled, other):
                 for report, other_report in zip(cells, other_cells):
@@ -331,7 +358,7 @@ class TestDrawPool:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(harness, "train_mlp", counted)
-        rows = run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        rows = run_cells(configs, labels, feats, TEST_NEGATIVE_SETS)
         assert all(ran == 40 for _, ran in runs) and min(kept for kept, _ in runs) < 40
         sha = hashlib.sha256()
         for cells in rows:
@@ -347,7 +374,7 @@ class TestDrawPool:
         configs, labels, feats = self.grid(model)
         fit = {ModelKind.PCBM_DT: harness.train_tree, ModelKind.PCBM_LR: harness.train_logreg}[model]
         fits = self.log_fits(tmp_path, monkeypatch, fit)
-        rows = run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+        rows = run_cells(configs, labels, feats, TEST_NEGATIVE_SETS)
         assert len(fits()) == sum(len(cells[0].models) for cells in rows) >= 2
         assert {pid for pid, _, _ in fits()} == {str(os.getpid())}
 
@@ -365,7 +392,7 @@ class TestDrawPool:
 
         fits = self.log_fits(tmp_path, monkeypatch, diverge)
         with pytest.raises(NumericError, match=f"^draw with seed {first} diverged$"):
-            run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+            run_cells(configs, labels, feats, TEST_NEGATIVE_SETS)
         assert str(first) in {seed for _, _, seed in fits()}
         assert multiprocessing.active_children() == []
 
@@ -382,7 +409,7 @@ class TestDrawPool:
         monkeypatch.setattr(harness, "train_mlp", die)
         message = "a worker process fitting the MLP draws died; no output was written"
         with pytest.raises(GazeLabError) as raised:
-            run_task(configs, labels, feats, TEST_NEGATIVE_SETS)
+            run_cells(configs, labels, feats, TEST_NEGATIVE_SETS)
         assert type(raised.value) is GazeLabError and str(raised.value) == message
         assert multiprocessing.active_children() == []
 
